@@ -43,6 +43,20 @@ def mid_tau(k: int) -> Fraction:
     return Fraction(k, 2) + Fraction(1, 4)
 
 
+# The acceptance theorem grid plus the smallest valid degree k = 4g - 3 for
+# g = 4..8.
+ORACLE_GRID = [
+    ModuliParams(g=g, k=k, tau_bar=mid_tau(k))
+    for g, k in [(2, 5), (2, 7), (2, 9), (2, 11), (3, 9), (3, 11), (3, 13), (3, 15)]
+    + [(g, 4 * g - 3) for g in range(4, 9)]
+]
+
+
+def euler_characteristic(poly: PoincarePolynomial) -> int:
+    """P(-1), summed from the coefficient pairs."""
+    return sum(c * (-1) ** e for e, c in poly.as_pairs())
+
+
 # -- symmetric-product polynomials -------------------------------------
 
 
@@ -71,6 +85,14 @@ def test_sym_poincare_palindromic_of_degree_2n():
             assert poly.coeff(0) == 1
             for e, c in poly.as_pairs():
                 assert poly.coeff(2 * n - e) == c
+
+
+def test_sym_poincare_euler_characteristic():
+    # Macdonald: sum_n chi(Sym^n) x^n = (1 - x)^(2g - 2)
+    for g in range(1, 6):
+        for n in range(0, 13):
+            want = (-1) ** n * math.comb(2 * g - 2, n)
+            assert euler_characteristic(sym_poincare(n, g)) == want, (g, n)
 
 
 def test_sym_poincare_validates_arguments():
@@ -127,6 +149,17 @@ def test_pairs_polynomial_has_unit_constant_term_and_no_negatives():
         poly = pairs_poincare_n0(ModuliParams(g=g, k=k, tau_bar=mid_tau(k)))
         assert poly.coeff(0) == 1
         assert all(c > 0 for _, c in poly.as_pairs())
+
+
+def test_pairs_polynomial_palindromic_with_vanishing_euler_characteristic():
+    for p in ORACLE_GRID:
+        poly = pairs_poincare_n0(p)
+        top = 2 * (p.k + 2 * p.g - 2)
+        assert poly.coeff(0) == 1, (p.g, p.k)
+        assert poly.degree() == top, (p.g, p.k)
+        for e, c in poly.as_pairs():
+            assert poly.coeff(top - e) == c, (p.g, p.k, e)
+        assert euler_characteristic(poly) == 0, (p.g, p.k)
 
 
 def test_pairs_polynomial_rejects_invalid_params():
@@ -204,6 +237,19 @@ def test_total_independent_of_tau_bar_within_floor_window():
     b = ModuliParams(g=2, k=5, tau_bar=Fraction(14, 5))
     assert total_poincare(a) == total_poincare(b)
     assert pairs_poincare_n0(a) == pairs_poincare_n0(b)
+
+
+def test_total_euler_characteristic_is_sum_over_strata():
+    # chi(Sym^n1 x Sym^n2) from the binomial formula; the minimum stratum
+    # contributes 0 and every Morse index is even.
+    for p in ORACLE_GRID:
+        want = 0
+        for d in d_range(p):
+            n1, n2 = p.k + 2 * p.g - 2 - 2 * d, p.k - d
+            want += (-1) ** (n1 + n2) * math.comb(2 * p.g - 2, n1) * math.comb(
+                2 * p.g - 2, n2
+            )
+        assert euler_characteristic(total_poincare(p)) == want, (p.g, p.k)
 
 
 def test_total_coefficients_positive():
