@@ -1,33 +1,17 @@
-"""Exact truncated series in the variables t, x, y.
+"""Exact Laurent polynomials in t with integer coefficients.
 
-A :class:`Series` is a finite map from exponent tuples to exact rational
-coefficients, carried inside a per-variable truncation window.  The variables
-are an ordered subset of ``(t, x, y)``; the x- and y-exponents are always
-nonnegative, while t may run over a Laurent window with a negative lower
-bound.  All arithmetic stays inside the window: exponents that exceed a bound
-are discarded, which models computation in the quotient by the ideal of
-high-order terms.
+A :class:`LaurentPoly` is the finite sum of ``c_i t^(low + i)``, held as a
+tuple of ``int`` coefficients (no zeros at either end) plus the lowest
+exponent ``low``.  Arithmetic is exact and untruncated: the Poincare
+polynomials built from it are finite, so no window is ever needed.
 
-Coefficients are ``int`` or ``fractions.Fraction`` only; floats are rejected.
-Integer-valued rationals are normalised to ``int`` (cheap exact arithmetic).
-
-Truncation is applied per operation.  Because a negative t-power can bring a
-previously discarded exponent back into the window, multiplication of Laurent
-series is associative only while intermediate products stay inside the
-window; callers therefore size windows generously relative to the degrees
-they combine (the generating-function callers do this from their own degree
-bookkeeping, so no extraction ever hits a truncation error in normal use).
+The only division is by ``1 - t^2`` (:func:`exact_divide`), and it must
+leave no remainder.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, Mapping
-
-VAR_ORDER = ("t", "x", "y")
-
-Rational = int | Fraction
+from typing import Iterable
 
 
 class FormulaIntegrityError(ArithmeticError):
@@ -38,380 +22,117 @@ class FormulaIntegrityError(ArithmeticError):
     """
 
 
-class TruncationError(FormulaIntegrityError):
-    """A requested exponent lies outside the truncation window."""
+class LaurentPoly:
+    """Immutable ``sum(c_i t^(low + i))`` with ``int`` coefficients."""
 
+    __slots__ = ("low", "coeffs")
 
-def _check_coeff(c: object) -> Rational:
-    """Validate and normalise a coefficient to int or Fraction."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"exact rational coefficient required, got {type(c).__name__}")
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-class Series:
-    """Immutable sparse series with exact coefficients.
-
-    Parameters
-    ----------
-    coeffs:
-        Map from exponent tuples (aligned with ``vars``) to rationals.
-        Zero coefficients and out-of-window exponents are dropped.
-    vars:
-        Iterable of variable names from ``{"t", "x", "y"}``; stored in the
-        canonical order (t, x, y).
-    upper:
-        Inclusive upper truncation exponent per variable.
-    t_lower:
-        Inclusive lower Laurent bound for t (ignored when t is absent).
-        x and y always have lower bound 0.
-    """
-
-    __slots__ = ("vars", "upper", "t_lower", "coeffs")
-    __hash__ = None  # mutable payload; identity hashing would be a trap
-
-    def __init__(
-        self,
-        coeffs: Mapping[tuple[int, ...], Rational],
-        vars: Iterable[str],
-        upper: Mapping[str, int],
-        t_lower: int = 0,
-    ) -> None:
-        vs = tuple(v for v in VAR_ORDER if v in set(vars))
-        if len(vs) != len(set(vars)):
-            bad = set(vars) - set(VAR_ORDER)
-            raise ValueError(f"unknown variables {sorted(bad)}; allowed: {VAR_ORDER}")
-        up = {v: int(upper[v]) for v in vs}
-        lo = {v: (int(t_lower) if v == "t" else 0) for v in vs}
-        for v in vs:
-            if up[v] < lo[v]:
-                raise ValueError(f"empty window for {v}: [{lo[v]}, {up[v]}]")
-        canon: dict[tuple[int, ...], Rational] = {}
-        for exps, c in coeffs.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != len(vs):
-                raise ValueError(f"exponent tuple {key} does not match vars {vs}")
-            c = _check_coeff(c)
-            if c == 0:
-                continue
-            if all(lo[v] <= e <= up[v] for v, e in zip(vs, key)):
-                if key in canon:
-                    raise ValueError(f"duplicate exponent tuple {key}")
-                canon[key] = c
-        self.vars = vs
-        self.upper = up
-        self.t_lower = lo.get("t", 0)
-        self.coeffs = canon
-
-    # -- constructors -------------------------------------------------
+    def __init__(self, coeffs: Iterable[int] = (), low: int = 0) -> None:
+        cs = list(coeffs)
+        for c in cs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"int coefficient required, got {type(c).__name__}")
+        start, stop = 0, len(cs)
+        while start < stop and cs[start] == 0:
+            start += 1
+        while stop > start and cs[stop - 1] == 0:
+            stop -= 1
+        self.coeffs = tuple(cs[start:stop])
+        self.low = low + start if self.coeffs else 0
 
     @classmethod
-    def zero(cls, vars: Iterable[str], upper: Mapping[str, int], t_lower: int = 0) -> Series:
-        return cls({}, vars, upper, t_lower)
+    def from_terms(cls, terms: Iterable[tuple[int, int]]) -> LaurentPoly:
+        """Sum of ``c t^e`` over (e, c) pairs; repeated exponents add up."""
+        terms = list(terms)
+        if not terms:
+            return cls()
+        low = min(e for e, _ in terms)
+        cs = [0] * (max(e for e, _ in terms) - low + 1)
+        for e, c in terms:
+            cs[e - low] += c
+        return cls(cs, low)
 
-    @classmethod
-    def constant(
-        cls, c: Rational, vars: Iterable[str], upper: Mapping[str, int], t_lower: int = 0
-    ) -> Series:
-        vs = tuple(v for v in VAR_ORDER if v in set(vars))
-        return cls({(0,) * len(vs): c}, vs, upper, t_lower)
+    def terms(self) -> list[tuple[int, int]]:
+        """Nonzero (exponent, coefficient) pairs in increasing exponent."""
+        return [(self.low + i, c) for i, c in enumerate(self.coeffs) if c]
 
-    # -- helpers ------------------------------------------------------
+    def coeff(self, exponent: int) -> int:
+        i = exponent - self.low
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def _lower(self, v: str) -> int:
-        return self.t_lower if v == "t" else 0
+    def shift(self, e: int) -> LaurentPoly:
+        """Multiply by t^e."""
+        return LaurentPoly(self.coeffs, self.low + e)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def exponent_of(self, key: tuple[int, ...], v: str) -> int:
-        return key[self.vars.index(v)]
-
-    def as_constant(self) -> Rational:
-        """Return the value of a series with no variable dependence."""
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
+        if not other.coeffs:
+            return self
         if not self.coeffs:
-            return 0
-        if len(self.coeffs) == 1:
-            (key, c), = self.coeffs.items()
-            if all(e == 0 for e in key):
-                return c
-        raise ValueError(f"series is not constant: {self}")
+            return other
+        low = min(self.low, other.low)
+        top = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
+        cs = [0] * (top - low)
+        for p in (self, other):
+            for i, c in enumerate(p.coeffs, p.low - low):
+                cs[i] += c
+        return LaurentPoly(cs, low)
 
-    def embedded(
-        self, vars: tuple[str, ...], upper: Mapping[str, int], t_lower: int
-    ) -> Series:
-        """Re-key this series into a (super)set of variables and new window."""
-        pos = {v: i for i, v in enumerate(self.vars)}
-        new: dict[tuple[int, ...], Rational] = {}
-        for key, c in self.coeffs.items():
-            nk = tuple(key[pos[v]] if v in pos else 0 for v in vars)
-            if nk in new:
-                raise ValueError("embedding collided; variable sets inconsistent")
-            new[nk] = c
-        return Series(new, vars, upper, t_lower)
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
+        if not self.coeffs or not other.coeffs:
+            return LaurentPoly()
+        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs, i):
+                    cs[j] += a * b
+        return LaurentPoly(cs, self.low + other.low)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = _unify(self, other)
-        return a.coeffs == b.coeffs
+        return (self.low, self.coeffs) == (other.low, other.coeffs)
 
-    def __add__(self, other: Series) -> Series:
-        return add(self, other)
-
-    def __sub__(self, other: Series) -> Series:
-        return add(self, scale(other, -1))
-
-    def __neg__(self) -> Series:
-        return scale(self, -1)
-
-    def __mul__(self, other: Series) -> Series:
-        return mul(self, other)
+    def __hash__(self) -> int:
+        return hash((self.low, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"Series({self})"
+        return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
         return render(self)
 
 
-def monomial(
-    c: Rational,
-    exps: Mapping[str, int],
-    upper: Mapping[str, int],
-    t_lower: int = 0,
-) -> Series:
-    """Build the single-term series ``c * prod(v**e)``."""
-    vs = tuple(v for v in VAR_ORDER if v in upper)
-    unknown = set(exps) - set(vs)
-    if unknown:
-        raise ValueError(f"exponent for variable(s) {sorted(unknown)} without a window")
-    key = tuple(int(exps.get(v, 0)) for v in vs)
-    return Series({key: c}, vs, upper, t_lower)
+def exact_divide(a: LaurentPoly) -> LaurentPoly:
+    """Divide by ``1 - t^2``; a nonzero remainder raises FormulaIntegrityError.
 
-
-def _unify(a: Series, b: Series) -> tuple[Series, Series]:
-    """Embed both operands into the union variable set and common window."""
-    vs = tuple(v for v in VAR_ORDER if v in a.vars or v in b.vars)
-    upper: dict[str, int] = {}
-    for v in vs:
-        if v in a.vars and v in b.vars:
-            upper[v] = min(a.upper[v], b.upper[v])
-        else:
-            upper[v] = a.upper[v] if v in a.vars else b.upper[v]
-    if "t" in a.vars and "t" in b.vars:
-        t_lower = max(a.t_lower, b.t_lower)
-    elif "t" in vs:
-        t_lower = a.t_lower if "t" in a.vars else b.t_lower
-    else:
-        t_lower = 0
-    return a.embedded(vs, upper, t_lower), b.embedded(vs, upper, t_lower)
-
-
-def add(a: Series, b: Series) -> Series:
-    """Coefficient-wise sum in the common window."""
-    a, b = _unify(a, b)
-    out = dict(a.coeffs)
-    for key, c in b.coeffs.items():
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Series(out, a.vars, a.upper, a.t_lower)
-
-
-def scale(a: Series, c: Rational) -> Series:
-    c = _check_coeff(c)
-    if c == 0:
-        return Series.zero(a.vars, a.upper, a.t_lower)
-    return Series({k: v * c for k, v in a.coeffs.items()}, a.vars, a.upper, a.t_lower)
-
-
-def mul(a: Series, b: Series) -> Series:
-    """Cauchy product; exponents exceeding the common window are discarded."""
-    a, b = _unify(a, b)
-    vs = a.vars
-    lo = tuple(a._lower(v) for v in vs)
-    hi = tuple(a.upper[v] for v in vs)
-    out: dict[tuple[int, ...], Rational] = {}
-    small, large = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-    for k1, c1 in small.items():
-        for k2, c2 in large.items():
-            key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-            if any(e < l or e > h for e, l, h in zip(key, lo, hi)):
-                continue
-            s = out.get(key, 0) + c1 * c2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Series(out, vs, a.upper, a.t_lower)
-
-
-def expand_geometric(c: Series) -> Series:
-    """Expand 1/(1-c) = sum of c**j for a monomial c, inside c's window.
-
-    The monomial must have a positive x- or y-exponent so that the powers
-    escape the window in a graded direction and the sum is finite; its
-    t-exponent may be arbitrary (negative included).
+    Callers divide only quantities that are exactly divisible when
+    transcribed correctly, so a remainder always means a bookkeeping bug.
     """
-    if not c.is_monomial():
-        raise ValueError(f"geometric expansion needs a monomial, got {c!r}")
-    (key, coeff), = c.coeffs.items()
-    steps = [
-        c.upper[v] // e
-        for v, e in zip(c.vars, key)
-        if v in ("x", "y") and e > 0
-    ]
-    if not steps:
-        raise ValueError(
-            "geometric expansion needs a positive x- or y-exponent "
-            f"(non-truncating direction otherwise): {c!r}"
+    q = list(a.coeffs)
+    for j in range(2, len(q)):
+        q[j] += q[j - 2]
+    if any(q[-2:]):
+        raise FormulaIntegrityError(
+            f"division of {render(a)} by 1 - t^2 leaves remainder "
+            f"{render(LaurentPoly(q[-2:], a.low + max(len(q) - 2, 0)))}"
         )
-    jmax = min(steps)
-    out: dict[tuple[int, ...], Rational] = {}
-    lo = tuple(c._lower(v) for v in c.vars)
-    hi = tuple(c.upper[v] for v in c.vars)
-    acc: Rational = 1
-    for j in range(jmax + 1):
-        k = tuple(e * j for e in key)
-        if all(l <= e <= h for e, l, h in zip(k, lo, hi)):
-            out[k] = acc
-        acc = acc * coeff
-    return Series(out, c.vars, c.upper, c.t_lower)
+    return LaurentPoly(q[:-2], a.low)
 
 
-def pow_binomial(base: Series, n: int) -> Series:
-    """Raise a series of the shape 1 + monomial to a nonnegative power.
-
-    Computes sum of C(n, j) * m**j with exact binomial coefficients.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
-    rest = {k: v for k, v in base.coeffs.items() if any(e != 0 for e in k)}
-    const = base.coeffs.get((0,) * len(base.vars), 0)
-    if const != 1 or len(rest) > 1:
-        raise ValueError(f"base must have the shape 1 + monomial, got {base!r}")
-    out: dict[tuple[int, ...], Rational] = {}
-    lo = tuple(base._lower(v) for v in base.vars)
-    hi = tuple(base.upper[v] for v in base.vars)
-    if not rest:
-        out[(0,) * len(base.vars)] = 1
-        return Series(out, base.vars, base.upper, base.t_lower)
-    (mk, mc), = rest.items()
-    acc: Rational = 1
-    for j in range(n + 1):
-        k = tuple(e * j for e in mk)
-        if all(l <= e <= h for e, l, h in zip(k, lo, hi)):
-            val = math.comb(n, j) * acc
-            if val != 0:
-                out[k] = val
-        acc = acc * mc
-    return Series(out, base.vars, base.upper, base.t_lower)
-
-
-def coeff_extract(s: Series, assignments: Mapping[str, int]) -> Series:
-    """Extract the sub-series whose monomials carry the assigned exponents.
-
-    Returns a series in the remaining variables.  Requesting an exponent
-    outside the truncation window raises :class:`TruncationError`: an
-    under-truncated input would have silently dropped the very terms asked
-    for, so the request is refused loudly instead.
-    """
-    for v, e in assignments.items():
-        if v not in s.vars:
-            raise ValueError(f"variable {v} not present in series over {s.vars}")
-        if not (s._lower(v) <= e <= s.upper[v]):
-            raise TruncationError(
-                f"coefficient of {v}^{e} requested outside window "
-                f"[{s._lower(v)}, {s.upper[v]}]"
-            )
-    keep = tuple(v for v in s.vars if v not in assignments)
-    idx_keep = [s.vars.index(v) for v in keep]
-    idx_match = [(s.vars.index(v), int(e)) for v, e in assignments.items()]
-    out: dict[tuple[int, ...], Rational] = {}
-    for key, c in s.coeffs.items():
-        if all(key[i] == e for i, e in idx_match):
-            out[tuple(key[i] for i in idx_keep)] = c
-    upper = {v: s.upper[v] for v in keep}
-    return Series(out, keep, upper, s.t_lower if "t" in keep else 0)
-
-
-def exact_divide(s: Series, factor: Series) -> Series:
-    """Divide by a factor of the shape 1 - c*t**e; the remainder must vanish.
-
-    A nonzero remainder raises :class:`FormulaIntegrityError` — the callers
-    divide only quantities that are exactly divisible when transcribed
-    correctly, so a remainder always means a bookkeeping bug.
-    """
-    rest = {k: v for k, v in factor.coeffs.items() if any(e != 0 for e in k)}
-    const = factor.coeffs.get((0,) * len(factor.vars), 0)
-    valid = const == 1 and len(rest) == 1 and "t" in factor.vars
-    if valid:
-        (fk, fc), = rest.items()
-        ti = factor.vars.index("t")
-        e = fk[ti]
-        valid = e >= 1 and all(x == 0 for i, x in enumerate(fk) if i != ti)
-    if not valid:
-        raise ValueError(f"divisor must have the shape 1 - c*t^e, got {factor!r}")
-    c = -fc  # factor = 1 - c*t^e
-    if "t" not in s.vars:
-        if s.is_zero():
-            return s
-        raise ValueError("dividend has no t dependence")
-    ti = s.vars.index("t")
-    groups: dict[tuple[int, ...], dict[int, Rational]] = {}
-    for key, v in s.coeffs.items():
-        g = key[:ti] + key[ti + 1 :]
-        groups.setdefault(g, {})[key[ti]] = v
-    out: dict[tuple[int, ...], Rational] = {}
-    for g, poly in groups.items():
-        lo, hi = min(poly), max(poly)
-        q: dict[int, Rational] = {}
-        for j in range(lo, hi + 1):
-            val = poly.get(j, 0) + c * q.get(j - e, 0)
-            if val != 0:
-                q[j] = val
-        tail = {j: q[j] for j in range(hi - e + 1, hi + 1) if q.get(j, 0) != 0}
-        if tail:
-            raise FormulaIntegrityError(
-                f"division by {render(factor)} leaves nonzero remainder "
-                f"(group {dict(zip((v for v in s.vars if v != 't'), g))}, tail {tail})"
-            )
-        for j, val in q.items():
-            if j <= hi - e:
-                out[g[:ti] + (j,) + g[ti:]] = val
-    return Series(out, s.vars, s.upper, s.t_lower)
-
-
-def render(s: Series) -> str:
-    """Deterministic text form: monomials sorted lexicographically (t, x, y)."""
-    if not s.coeffs:
-        return "0"
+def render(a: LaurentPoly) -> str:
+    """Deterministic text form, terms in increasing exponent."""
     pieces: list[str] = []
-    for key in sorted(s.coeffs):
-        c = s.coeffs[key]
-        neg = c < 0
-        mag = -c if neg else c
-        factors = []
-        for v, e in zip(s.vars, key):
-            if e == 0:
-                continue
-            factors.append(v if e == 1 else f"{v}^{e}")
-        if not factors:
+    for e, c in a.terms():
+        mag = abs(c)
+        factor = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+        if not factor:
             body = str(mag)
         elif mag == 1:
-            body = "*".join(factors)
+            body = factor
         else:
-            body = "*".join([str(mag)] + factors)
+            body = f"{mag}*{factor}"
         if not pieces:
-            pieces.append(f"-{body}" if neg else body)
+            pieces.append(f"-{body}" if c < 0 else body)
         else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
+            pieces.append(f" - {body}" if c < 0 else f" + {body}")
+    return "".join(pieces) or "0"

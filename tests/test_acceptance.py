@@ -93,10 +93,8 @@ def test_closed_form_extraction_matches_stratum_sum() -> None:
 
     text = json.dumps({"as_printed_minus_total": archive}, indent=2) + "\n"
     path = GOLDEN / "extraction_as_printed_mismatch.json"
-    if path.exists():
-        assert path.read_text() == text
-    else:
-        path.write_text(text)
+    assert path.exists(), f"golden {path.name} is missing; it is never regenerated here"
+    assert path.read_text() == text
 
 
 # -- 3: integrality and nonnegativity of the rank-2 pair polynomials
