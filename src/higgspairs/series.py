@@ -92,9 +92,6 @@ class LaurentPoly:
             return NotImplemented
         return (self.low, self.coeffs) == (other.low, other.coeffs)
 
-    def __hash__(self) -> int:
-        return hash((self.low, self.coeffs))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
