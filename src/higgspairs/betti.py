@@ -144,7 +144,7 @@ def _pairs_bracket_coeff(p) -> LaurentPoly:
     bracket = LaurentPoly()
     for i in range(m + 1):
         pair = LaurentPoly.from_terms([(2 * m - 2 * i, 1), (2 * c + 4 * i, -1)])
-        bracket = bracket + _macdonald(m - i, g) * pair
+        bracket = bracket + pair * _macdonald(m - i, g)
     one_plus_t = LaurentPoly([math.comb(2 * g, j) for j in range(2 * g + 1)])
     return one_plus_t * bracket
 
@@ -195,7 +195,6 @@ def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePol
 
     with Y = d - 2g under ``as_printed`` and Y = d + 2g under
     ``corrected``.  Only ``corrected`` is expected to match total_poincare.
-    Strata terms are kept up to t^(2(k+2g)) only (see the module docstring).
     """
     if y_exponent_convention not in _CONVENTIONS:
         raise ValueError(

@@ -65,10 +65,6 @@ class LaurentPoly:
         return LaurentPoly(self.coeffs, self.low + e)
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
         low = min(self.low, other.low)
         top = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
         cs = [0] * (top - low)
@@ -78,9 +74,7 @@ class LaurentPoly:
         return LaurentPoly(cs, low)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly()
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        cs = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs, i):
