@@ -3,9 +3,10 @@
 Subcommands: betti (Poincare polynomial pipeline), strata (descriptor
 enumeration), stability (split-model checks), vortex (lattice solver) and
 selftest (cross-implementation invariant suite).  Reports are emitted as
-json (canonical, byte-deterministic), csv (flattened path,value rows) or
-pretty text.  A golden file can be compared against (--golden) or written
-(--write-golden); comparison failures exit with code 2.
+json (canonical, byte-deterministic, never NaN or Infinity), csv
+(flattened path,value rows) or pretty text.  A golden file can be compared
+against (--golden) or written (--write-golden); comparison failures exit
+with code 2.
 
 Exit codes: 0 for a completed run (including unstable verdicts and
 non-converged solves), 1 for parameter or input validation failures, 2 for
@@ -74,7 +75,7 @@ def _flatten(obj: Any, prefix: str, rows: list[tuple[str, str]]) -> None:
 
 def _render(report: dict[str, Any], fmt: str, pretty: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         rows: list[tuple[str, str]] = []
         _flatten(report, "", rows)
@@ -251,8 +252,15 @@ def _mirror_smooth_state(
 def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     if args.grid < vortex.MIN_GRID:
         raise InvalidParamsError(f"grid must be at least {vortex.MIN_GRID}")
+    for name in ("tau", "vol", "amplitude", "tol"):
+        if not math.isfinite(getattr(args, name)):
+            raise InvalidParamsError(f"--{name} must be finite, got {getattr(args, name)!r}")
     if args.vol <= 0:
         raise InvalidParamsError("vol must be positive")
+    if args.tol < 0:
+        raise InvalidParamsError(f"--tol must be non-negative, got {args.tol!r}")
+    if args.max_iter < 0:
+        raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
     rng = np.random.default_rng(args.seed)
     if args.branch == "phi":
@@ -520,6 +528,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     fmt = getattr(args, "format", "json")
     try:
         report, pretty, code = args.fn(args)
+        text = _render(report, fmt, pretty)
     except InvalidParamsError as exc:
         _emit_error(fmt, exc)
         return 1
@@ -530,7 +539,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit_error(fmt, exc)
         return 1
 
-    text = _render(report, fmt, pretty)
     if args.write_golden:
         with open(args.write_golden, "w", encoding="utf-8") as fh:
             fh.write(text)

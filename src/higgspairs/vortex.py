@@ -29,7 +29,10 @@ lattice site, which the pointwise moment-map terms cannot see), so
 exactly: constant connections with Higgs fields polynomial in the
 conjugate potential, and fully rough per-site phi and psi.  The descent
 path never relies on the identity; it minimizes ``residual_energy``
-directly.
+directly.  Every residual field is linear or bilinear in the fields
+(curvature, the mixed A-theta part, the moment maps, theta-intertwining),
+so along any line residual_energy is exactly a quartic; ``solve`` takes
+its exact minimum along preconditioned conjugate-gradient directions.
 """
 
 from __future__ import annotations
@@ -49,12 +52,7 @@ DEVIATION_WEIGHT = 0.25
 
 MIN_GRID = 4
 
-_BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
 _FROZEN = {"phi": ("psi", "theta2"), "psi": ("phi", "theta1"), None: ()}
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking exhausted without an acceptable decrease."""
 
 
 class NotConvergedError(RuntimeError):
@@ -301,14 +299,17 @@ def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
     }
 
 
+def _energy(s: LatticeState, w: dict[str, np.ndarray]) -> float:
+    return s.a * s.a * sum(_frob2(v) for v in w.values())
+
+
 def residual_energy(s: LatticeState, p: VortexParams) -> float:
     """Squared residual of the two vortex equations plus holomorphicity terms.
 
     Zero exactly at discrete solutions of the coupled equations together
     with D_zbar phi = 0, theta-intertwining of phi, and the psi mirrors.
     """
-    w = _residual_fields(s, p)
-    return s.a * s.a * sum(_frob2(v) for v in w.values())
+    return _energy(s, _residual_fields(s, p))
 
 
 def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
@@ -358,9 +359,15 @@ def residual_gradient(
     projection of the unconstrained gradient onto the constraint manifold);
     blocks frozen by the branch come back as zeros.
     """
+    return _gradient(s, _residual_fields(s, p), branch)
+
+
+def _gradient(
+    s: LatticeState, w: dict[str, np.ndarray], branch: Optional[str]
+) -> dict[str, np.ndarray]:
+    """residual_gradient from the residual fields w already computed at s."""
     f = _Fields(s)
     k = f.k
-    w = _residual_fields(s, p)
     w1, w2 = w["W1"], w["W2"]
     w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
     w1h = w1 + _adj(w1)
@@ -429,8 +436,9 @@ def residual_gradient(
     return grad
 
 
-def _grad_norm2(grad: dict[str, np.ndarray]) -> float:
-    return 2.0 * sum(_frob2(g) for g in grad.values())
+def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
+    """The real metric 2 Re sum tr(x^H y) of the gradient convention."""
+    return 2.0 * sum(float(np.vdot(x[k], y[k]).real) for k in x)
 
 
 def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> LatticeState:
@@ -469,63 +477,47 @@ def _precondition(
     return out
 
 
-def _slope2(grad: dict[str, np.ndarray], dirn: dict[str, np.ndarray]) -> float:
-    """Directional derivative magnitude 2 Re sum tr(grad^H dirn)."""
-    return 2.0 * sum(
-        float(np.real(np.sum(np.conj(g) * dirn[k]))) for k, g in grad.items()
-    )
-
-
-_ARMIJO_C = 1e-4
-_MAX_BACKTRACKS = 60
-
-
-def _line_search(
+def _exact_step(
     s: LatticeState,
     p: VortexParams,
     dirn: dict[str, np.ndarray],
-    energy: float,
-    slope2: float,
-    step: float,
-) -> tuple[LatticeState, float, float]:
-    """Armijo backtracking along -dirn from the given trial step.
+    w0: dict[str, np.ndarray],
+    h: float,
+) -> float:
+    """The step eta > 0 minimizing residual_energy(s - eta dirn).
 
-    slope2 is the directional derivative magnitude of the energy along
-    dirn.  Returns (new state, its energy, accepted step).  Raises
-    LineSearchError when no acceptable decrease is found.
+    Every residual field is at most quadratic in the fields, so along the
+    line W(eta) = W0 - eta B + eta^2 C exactly and the energy is a quartic
+    in eta.  The fields at s -/+ h dirn give hB and h^2 C, so the quartic
+    is written in t = eta/h: with h near the step, the linear term stays
+    clear of the rounding of the probes.  The quartic is evaluated at the
+    real part of every root of its cubic derivative (a double real root
+    may come back as a nearly real pair) and the lowest value wins.
+    Returns 0.0 when no candidate lowers the energy or a coefficient is
+    not finite.
     """
-    eta = step
-    for _ in range(_MAX_BACKTRACKS):
-        cand = _apply_step(s, dirn, eta)
-        e_new = residual_energy(cand, p)
-        if e_new <= energy - _ARMIJO_C * eta * slope2:
-            return cand, e_new, eta
-        eta *= 0.5
-    raise LineSearchError(
-        f"no acceptable step within {_MAX_BACKTRACKS} backtracks "
-        f"(energy {energy}, directional slope {slope2})"
-    )
+    c = np.zeros(5)
+    wp = _residual_fields(_apply_step(s, dirn, -h), p)
+    wm = _residual_fields(_apply_step(s, dirn, h), p)
+    for name, v0 in w0.items():
+        hb = 0.5 * (wp[name] - wm[name])
+        h2c = 0.5 * (wp.pop(name) + wm.pop(name)) - v0
+        c[1] -= 2.0 * np.vdot(v0, hb).real
+        c[2] += _frob2(hb) + 2.0 * np.vdot(v0, h2c).real
+        c[3] -= 2.0 * np.vdot(hb, h2c).real
+        c[4] += _frob2(h2c)
+    if not np.all(np.isfinite(c)):
+        return 0.0
+    roots = np.roots([4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]]).real
+    best, drop = 0.0, 0.0
+    for t in roots[roots > 0]:
+        d = t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
+        if d < drop:
+            best, drop = float(t), d
+    return h * best
 
 
 _ZERO_GRAD = 1e-30
-
-
-def flow_step(
-    s: LatticeState, p: VortexParams, step: float, branch: Optional[str] = None
-) -> LatticeState:
-    """One preconditioned descent step with Armijo backtracking.
-
-    A state with (numerically) zero gradient is returned unchanged.
-    """
-    grad = residual_gradient(s, p, branch)
-    norm2 = _grad_norm2(grad)
-    if norm2 <= _ZERO_GRAD:
-        return s
-    dirn = _precondition(grad, s, p)
-    slope2 = _slope2(grad, dirn)
-    energy = residual_energy(s, p)
-    new, _, _ = _line_search(s, p, dirn, energy, slope2, step)
-    return new
 
 
 @dataclass
@@ -543,16 +535,6 @@ class SolveResult:
     energy_history: list[float]
 
 
-def _bb_step(num: float, den: float, fallback: float) -> float:
-    """Safeguarded Barzilai-Borwein trial step from metric products."""
-    if den <= 0 or not math.isfinite(den):
-        return fallback
-    step = num / den
-    if not math.isfinite(step):
-        return fallback
-    return min(max(step, 1e-12), 1e6)
-
-
 def solve(
     s0: LatticeState,
     p: VortexParams,
@@ -560,63 +542,68 @@ def solve(
     max_iter: int = 10000,
     branch: Optional[str] = "phi",
 ) -> SolveResult:
-    """Minimize residual_energy by preconditioned gradient descent.
+    """Minimize residual_energy by preconditioned nonlinear conjugate gradients.
 
-    The descent direction is the Fourier-preconditioned gradient; the trial
-    step is Barzilai-Borwein in the preconditioned metric, safeguarded by
-    Armijo backtracking, so the energy is monotone and the iteration is
-    deterministic.  branch "phi" freezes psi and theta2 at zero (the
-    section-carrying specialization); "psi" mirrors; None flows every
-    block.  Converged means residual_energy <= tol.  Exhausting max_iter
-    or stalling in the line search returns converged=False with
-    diagnostics, never raises.
+    The directions are Polak-Ribiere+ conjugate gradients on the
+    Fourier-preconditioned gradient, restarted along the preconditioned
+    gradient whenever beta would be negative or the direction is not a
+    descent direction.  Each step is the exact minimum of the quartic
+    energy along its line (_exact_step), and a step is accepted only if
+    the energy recomputed at the new state is lower, so the energy is
+    monotone and the iteration deterministic.  One iteration costs three
+    evaluations of the residual fields: two probes along the line and the
+    new state, whose fields give both its energy and its gradient.
+    branch "phi" freezes psi and theta2 at zero (the section-carrying
+    specialization); "psi" mirrors; None flows every block.  Converged
+    means residual_energy <= tol.  Exhausting max_iter returns
+    converged=False; a zero gradient, a step that does not lower the
+    energy, or a non-finite energy or line coefficient stops the solve
+    with stalled=True.  It never raises.
     """
     s = s0
     if branch in ("phi", "psi"):
         frozen = {name: np.zeros_like(getattr(s0, name)) for name in _FROZEN[branch]}
         s = replace(s0, **frozen)
-    energy = residual_energy(s, p)
+    w = _residual_fields(s, p)
+    energy = _energy(s, w)
     history = [energy]
     step = 1.0
     stalled = False
     iterations = 0
-    prev: Optional[tuple[dict[str, np.ndarray], dict[str, np.ndarray], float, float]] = None
+    prev: Optional[tuple[dict[str, np.ndarray], float, dict[str, np.ndarray]]] = None
 
-    while iterations < max_iter and energy > tol:
-        grad = residual_gradient(s, p, branch)
-        norm2 = _grad_norm2(grad)
-        if norm2 <= _ZERO_GRAD:
-            stalled = energy > tol
-            break
-        dirn = _precondition(grad, s, p)
-        slope2 = _slope2(grad, dirn)
-        if slope2 <= _ZERO_GRAD:
-            stalled = energy > tol
-            break
-        if prev is not None:
-            fields_prev, grad_prev, slope2_prev, used_prev = prev
-            # ds = -used_prev * dirn_prev, so <ds, P^-1 ds> = used_prev^2 * slope2_prev.
-            num = used_prev * used_prev * slope2_prev
-            den = 2.0 * sum(
-                float(
-                    np.real(
-                        np.sum(
-                            np.conj(getattr(s, k) - fields_prev[k])
-                            * (grad[k] - grad_prev[k])
-                        )
-                    )
-                )
-                for k in _BLOCKS
-            )
-            step = _bb_step(num, den, 2.0 * step)
-        fields_now = {k: getattr(s, k) for k in _BLOCKS}
-        try:
-            s, energy, used = _line_search(s, p, dirn, energy, slope2, step)
-        except LineSearchError:
+    # "not energy <= tol" lets a NaN energy into the loop, where it stops.
+    while iterations < max_iter and not energy <= tol:
+        if not math.isfinite(energy):
             stalled = True
             break
-        prev = (fields_now, grad, slope2, used)
-        step = used
+        grad = _gradient(s, w, branch)
+        pgrad = _precondition(grad, s, p)
+        gz = _inner(grad, pgrad)
+        if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
+            stalled = True
+            break
+        dirn = pgrad
+        if prev is not None:
+            pgrad_prev, gz_prev, dirn_prev = prev
+            beta = (gz - _inner(grad, pgrad_prev)) / gz_prev
+            if beta > 0:
+                cg = {k: pgrad[k] + beta * dirn_prev[k] for k in pgrad}
+                if _inner(grad, cg) > 0:
+                    dirn = cg
+        prev = (pgrad, gz, dirn)
+        del grad
+        step = _exact_step(s, p, dirn, w, step)
+        if step == 0.0:
+            stalled = True
+            break
+        cand = _apply_step(s, dirn, step)
+        w_new = _residual_fields(cand, p)
+        e_new = _energy(cand, w_new)
+        if not e_new < energy:
+            stalled = True
+            break
+        s, w, energy = cand, w_new, e_new
         history.append(energy)
         iterations += 1
 

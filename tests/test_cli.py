@@ -213,6 +213,35 @@ def test_vortex_rejects_bad_grid(capsys) -> None:
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tau", "nan"),
+        ("--vol", "inf"),
+        ("--amplitude", "inf"),
+        ("--tol", "nan"),
+        ("--tol", "-0.5"),
+        ("--max-iter", "-5"),
+    ],
+)
+def test_vortex_rejects_bad_number(capsys, flag: str, value: str) -> None:
+    code, out, err = run(capsys, vortex_args(**{flag: value}))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+    assert flag in json.loads(err)["message"]
+
+
+def test_vortex_report_never_holds_infinity(capsys) -> None:
+    # Finite inputs whose start state overflows: the solve stops at once,
+    # and the JSON report refuses the infinite residual.
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, vortex_args(**{"--amplitude": "1e100"}))
+    assert code == 1
+    assert out == ""
+    assert "not JSON compliant" in json.loads(err)["message"]
+
+
 def test_vortex_dump_fields(capsys, tmp_path) -> None:
     dump = tmp_path / "fields.bin"
     code, _, _ = run(capsys, vortex_args(**{"--dump-fields": str(dump)}))

@@ -135,29 +135,50 @@ def test_gradient_vanishes_at_exact_solution() -> None:
         assert float(np.max(np.abs(grad[name]))) <= 1e-14, name
 
 
-def test_flow_step_decreases_energy() -> None:
+def test_solve_decreases_energy_every_iteration() -> None:
     rng = np.random.default_rng(43)
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.random_state(8, 1, rng=rng, amplitude=0.5)
-    energy = vx.residual_energy(s, p)
-    for _ in range(5):
-        s = vx.flow_step(s, p, 1.0)
-        new = vx.residual_energy(s, p)
-        assert new < energy
-        energy = new
+    res = vx.solve(s, p, tol=0.0, max_iter=5, branch=None)
+    hist = res.energy_history
+    assert res.iterations == 5 and len(hist) == 6
+    assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
-def test_flow_step_fixed_point_returns_same_object() -> None:
+def test_solve_at_fixed_point_returns_same_object() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.constant_solution_state(8, p)
-    assert vx.flow_step(s, p, 1.0) is s
+    res = vx.solve(s, p, tol=0.0, branch=None)
+    assert res.state is s
+    assert res.iterations == 0
 
 
-def test_flow_step_branch_keeps_frozen_blocks() -> None:
+def test_solve_branch_keeps_frozen_blocks() -> None:
     rng = np.random.default_rng(47)
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     s = dense_state(6, 2, 2, rng)
-    out = vx.flow_step(s, p, 0.5, branch="phi")
-    assert np.array_equal(out.psi, s.psi)
-    assert np.array_equal(out.theta2, s.theta2)
+    out = vx.solve(s, p, tol=0.0, max_iter=1, branch="phi").state
+    assert not out.psi.any()
+    assert not out.theta2.any()
     assert not np.array_equal(out.phi, s.phi)
+
+
+def test_exact_step_beats_brute_force_line_search() -> None:
+    # residual_energy is a quartic along any line; the returned step must
+    # be at least as good as every point of a dense grid over the line.
+    rng = np.random.default_rng(53)
+    for r1, r2 in ((1, 1), (2, 1), (2, 2)):
+        p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
+        s = dense_state(6, r1, r2, rng, amplitude=0.3)
+        w = vx._residual_fields(s, p)
+        dirn = vx._precondition(vx._gradient(s, w, None), s, p)
+        eta = vx._exact_step(s, p, dirn, w, 1.0)
+        assert eta > 0.0
+        best = vx.residual_energy(vx._apply_step(s, dirn, eta), p)
+        assert best < vx.residual_energy(s, p)
+        grid = np.concatenate(
+            [np.linspace(0.0, 4.0 * eta, 401), eta * np.geomspace(4.0, 1e3, 50)]
+        )
+        for t in grid:
+            e = vx.residual_energy(vx._apply_step(s, dirn, float(t)), p)
+            assert best <= e * (1.0 + 1e-12), (r1, r2, t)

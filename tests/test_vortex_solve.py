@@ -47,7 +47,10 @@ def test_solve_is_deterministic() -> None:
 
 
 def test_solution_trace_identity() -> None:
-    res = scalar_solve()
+    # sum a^2 tr W1 = (a^2 sum |phi|^2 - tau vol) / 2 exactly, so the error
+    # is at most 2 sqrt(vol E): tol 1e-20 bounds it by 2e-10.
+    res = scalar_solve(tol=1e-20)
+    assert res.converged
     s = res.state
     total = s.a * s.a * float(np.sum(np.abs(s.phi) ** 2))
     assert total == pytest.approx(1.0 * s.vol, abs=1e-9)
@@ -80,7 +83,7 @@ def test_negative_tau_converges_on_mirror_branch() -> None:
         phi=src.psi, psi=src.phi,
     )
     p = vx.VortexParams(r1=1, tau=-1.0)
-    res = vx.solve(mirrored, p, tol=1e-12, max_iter=5000, branch="psi")
+    res = vx.solve(mirrored, p, tol=1e-20, max_iter=5000, branch="psi")
     assert res.converged
     s = res.state
     total = s.a * s.a * float(np.sum(np.abs(s.psi) ** 2))
@@ -95,6 +98,55 @@ def test_solve_honours_max_iter() -> None:
     assert not res.converged
     assert res.iterations == 3
     assert len(res.energy_history) == 4
+
+
+def test_cold_solve_reaches_rounding_level_tolerance() -> None:
+    rng = np.random.default_rng(11)
+    p = vx.VortexParams(r1=1, tau=1.0)
+    s0 = vx.random_smooth_state(32, 1, 1, 1.0, rng, amplitude=0.3, tau=1.0)
+    res = vx.solve(s0, p, tol=1e-25, max_iter=2000)
+    assert res.converged
+    assert not res.stalled
+
+
+def test_rank_two_solve_leaves_the_saddle() -> None:
+    # From this start the flow first approaches the theta1 = 0 saddle at
+    # residual 3/8; the solve must leave it within the budget.
+    rng = np.random.default_rng(3)
+    p = vx.VortexParams(r1=2, tau=1.0)
+    s0 = vx.random_smooth_state(8, 2, 1, 1.0, rng, amplitude=0.1, tau=1.0)
+    res = vx.solve(s0, p, tol=1e-3, max_iter=300)
+    assert res.converged
+
+
+def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
+    calls = []
+    fields = vx._residual_fields
+
+    def counted(s: vx.LatticeState, p: vx.VortexParams) -> dict[str, np.ndarray]:
+        calls.append(1)
+        return fields(s, p)
+
+    monkeypatch.setattr(vx, "_residual_fields", counted)
+    res = scalar_solve(N=16, tol=1e-13)
+    assert res.converged
+    # Two probes and the accepted state per iteration, plus the start
+    # state and the final breakdown.
+    assert len(calls) == 3 * res.iterations + 2
+
+
+@pytest.mark.parametrize("scale", [1e50, 1e100, np.nan])
+def test_solve_stops_on_non_finite_values(scale: float) -> None:
+    # 1e50: finite energy, but the line probes overflow; 1e100: the energy
+    # itself is infinite; nan: the energy is nan.
+    rng = np.random.default_rng(5)
+    p = vx.VortexParams(r1=1, tau=1.0)
+    s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
+    with np.errstate(all="ignore"):
+        res = vx.solve(replace(s0, phi=s0.phi * scale), p)
+    assert not res.converged
+    assert res.stalled
+    assert res.iterations == 0
 
 
 def test_smooth_state_samples_grid_independently() -> None:
