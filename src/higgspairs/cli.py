@@ -9,7 +9,8 @@ against (--golden) or written (--write-golden); comparison failures exit
 with code 2.
 
 Exit codes: 0 for a completed run (including unstable verdicts and
-non-converged solves), 1 for parameter or input validation failures, 2 for
+non-converged solves), 1 for parameter or input validation failures and
+for running out of memory (say, a vortex grid too large to allocate), 2 for
 formula-integrity or selftest failures and golden mismatches.
 """
 
@@ -249,6 +250,11 @@ def _mirror_smooth_state(
     )
 
 
+_BREAKDOWN_KEYS = (
+    "eq1", "eq2", "holomorphicity", "intertwining", "eq1_max", "eq2_max", "theta_s_sup",
+)
+
+
 def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     if args.grid < vortex.MIN_GRID:
         raise InvalidParamsError(f"grid must be at least {vortex.MIN_GRID}")
@@ -274,7 +280,6 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     result = vortex.solve(
         s0, p, tol=args.tol, max_iter=args.max_iter, branch=args.branch
     )
-    br = vortex.residual_breakdown(result.state, p)
     report: dict[str, Any] = {
         "params": {
             "rank1": args.rank1,
@@ -293,15 +298,7 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         "stalled": result.stalled,
         "iterations": result.iterations,
         "residual": float(result.residual),
-        "breakdown": {
-            "eq1": float(br["eq1"]),
-            "eq2": float(br["eq2"]),
-            "holomorphicity": float(br["holomorphicity"]),
-            "intertwining": float(br["intertwining"]),
-            "eq1_max": float(br["eq1_max"]),
-            "eq2_max": float(br["eq2_max"]),
-            "theta_s_sup": float(br["theta_s_sup"]),
-        },
+        "breakdown": {key: float(getattr(result, key)) for key in _BREAKDOWN_KEYS},
         "moment_map": float(result.moment_map_value),
     }
     if not result.converged and args.tau <= 0:
@@ -317,9 +314,9 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         f"tau={args.tau} tau'={p.tau_prime} branch={args.branch} seed={args.seed}",
         f"converged: {result.converged} (iterations {result.iterations}, "
         f"residual {result.residual!r})",
-        f"breakdown: eq1={br['eq1']!r} eq2={br['eq2']!r} "
-        f"holomorphicity={br['holomorphicity']!r} "
-        f"theta_s_sup={br['theta_s_sup']!r}",
+        f"breakdown: eq1={result.eq1!r} eq2={result.eq2!r} "
+        f"holomorphicity={result.holomorphicity!r} "
+        f"theta_s_sup={result.theta_s_sup!r}",
         f"moment map |theta|^2: {result.moment_map_value!r}",
     ]
     if "note" in report:
@@ -537,6 +534,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         _emit_error(fmt, exc)
+        return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; report under the public name.
+        _emit_error(fmt, MemoryError(f"out of memory: {exc}"))
         return 1
 
     if args.write_golden:

@@ -12,7 +12,7 @@ Norm conventions (fixed so the energy decomposition closes exactly):
 contributes 2(|D_z .|^2 + |D_zbar .|^2) per site and a curvature 2-form
 contributes 4|F_z_zbar|^2.  Site sums carry the quadrature weight a^2.
 
-Two independently coded energies:
+Two energies:
 
 * ``ymh_energy`` assembles the Higgs-coupled connections A + theta +
   theta^dagger per bundle and sums curvature norms, full covariant
@@ -20,19 +20,28 @@ Two independently coded energies:
 * ``residual_energy`` sums the two vortex-equation residuals plus the
   holomorphicity terms of phi and psi.
 
-Their difference is a topological constant, zero for degree-0 trivial
-bundles, so ``decomposition_check`` must vanish to rounding.  With local
-finite differences this discrete identity cannot hold for arbitrarily
-rough per-site fields (the discrete Leibniz rule shifts one factor by a
-lattice site, which the pointwise moment-map terms cannot see), so
-``random_state`` samples the class on which every cross term cancels
-exactly: constant connections with Higgs fields polynomial in the
-conjugate potential, and fully rough per-site phi and psi.  The descent
-path never relies on the identity; it minimizes ``residual_energy``
-directly.  Every residual field is linear or bilinear in the fields
-(curvature, the mixed A-theta part, the moment maps, theta-intertwining),
-so along any line residual_energy is exactly a quartic; ``solve`` takes
-its exact minimum along preconditioned conjugate-gradient directions.
+The residuals W1, W2 share the curvature of the Higgs-coupled connection
+with ``ymh_energy``: by bilinearity of the commutator it equals the
+curvature of A plus the mixed A-theta part plus [theta, theta^dagger], and
+one stencil pass and one commutator give it.  The split form is checked
+separately (tests/test_vortex_kernels.py).
+
+The difference of the two energies is a topological constant, zero for
+degree-0 trivial bundles, so ``decomposition_check`` must vanish to
+rounding; it still checks the cross terms that the two energies arrange
+differently: kinetic against holomorphicity and intertwining, and the
+curvature against the moment maps.  With local finite differences this
+discrete identity cannot hold for arbitrarily rough per-site fields (the
+discrete Leibniz rule shifts one factor by a lattice site, which the
+pointwise moment-map terms cannot see), so ``random_state`` samples the
+class on which every cross term cancels exactly: constant connections with
+Higgs fields polynomial in the conjugate potential, and fully rough
+per-site phi and psi.  The descent path never relies on the identity; it
+minimizes ``residual_energy`` directly.  Every residual field is linear or
+bilinear in the fields (the coupled curvature, the moment maps,
+theta-intertwining), so along any line residual_energy is exactly a
+quartic; ``solve`` takes its exact minimum along preconditioned
+conjugate-gradient directions.
 """
 
 from __future__ import annotations
@@ -171,21 +180,50 @@ def _adj(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-site matrix product x @ y of (..., p, q) and (..., q, r) fields.
+
+    Summed as q broadcast multiply-adds over the inner index: matmul makes
+    one BLAS call per site, which costs several times more on blocks this
+    small.
+    """
+    out = x[..., :, :1] * y[..., :1, :]
+    for j in range(1, x.shape[-1]):
+        out += x[..., :, j : j + 1] * y[..., j : j + 1, :]
+    return out
+
+
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+    return _mm(x, y) - _mm(y, x)
 
 
-def _dc(m: np.ndarray, axis: int, a: float) -> np.ndarray:
-    """Central difference along a site axis of the periodic grid."""
-    return (np.roll(m, -1, axis=axis) - np.roll(m, 1, axis=axis)) / (2.0 * a)
+def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
+    """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
+
+    d1 and d2 differentiate along the two leading site axes; the shifted
+    differences are sliced straight into fresh buffers, the wrap-around
+    rows and columns one slice each.
+    """
+    d1 = np.empty_like(m)
+    np.subtract(m[2:], m[:-2], out=d1[1:-1])
+    np.subtract(m[1:2], m[-1:], out=d1[:1])
+    np.subtract(m[:1], m[-2:-1], out=d1[-1:])
+    d2 = np.empty_like(n)
+    np.subtract(n[:, 2:], n[:, :-2], out=d2[:, 1:-1])
+    np.subtract(n[:, 1:2], n[:, -1:], out=d2[:, :1])
+    np.subtract(n[:, :1], n[:, -2:-1], out=d2[:, -1:])
+    d2 *= sign * 1j
+    d1 += d2
+    d1 *= 0.25 / a
+    return d1
 
 
 def _dz(m: np.ndarray, a: float) -> np.ndarray:
-    return 0.5 * (_dc(m, 0, a) - 1j * _dc(m, 1, a))
+    return _stencil(m, m, a, -1.0)
 
 
 def _dzbar(m: np.ndarray, a: float) -> np.ndarray:
-    return 0.5 * (_dc(m, 0, a) + 1j * _dc(m, 1, a))
+    return _stencil(m, m, a, 1.0)
 
 
 def _zpot(A: np.ndarray) -> np.ndarray:
@@ -215,41 +253,39 @@ class _Fields:
         self.psi = s.psi
 
     def curvature(self, Z: np.ndarray, Zb: np.ndarray) -> np.ndarray:
-        return _dz(Zb, self.a) - _dzbar(Z, self.a) + _comm(Z, Zb)
-
-    def s_part(self, Z, Zb, t, td) -> np.ndarray:
-        """Mixed A-theta part of the Higgs-coupled curvature."""
-        return _dz(td, self.a) - _dzbar(t, self.a) + _comm(Z, td) - _comm(Zb, t)
+        """F_z_zbar = D_z Zb - D_zbar Z + [Z, Zb], the derivative part in one
+        stencil pass on (Zb - Z, Zb + Z) by linearity."""
+        return _stencil(Zb - Z, Zb + Z, self.a, -1.0) + _comm(Z, Zb)
 
     def dz_phi(self) -> np.ndarray:
-        return _dz(self.phi, self.a) + self.Z1 @ self.phi - self.phi @ self.Z2
+        return _dz(self.phi, self.a) + _mm(self.Z1, self.phi) - _mm(self.phi, self.Z2)
 
     def dzbar_phi(self) -> np.ndarray:
-        return _dzbar(self.phi, self.a) + self.Z1b @ self.phi - self.phi @ self.Z2b
+        return _dzbar(self.phi, self.a) + _mm(self.Z1b, self.phi) - _mm(self.phi, self.Z2b)
 
     def dz_psi(self) -> np.ndarray:
-        return _dz(self.psi, self.a) + self.Z2 @ self.psi - self.psi @ self.Z1
+        return _dz(self.psi, self.a) + _mm(self.Z2, self.psi) - _mm(self.psi, self.Z1)
 
     def dzbar_psi(self) -> np.ndarray:
-        return _dzbar(self.psi, self.a) + self.Z2b @ self.psi - self.psi @ self.Z1b
+        return _dzbar(self.psi, self.a) + _mm(self.Z2b, self.psi) - _mm(self.psi, self.Z1b)
 
     def x_phi(self) -> np.ndarray:
-        return self.t1 @ self.phi - self.phi @ self.t2
+        return _mm(self.t1, self.phi) - _mm(self.phi, self.t2)
 
     def y_phi(self) -> np.ndarray:
-        return self.t1d @ self.phi - self.phi @ self.t2d
+        return _mm(self.t1d, self.phi) - _mm(self.phi, self.t2d)
 
     def x_psi(self) -> np.ndarray:
-        return self.t2 @ self.psi - self.psi @ self.t1
+        return _mm(self.t2, self.psi) - _mm(self.psi, self.t1)
 
     def y_psi(self) -> np.ndarray:
-        return self.t2d @ self.psi - self.psi @ self.t1d
+        return _mm(self.t2d, self.psi) - _mm(self.psi, self.t1d)
 
     def moment1(self) -> np.ndarray:
-        return self.phi @ _adj(self.phi) - _adj(self.psi) @ self.psi
+        return _mm(self.phi, _adj(self.phi)) - _mm(_adj(self.psi), self.psi)
 
     def moment2(self) -> np.ndarray:
-        return self.psi @ _adj(self.psi) - _adj(self.phi) @ self.phi
+        return _mm(self.psi, _adj(self.psi)) - _mm(_adj(self.phi), self.phi)
 
 
 def ymh_energy(s: LatticeState, p: VortexParams) -> float:
@@ -287,8 +323,8 @@ def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
     f = _Fields(s)
     eye1 = np.eye(s.r1)
     eye2 = np.eye(s.r2)
-    g1 = f.curvature(f.Z1, f.Z1b) + f.s_part(f.Z1, f.Z1b, f.t1, f.t1d) + _comm(f.t1, f.t1d)
-    g2 = f.curvature(f.Z2, f.Z2b) + f.s_part(f.Z2, f.Z2b, f.t2, f.t2d) + _comm(f.t2, f.t2d)
+    g1 = f.curvature(f.Z1 + f.t1, f.Z1b + f.t1d)
+    g2 = f.curvature(f.Z2 + f.t2, f.Z2b + f.t2d)
     return {
         "W1": 2.0 * g1 + 0.5 * f.moment1() - 0.5 * p.tau * eye1,
         "W2": 2.0 * g2 + 0.5 * f.moment2() - 0.5 * p.tau_prime * eye2,
@@ -370,69 +406,68 @@ def _gradient(
     k = f.k
     w1, w2 = w["W1"], w["W2"]
     w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
-    w1h = w1 + _adj(w1)
-    w1a = w1 - _adj(w1)
-    w2h = w2 + _adj(w2)
-    w2a = w2 - _adj(w2)
+    w1d, w2d = _adj(w1), _adj(w2)
+    w1h, w1a = w1 + w1d, w1 - w1d
+    w2h, w2a = w2 + w2d, w2 - w2d
     a = f.a
 
-    g_phi = k * (
-        0.5 * (w1h @ f.phi)
-        - 0.5 * (f.phi @ w2h)
-        - 2.0 * _dz(w3, a)
-        - 2.0 * (f.Z1 @ w3)
-        + 2.0 * (w3 @ f.Z2)
-        + 2.0 * (f.t1d @ w4)
-        - 2.0 * (w4 @ f.t2d)
-    )
-    g_psi = k * (
-        -0.5 * (f.psi @ w1h)
-        + 0.5 * (w2h @ f.psi)
-        - 2.0 * _dz(w5, a)
-        - 2.0 * (f.Z2 @ w5)
-        + 2.0 * (w5 @ f.Z1)
-        + 2.0 * (f.t2d @ w6)
-        - 2.0 * (w6 @ f.t1d)
-    )
-    g_t1 = k * (
-        2.0 * _dz(w1a, a)
-        + 2.0 * _comm(f.Z1, w1a)
-        + 2.0 * _comm(w1h, f.t1)
-        + 2.0 * (w4 @ _adj(f.phi))
-        - 2.0 * (_adj(f.psi) @ w6)
-    )
-    g_t2 = k * (
-        2.0 * _dz(w2a, a)
-        + 2.0 * _comm(f.Z2, w2a)
-        + 2.0 * _comm(w2h, f.t2)
-        + 2.0 * (w6 @ _adj(f.psi))
-        - 2.0 * (_adj(f.phi) @ w4)
-    )
+    # The A blocks are never frozen; the other blocks are built only when
+    # the branch flows them.
     g_z1 = k * (
         2.0 * _dz(w1h, a)
         + 2.0 * _comm(f.Z1, w1h)
         + 2.0 * _comm(w1a, f.t1)
-        - 2.0 * (f.phi @ _adj(w3))
-        + 2.0 * (_adj(w5) @ f.psi)
+        - 2.0 * _mm(f.phi, _adj(w3))
+        + 2.0 * _mm(_adj(w5), f.psi)
     )
     g_z2 = k * (
         2.0 * _dz(w2h, a)
         + 2.0 * _comm(f.Z2, w2h)
         + 2.0 * _comm(w2a, f.t2)
-        - 2.0 * (f.psi @ _adj(w5))
-        + 2.0 * (_adj(w3) @ f.phi)
+        - 2.0 * _mm(f.psi, _adj(w5))
+        + 2.0 * _mm(_adj(w3), f.phi)
     )
-
+    blocks = {
+        "theta1": lambda: k * (
+            2.0 * _dz(w1a, a)
+            + 2.0 * _comm(f.Z1, w1a)
+            + 2.0 * _comm(w1h, f.t1)
+            + 2.0 * _mm(w4, _adj(f.phi))
+            - 2.0 * _mm(_adj(f.psi), w6)
+        ),
+        "theta2": lambda: k * (
+            2.0 * _dz(w2a, a)
+            + 2.0 * _comm(f.Z2, w2a)
+            + 2.0 * _comm(w2h, f.t2)
+            + 2.0 * _mm(w6, _adj(f.psi))
+            - 2.0 * _mm(_adj(f.phi), w4)
+        ),
+        "phi": lambda: k * (
+            0.5 * _mm(w1h, f.phi)
+            - 0.5 * _mm(f.phi, w2h)
+            - 2.0 * _dz(w3, a)
+            - 2.0 * _mm(f.Z1, w3)
+            + 2.0 * _mm(w3, f.Z2)
+            + 2.0 * _mm(f.t1d, w4)
+            - 2.0 * _mm(w4, f.t2d)
+        ),
+        "psi": lambda: k * (
+            -0.5 * _mm(f.psi, w1h)
+            + 0.5 * _mm(w2h, f.psi)
+            - 2.0 * _dz(w5, a)
+            - 2.0 * _mm(f.Z2, w5)
+            + 2.0 * _mm(w5, f.Z1)
+            + 2.0 * _mm(f.t2d, w6)
+            - 2.0 * _mm(w6, f.t1d)
+        ),
+    }
     grad = {
         "A1": 0.5 * np.stack([_antiherm(g_z1), _antiherm(1j * g_z1)]),
         "A2": 0.5 * np.stack([_antiherm(g_z2), _antiherm(1j * g_z2)]),
-        "theta1": g_t1,
-        "theta2": g_t2,
-        "phi": g_phi,
-        "psi": g_psi,
     }
-    for name in _FROZEN[branch]:
-        grad[name] = np.zeros_like(grad[name])
+    frozen = _FROZEN[branch]
+    for name, block in blocks.items():
+        grad[name] = np.zeros_like(getattr(s, name)) if name in frozen else block()
     return grad
 
 
@@ -462,7 +497,9 @@ def _precondition(
     derivative symbol, flattens the spectrum of the residual Hessian so the
     descent converges at a grid-independent rate.  The kernel is real and
     even, hence a real symmetric convolution: it preserves anti-Hermiticity
-    of the A blocks and commutes with constant gauge rotations.
+    of the A blocks and commutes with constant gauge rotations.  A zero
+    block maps to zero, so it is passed through without a transform: the
+    blocks a branch freezes are zero by construction.
     """
     sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
     omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
@@ -470,6 +507,9 @@ def _precondition(
     kernel = 1.0 / (mass + 4.0 * omega2)
     out = {}
     for name, g in grad.items():
+        if not g.any():
+            out[name] = g
+            continue
         axes = (1, 2) if name in ("A1", "A2") else (0, 1)
         shape = (1, s.N, s.N, 1, 1) if name in ("A1", "A2") else (s.N, s.N, 1, 1)
         gh = np.fft.fft2(g, axes=axes) * kernel.reshape(shape)
@@ -527,9 +567,12 @@ class SolveResult:
     converged: bool
     iterations: int
     moment_map_value: float
+    eq1: float
+    eq2: float
+    holomorphicity: float
+    intertwining: float
     eq1_max: float
     eq2_max: float
-    holomorphicity: float
     theta_s_sup: float
     stalled: bool
     energy_history: list[float]
@@ -614,10 +657,7 @@ def solve(
         converged=energy <= tol,
         iterations=iterations,
         moment_map_value=moment_map_value(s),
-        eq1_max=br["eq1_max"],
-        eq2_max=br["eq2_max"],
-        holomorphicity=br["holomorphicity"],
-        theta_s_sup=br["theta_s_sup"],
+        **br,
         stalled=stalled,
         energy_history=history,
     )

@@ -242,6 +242,26 @@ def test_vortex_report_never_holds_infinity(capsys) -> None:
     assert "not JSON compliant" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_vortex_out_of_memory_exits_1(capsys, monkeypatch, fmt: str) -> None:
+    # The state constructor stands in for a grid too large to allocate;
+    # nothing large is allocated here.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.33 EiB for an array")
+
+    monkeypatch.setattr(higgspairs.vortex, "random_smooth_state", no_memory)
+    code, out, err = run(capsys, vortex_args(**{"--format": fmt}))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    if fmt == "json":
+        payload = json.loads(err)
+        assert payload["error"] == "MemoryError"
+        assert payload["message"].startswith("out of memory: Unable to allocate")
+    else:
+        assert err.startswith("error: out of memory")
+
+
 def test_vortex_dump_fields(capsys, tmp_path) -> None:
     dump = tmp_path / "fields.bin"
     code, _, _ = run(capsys, vortex_args(**{"--dump-fields": str(dump)}))
