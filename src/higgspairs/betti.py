@@ -17,6 +17,10 @@ the strata; the as-printed one is still computed so the discrepancy can be
 reported rather than silently repaired.  Both floor occurrences in the
 generating function are taken of the normalized parameter tau_bar.
 
+``betti_report`` builds everything one report shows in a single pass: it
+validates once, computes n0 once and each stratum once, and runs both
+extraction conventions from that same n0.
+
 All arithmetic is exact integer arithmetic on polynomials in t, and every
 x- or y-coefficient is taken from a closed form rather than by expanding a
 series:
@@ -40,7 +44,7 @@ from fractions import Fraction
 
 from .series import FormulaIntegrityError, LaurentPoly, exact_divide, render
 from .stability import require_valid
-from .strata import d_range, stratum_descriptor
+from .strata import StratumDescriptor, _d_range, _descriptor, stratum_descriptor
 
 AS_PRINTED = "as_printed"
 CORRECTED = "corrected"
@@ -166,21 +170,34 @@ def pairs_poincare_n0(p) -> PoincarePolynomial:
     return PoincarePolynomial(exact_divide(numerator))
 
 
-def stratum_poincare(p, d: int) -> PoincarePolynomial:
-    """t^index times the two symmetric-product polynomials of the stratum."""
-    require_valid(p)
-    desc = stratum_descriptor(p, d)
+def _stratum_poly(p, desc: StratumDescriptor) -> PoincarePolynomial:
     product = _macdonald(desc.n1, p.g) * _macdonald(desc.n2, p.g)
     return PoincarePolynomial(product.shift(desc.index))
 
 
+def stratum_poincare(p, d: int) -> PoincarePolynomial:
+    """t^index times the two symmetric-product polynomials of the stratum."""
+    return _stratum_poly(p, stratum_descriptor(p, d))
+
+
+def _morse_sum(p) -> tuple[PoincarePolynomial, list[int], tuple, PoincarePolynomial]:
+    """n0, the d range, each (descriptor, polynomial) stratum, and their total.
+
+    Validation happens once, inside pairs_poincare_n0.
+    """
+    n0 = pairs_poincare_n0(p)
+    ds = _d_range(p)
+    descs = [_descriptor(p, d) for d in ds]
+    strata = tuple((desc, _stratum_poly(p, desc)) for desc in descs)
+    total = n0
+    for _, poly in strata:
+        total = total + poly
+    return n0, ds, strata, total
+
+
 def total_poincare(p) -> PoincarePolynomial:
     """Direct Morse sum: minimum stratum plus all higher strata."""
-    require_valid(p)
-    total = pairs_poincare_n0(p)
-    for d in d_range(p):
-        total = total + stratum_poincare(p, d)
-    return total
+    return _morse_sum(p)[3]
 
 
 def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePolynomial:
@@ -201,7 +218,18 @@ def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePol
             f"y_exponent_convention must be one of {_CONVENTIONS}, "
             f"got {y_exponent_convention!r}"
         )
-    require_valid(p)
+    n0 = pairs_poincare_n0(p)
+    return _extraction(p, n0, _d_range(p), y_exponent_convention)
+
+
+def _extraction(
+    p, n0: PoincarePolynomial, ds: list[int], y_exponent_convention: str
+) -> PoincarePolynomial:
+    """theorem_extraction given the minimum stratum n0 and the d range.
+
+    The strata terms are read off the series here, never taken from the
+    direct route's stratum polynomials, so the two routes stay independent.
+    """
     g, k = p.g, p.k
     target = k + 2 * g
     # The extraction is read in t-degrees up to 2(k+2g) only: the as-printed
@@ -211,8 +239,8 @@ def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePol
     # terms end below it, so the cap leaves that convention untouched.
     cap = 2 * target
 
-    result = pairs_poincare_n0(p).poly
-    for d in d_range(p):
+    result = n0.poly
+    for d in ds:
         index = 2 * (2 * d + g - k - 1)
         x_target = target - (2 * d + 2)
         if y_exponent_convention == CORRECTED:
@@ -224,3 +252,30 @@ def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePol
             (e, c) for e, c in term.terms() if e <= cap
         )
     return PoincarePolynomial(result)
+
+
+@dataclass(frozen=True)
+class BettiReport:
+    """What one ``higgspairs betti`` report shows, each piece computed once.
+
+    ``strata`` pairs each stratum's descriptor with its polynomial, in
+    d order; ``extractions`` maps each y-exponent convention, corrected
+    first, to its theorem extraction.
+    """
+
+    n0: PoincarePolynomial
+    strata: tuple[tuple[StratumDescriptor, PoincarePolynomial], ...]
+    total: PoincarePolynomial
+    extractions: dict[str, PoincarePolynomial]
+
+
+def betti_report(p) -> BettiReport:
+    """n0, the strata, their total and both extractions in one pass.
+
+    The parameters are validated once and n0 is computed once; both
+    extractions start from that same n0 but read their strata terms off the
+    generating function, independently of the direct route.
+    """
+    n0, ds, strata, total = _morse_sum(p)
+    extractions = {c: _extraction(p, n0, ds, c) for c in (CORRECTED, AS_PRINTED)}
+    return BettiReport(n0=n0, strata=strata, total=total, extractions=extractions)

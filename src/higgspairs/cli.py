@@ -97,18 +97,14 @@ def _poly_pairs(poly: betti.PoincarePolynomial) -> list[list[int]]:
 
 def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     p = betti.ModuliParams(g=args.genus, k=args.degree, tau_bar=_rational(args.tau_bar))
-    stability.require_valid(p)
-
-    n0 = betti.pairs_poincare_n0(p)
-    total = betti.total_poincare(p)
+    built = betti.betti_report(p)
+    n0, total = built.n0, built.total
     items = []
     stratum_lines = []
-    for d in strata.d_range(p):
-        desc = strata.stratum_descriptor(p, d)
-        poly = betti.stratum_poincare(p, d)
+    for desc, poly in built.strata:
         items.append(
             {
-                "d": d,
+                "d": desc.d,
                 "n1": desc.n1,
                 "n2": desc.n2,
                 "index": desc.index,
@@ -117,13 +113,12 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
             }
         )
         stratum_lines.append(
-            f"stratum d={d} (n1={desc.n1}, n2={desc.n2}, "
+            f"stratum d={desc.d} (n1={desc.n1}, n2={desc.n2}, "
             f"index={desc.index}, dim={desc.dim}): {poly}"
         )
     checks = []
     total_coeffs = dict(total.as_pairs())
-    for convention in (betti.CORRECTED, betti.AS_PRINTED):
-        ext = betti.theorem_extraction(p, convention)
+    for convention, ext in built.extractions.items():
         ext_coeffs = dict(ext.as_pairs())
         diff = [
             [int(e), int(ext_coeffs.get(e, 0) - total_coeffs.get(e, 0))]
@@ -159,11 +154,10 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
 
 def _run_strata(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     p = betti.ModuliParams(g=args.genus, k=args.degree, tau_bar=_rational(args.tau_bar))
-    stability.require_valid(p)
     ds = strata.d_range(p)
     items = []
     for d in ds:
-        desc = strata.stratum_descriptor(p, d)
+        desc = strata._descriptor(p, d)
         items.append(
             {"d": d, "n1": desc.n1, "n2": desc.n2, "index": desc.index, "dim": desc.dim}
         )
@@ -519,6 +513,11 @@ def _emit_error(fmt: str, exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -526,6 +525,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report, pretty, code = args.fn(args)
         text = _render(report, fmt, pretty)
+        if args.write_golden:
+            _write_text(args.write_golden, text)
+        if args.golden:
+            with open(args.golden, encoding="utf-8") as fh:
+                expected = fh.read()
+            if expected != text:
+                print(f"golden mismatch against {args.golden}", file=sys.stderr)
+                return 2
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except InvalidParamsError as exc:
         _emit_error(fmt, exc)
         return 1
@@ -539,25 +550,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # numpy raises a private subclass; report under the public name.
         _emit_error(fmt, MemoryError(f"out of memory: {exc}"))
         return 1
-
-    if args.write_golden:
-        with open(args.write_golden, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.golden:
-        try:
-            with open(args.golden, encoding="utf-8") as fh:
-                expected = fh.read()
-        except OSError as exc:
-            _emit_error(fmt, exc)
-            return 1
-        if expected != text:
-            print(f"golden mismatch against {args.golden}", file=sys.stderr)
-            return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

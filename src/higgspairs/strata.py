@@ -83,6 +83,11 @@ def d_range(p) -> list[int]:
     m = min{k, g - 1 + k/2}.  Parameters must be valid.
     """
     require_valid(p)
+    return _d_range(p)
+
+
+def _d_range(p) -> list[int]:
+    """d_range for parameters the caller has already validated."""
     lo = math.floor(Fraction(p.tau_bar)) + 1
     hi = math.floor(_m_bound(p))
     return list(range(lo, hi + 1))
@@ -97,6 +102,11 @@ def stratum_descriptor(p, d: int) -> StratumDescriptor:
     rng = d_range(p)
     if d not in rng:
         raise ValueError(f"d = {d} outside the stratum range {rng}")
+    return _descriptor(p, d)
+
+
+def _descriptor(p, d: int) -> StratumDescriptor:
+    """stratum_descriptor for validated parameters and a d taken from d_range."""
     n1, n2 = _exponents(p, d)
     return StratumDescriptor(
         d=d, n1=n1, n2=n2, index=2 * (2 * d + p.g - p.k - 1), dim=n1 + n2

@@ -12,6 +12,7 @@ from higgspairs.betti import (
     CORRECTED,
     ModuliParams,
     PoincarePolynomial,
+    betti_report,
     pairs_poincare_n0,
     stratum_poincare,
     sym_poincare,
@@ -257,3 +258,44 @@ def test_total_coefficients_positive():
         poly = total_poincare(p)
         assert poly.coeff(0) == 1
         assert all(c > 0 for _, c in poly.as_pairs())
+
+
+# -- the one-pass report builder ----------------------------------------
+
+
+def test_report_agrees_with_the_public_functions():
+    for p in ORACLE_GRID + [ModuliParams(g=8, k=61, tau_bar=mid_tau(61))]:
+        built = betti_report(p)
+        assert built.n0 == pairs_poincare_n0(p), (p.g, p.k)
+        assert [desc for desc, _ in built.strata] == [
+            stratum_descriptor(p, d) for d in d_range(p)
+        ], (p.g, p.k)
+        assert [poly for _, poly in built.strata] == [
+            stratum_poincare(p, d) for d in d_range(p)
+        ], (p.g, p.k)
+        assert built.total == total_poincare(p), (p.g, p.k)
+        assert list(built.extractions) == [CORRECTED, AS_PRINTED]
+        for convention, ext in built.extractions.items():
+            assert ext == theorem_extraction(p, convention), (p.g, p.k, convention)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        betti_report,
+        total_poincare,
+        lambda p: stratum_poincare(p, 3),
+        lambda p: theorem_extraction(p, CORRECTED),
+        lambda p: theorem_extraction(p, AS_PRINTED),
+    ],
+    ids=["betti_report", "total", "stratum", "extraction_corrected", "extraction_as_printed"],
+)
+def test_public_entry_points_reject_invalid_params(call):
+    for bad in (
+        ModuliParams(g=2, k=6, tau_bar=Fraction(13, 4)),
+        ModuliParams(g=1, k=5, tau_bar=Fraction(11, 4)),
+        ModuliParams(g=2, k=5, tau_bar=Fraction(3)),
+        ModuliParams(g=2, k=5, tau_bar=2.75),
+    ):
+        with pytest.raises(InvalidParamsError):
+            call(bad)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import higgspairs.vortex
+from higgspairs import betti, stability
 from higgspairs.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +116,54 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path) -> None:
     assert out == ""
     report = json.loads(target.read_text())
     assert report["d_range"] == [5, 6]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--write-golden"])
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_unwritable_output_path_exits_1(capsys, tmp_path, flag: str, fmt: str) -> None:
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, BETTI_ARGS + ["--format", fmt, flag, str(target)])
+    assert code == 1
+    assert "Traceback" not in err
+    assert not target.exists()
+    if fmt == "json":
+        assert json.loads(err)["error"] == "FileNotFoundError"
+    else:
+        assert err.startswith("error: ")
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g, k, tau_bar", [(2, 5, "11/4"), (8, 61, "123/4")], ids=["g2_k5", "g8_k61"]
+)
+def test_betti_report_validates_and_builds_n0_once(capsys, monkeypatch, g, k, tau_bar) -> None:
+    brackets = _count_calls(monkeypatch, betti, "_pairs_bracket_coeff")
+    validations = _count_calls(monkeypatch, stability, "validate_params")
+    argv = ["betti", "--genus", str(g), "--degree", str(k), "--tau-bar", tau_bar]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert brackets[0] == 1
+    assert validations[0] == 1
+
+
+def test_strata_report_validates_once(capsys, monkeypatch) -> None:
+    validations = _count_calls(monkeypatch, stability, "validate_params")
+    argv = ["strata", "--genus", "8", "--degree", "61", "--tau-bar", "123/4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert len(json.loads(out)["strata"]) == 7
+    assert validations[0] == 1
 
 
 def test_bad_rational_exits_1(capsys) -> None:

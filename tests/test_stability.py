@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from higgspairs.cli import main
 from higgspairs.stability import (
     InvalidParamsError,
     SplitHiggsPairModel,
@@ -72,6 +78,67 @@ def test_require_valid_raises_with_joined_message():
     with pytest.raises(InvalidParamsError) as err:
         require_valid(Params(1, 6, Fraction(13, 4)))
     assert "g >= 2" in str(err.value) and "odd" in str(err.value)
+
+
+def params_valid_oracle(g: int, k: int, n: int, d: int) -> bool:
+    """The five constraints on (g, k, tau_bar = n/d), d > 0, in integer arithmetic.
+
+    g at least 2; k odd; k < 2n/d < k + 1; n/d not an integer; k at least 4g - 3.
+    """
+    return (
+        g >= 2
+        and k % 2 == 1
+        and k * d < 2 * n < (k + 1) * d
+        and n % d != 0
+        and k >= 4 * g - 3
+    )
+
+
+@st.composite
+def moduli_inputs(draw):
+    """(g, k, n, d), tau_bar = n/d, with g in [0, 6] and k in [-5, 40].
+
+    Half the draws take g >= 2, odd k >= 4g - 3 and tau_bar = k/2 + j/(2m)
+    with 0 < j <= m, so valid inputs and the window's upper edge both occur;
+    the other half draw g, k and n/d anywhere near the window.
+    """
+    if draw(st.booleans()):
+        g = draw(st.integers(0, 6))
+        k = draw(st.integers(-5, 40))
+        d = draw(st.integers(1, 12))
+        n = draw(st.integers(k * d // 2 - 2 * d, (k + 1) * d // 2 + 2 * d))
+        return g, k, n, d
+    g = draw(st.integers(2, 6))
+    k = 4 * g - 3 + 2 * draw(st.integers(0, (43 - 4 * g) // 2))
+    m = draw(st.integers(1, 6))
+    j = draw(st.integers(1, m))
+    return g, k, k * m + j, 2 * m
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli_inputs())
+def test_validate_params_matches_constraint_oracle(inputs):
+    g, k, n, d = inputs
+    got = validate_params(Params(g, k, Fraction(n, d)))
+    assert (got == []) == params_valid_oracle(g, k, n, d), got
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli_inputs())
+def test_betti_cli_exits_cleanly_on_drawn_params(inputs):
+    g, k, n, d = inputs
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["betti", f"--genus={g}", f"--degree={k}", f"--tau-bar={n}/{d}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if params_valid_oracle(g, k, n, d):
+        assert code == 0, err.getvalue()
+        assert json.loads(out.getvalue())["params"]["genus"] == g
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == "InvalidParamsError"
 
 
 def test_mu_plus():
