@@ -9,8 +9,9 @@ against (--golden) or written (--write-golden); comparison failures exit
 with code 2.
 
 Exit codes: 0 for a completed run (including unstable verdicts and
-non-converged solves), 1 for parameter or input validation failures and
-for running out of memory (say, a vortex grid too large to allocate), 2 for
+non-converged solves), 1 for parameter or input validation failures, for
+an output or golden file that cannot be read or written, and for running
+out of memory (say, a vortex grid too large to allocate), 2 for
 formula-integrity or selftest failures and golden mismatches.
 """
 
@@ -513,11 +514,6 @@ def _emit_error(fmt: str, exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -526,7 +522,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         report, pretty, code = args.fn(args)
         text = _render(report, fmt, pretty)
         if args.write_golden:
-            _write_text(args.write_golden, text)
+            with open(args.write_golden, "w", encoding="utf-8") as fh:
+                fh.write(text)
         if args.golden:
             with open(args.golden, encoding="utf-8") as fh:
                 expected = fh.read()
@@ -534,7 +531,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"golden mismatch against {args.golden}", file=sys.stderr)
                 return 2
         if args.out:
-            _write_text(args.out, text)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         else:
             sys.stdout.write(text)
     except InvalidParamsError as exc:
