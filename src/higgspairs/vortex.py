@@ -42,6 +42,20 @@ bilinear in the fields (the coupled curvature, the moment maps,
 theta-intertwining), so along any line residual_energy is exactly a
 quartic; ``solve`` takes its exact minimum along preconditioned
 conjugate-gradient directions.
+
+Zero blocks.  The solver's kernels never form a term with a factor that is
+zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
+that vanishes at every site by ``ZERO``, the zero block: it absorbs
+products, drops out of sums and passes through the derivative, norm and
+preconditioner kernels, so the formulas below are written once and the
+terms it touches are skipped.  On the branches ``solve`` zeroes the frozen
+blocks (psi and theta2 on the phi branch, phi and theta1 on its mirror),
+which removes W5 and W6 (or W3 and W4), the psi (or phi) half of the
+moment maps and of the intertwining, and every gradient term that carries
+them.  The skip rests on the data alone: a branch only decides which
+gradient blocks are built, and ``residual_gradient`` still returns every
+block as an array.  Commutators of 1x1 blocks are zero, since scalars
+commute, and ``_comm`` returns them as zeros without forming a product.
 """
 
 from __future__ import annotations
@@ -176,7 +190,51 @@ class LatticeState:
         return self.N * self.N * self.a * self.a
 
 
+class _ZeroBlock:
+    """The field block that is zero at every site.
+
+    It absorbs products and drops out of sums, so an expression of fields
+    skips every term that has it as a factor.  ``__array_ufunc__ = None``
+    makes numpy's operators defer to these methods.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __repr__(self) -> str:
+        return "ZERO"
+
+
+ZERO = _ZeroBlock()
+
+
+def _block(m: np.ndarray):
+    """m, or ZERO when m vanishes at every site."""
+    return m if m.any() else ZERO
+
+
 def _adj(m: np.ndarray) -> np.ndarray:
+    if m is ZERO:
+        return ZERO
     return np.conj(np.swapaxes(m, -1, -2))
 
 
@@ -193,7 +251,15 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y per site; ZERO, without a product, when a factor is ZERO."""
+    return ZERO if x is ZERO or y is ZERO else _mm(x, y)
+
+
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] per site; ZERO when a factor is ZERO."""
+    if x is ZERO or y is ZERO:
+        return ZERO
     return _mm(x, y) - _mm(y, x)
 
 
@@ -219,11 +285,11 @@ def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
 
 
 def _dz(m: np.ndarray, a: float) -> np.ndarray:
-    return _stencil(m, m, a, -1.0)
+    return ZERO if m is ZERO else _stencil(m, m, a, -1.0)
 
 
 def _dzbar(m: np.ndarray, a: float) -> np.ndarray:
-    return _stencil(m, m, a, 1.0)
+    return ZERO if m is ZERO else _stencil(m, m, a, 1.0)
 
 
 def _zpot(A: np.ndarray) -> np.ndarray:
@@ -232,11 +298,25 @@ def _zpot(A: np.ndarray) -> np.ndarray:
 
 
 def _frob2(m: np.ndarray) -> float:
-    return float(np.sum(np.abs(m) ** 2))
+    return 0.0 if m is ZERO else float(np.sum(np.abs(m) ** 2))
+
+
+def _site_frob2(m: np.ndarray) -> np.ndarray:
+    """Per-site squared Frobenius norm (a scalar 0.0 for ZERO)."""
+    return 0.0 if m is ZERO else np.sum(np.abs(m) ** 2, axis=(-1, -2))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re sum conj(x) y."""
+    return 0.0 if x is ZERO or y is ZERO else float(np.vdot(x, y).real)
 
 
 class _Fields:
-    """Shared derived quantities for one state (plain helper, no caching)."""
+    """Shared derived quantities for one state (plain helper, no caching).
+
+    theta1, theta2, phi and psi are ZERO where they vanish at every site;
+    the connections are always arrays.
+    """
 
     def __init__(self, s: LatticeState) -> None:
         self.a = s.a
@@ -245,12 +325,12 @@ class _Fields:
         self.Z2 = _zpot(s.A2)
         self.Z1b = -_adj(self.Z1)
         self.Z2b = -_adj(self.Z2)
-        self.t1 = s.theta1
-        self.t2 = s.theta2
-        self.t1d = _adj(s.theta1)
-        self.t2d = _adj(s.theta2)
-        self.phi = s.phi
-        self.psi = s.psi
+        self.t1 = _block(s.theta1)
+        self.t2 = _block(s.theta2)
+        self.t1d = _adj(self.t1)
+        self.t2d = _adj(self.t2)
+        self.phi = _block(s.phi)
+        self.psi = _block(s.psi)
 
     def curvature(self, Z: np.ndarray, Zb: np.ndarray) -> np.ndarray:
         """F_z_zbar = D_z Zb - D_zbar Z + [Z, Zb], the derivative part in one
@@ -258,34 +338,34 @@ class _Fields:
         return _stencil(Zb - Z, Zb + Z, self.a, -1.0) + _comm(Z, Zb)
 
     def dz_phi(self) -> np.ndarray:
-        return _dz(self.phi, self.a) + _mm(self.Z1, self.phi) - _mm(self.phi, self.Z2)
+        return _dz(self.phi, self.a) + _prod(self.Z1, self.phi) - _prod(self.phi, self.Z2)
 
     def dzbar_phi(self) -> np.ndarray:
-        return _dzbar(self.phi, self.a) + _mm(self.Z1b, self.phi) - _mm(self.phi, self.Z2b)
+        return _dzbar(self.phi, self.a) + _prod(self.Z1b, self.phi) - _prod(self.phi, self.Z2b)
 
     def dz_psi(self) -> np.ndarray:
-        return _dz(self.psi, self.a) + _mm(self.Z2, self.psi) - _mm(self.psi, self.Z1)
+        return _dz(self.psi, self.a) + _prod(self.Z2, self.psi) - _prod(self.psi, self.Z1)
 
     def dzbar_psi(self) -> np.ndarray:
-        return _dzbar(self.psi, self.a) + _mm(self.Z2b, self.psi) - _mm(self.psi, self.Z1b)
+        return _dzbar(self.psi, self.a) + _prod(self.Z2b, self.psi) - _prod(self.psi, self.Z1b)
 
     def x_phi(self) -> np.ndarray:
-        return _mm(self.t1, self.phi) - _mm(self.phi, self.t2)
+        return _prod(self.t1, self.phi) - _prod(self.phi, self.t2)
 
     def y_phi(self) -> np.ndarray:
-        return _mm(self.t1d, self.phi) - _mm(self.phi, self.t2d)
+        return _prod(self.t1d, self.phi) - _prod(self.phi, self.t2d)
 
     def x_psi(self) -> np.ndarray:
-        return _mm(self.t2, self.psi) - _mm(self.psi, self.t1)
+        return _prod(self.t2, self.psi) - _prod(self.psi, self.t1)
 
     def y_psi(self) -> np.ndarray:
-        return _mm(self.t2d, self.psi) - _mm(self.psi, self.t1d)
+        return _prod(self.t2d, self.psi) - _prod(self.psi, self.t1d)
 
     def moment1(self) -> np.ndarray:
-        return _mm(self.phi, _adj(self.phi)) - _mm(_adj(self.psi), self.psi)
+        return _prod(self.phi, _adj(self.phi)) - _prod(_adj(self.psi), self.psi)
 
     def moment2(self) -> np.ndarray:
-        return _mm(self.psi, _adj(self.psi)) - _mm(_adj(self.phi), self.phi)
+        return _prod(self.psi, _adj(self.psi)) - _prod(_adj(self.phi), self.phi)
 
 
 def ymh_energy(s: LatticeState, p: VortexParams) -> float:
@@ -297,12 +377,12 @@ def ymh_energy(s: LatticeState, p: VortexParams) -> float:
     DEVIATION_WEIGHT (1/4).
     """
     f = _Fields(s)
-    eye1 = np.eye(s.r1)
-    eye2 = np.eye(s.r2)
-
     h1 = f.curvature(f.Z1 + f.t1, f.Z1b + f.t1d)
     h2 = f.curvature(f.Z2 + f.t2, f.Z2b + f.t2d)
     curv = 4.0 * (_frob2(h1) + _frob2(h2))
+    # Per-site identities, so a ZERO moment map still leaves a site field.
+    eye1 = np.broadcast_to(np.eye(s.r1), h1.shape)
+    eye2 = np.broadcast_to(np.eye(s.r2), h2.shape)
 
     kin_phi = 2.0 * (_frob2(f.dz_phi() + f.x_phi()) + _frob2(f.dzbar_phi() + f.y_phi()))
     kin_psi = 2.0 * (_frob2(f.dz_psi() + f.x_psi()) + _frob2(f.dzbar_psi() + f.y_psi()))
@@ -318,7 +398,8 @@ def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
 
     W1, W2 are the two vortex-equation residuals (2 F_z_zbar of the
     Higgs-coupled connection appears as i Lambda R); W3..W6 are twice the
-    holomorphicity and intertwining defects of phi and psi.
+    holomorphicity and intertwining defects of phi and psi.  A field whose
+    every term has a zero factor is ZERO.
     """
     f = _Fields(s)
     eye1 = np.eye(s.r1)
@@ -352,17 +433,18 @@ def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
     """Named parts of residual_energy plus pointwise diagnostics."""
     w = _residual_fields(s, p)
     k = s.a * s.a
-    site_norm1 = np.sqrt(np.sum(np.abs(w["W1"]) ** 2, axis=(-1, -2)))
-    site_norm2 = np.sqrt(np.sum(np.abs(w["W2"]) ** 2, axis=(-1, -2)))
-    theta_s = 0.5 * np.sqrt(np.sum(np.abs(w["W4"]) ** 2, axis=(-1, -2)))
+
+    def site_max(m: np.ndarray) -> float:
+        return float(np.max(np.sqrt(_site_frob2(m))))
+
     return {
         "eq1": k * _frob2(w["W1"]),
         "eq2": k * _frob2(w["W2"]),
         "holomorphicity": k * (_frob2(w["W3"]) + _frob2(w["W5"])),
         "intertwining": k * (_frob2(w["W4"]) + _frob2(w["W6"])),
-        "eq1_max": float(site_norm1.max()),
-        "eq2_max": float(site_norm2.max()),
-        "theta_s_sup": float(theta_s.max()),
+        "eq1_max": site_max(w["W1"]),
+        "eq2_max": site_max(w["W2"]),
+        "theta_s_sup": 0.5 * site_max(w["W4"]),
     }
 
 
@@ -395,13 +477,21 @@ def residual_gradient(
     projection of the unconstrained gradient onto the constraint manifold);
     blocks frozen by the branch come back as zeros.
     """
-    return _gradient(s, _residual_fields(s, p), branch)
+    grad = _gradient(s, _residual_fields(s, p), branch)
+    return {
+        name: np.zeros_like(getattr(s, name)) if g is ZERO else g
+        for name, g in grad.items()
+    }
 
 
 def _gradient(
     s: LatticeState, w: dict[str, np.ndarray], branch: Optional[str]
 ) -> dict[str, np.ndarray]:
-    """residual_gradient from the residual fields w already computed at s."""
+    """residual_gradient from the residual fields w already computed at s.
+
+    Blocks the branch freezes, and blocks whose every term has a zero
+    factor, are ZERO.
+    """
     f = _Fields(s)
     k = f.k
     w1, w2 = w["W1"], w["W2"]
@@ -412,53 +502,54 @@ def _gradient(
     a = f.a
 
     # The A blocks are never frozen; the other blocks are built only when
-    # the branch flows them.
+    # the branch flows them.  No A-block term is ZERO: W1 and W2 carry the
+    # constant tau terms.
     g_z1 = k * (
         2.0 * _dz(w1h, a)
         + 2.0 * _comm(f.Z1, w1h)
         + 2.0 * _comm(w1a, f.t1)
-        - 2.0 * _mm(f.phi, _adj(w3))
-        + 2.0 * _mm(_adj(w5), f.psi)
+        - 2.0 * _prod(f.phi, _adj(w3))
+        + 2.0 * _prod(_adj(w5), f.psi)
     )
     g_z2 = k * (
         2.0 * _dz(w2h, a)
         + 2.0 * _comm(f.Z2, w2h)
         + 2.0 * _comm(w2a, f.t2)
-        - 2.0 * _mm(f.psi, _adj(w5))
-        + 2.0 * _mm(_adj(w3), f.phi)
+        - 2.0 * _prod(f.psi, _adj(w5))
+        + 2.0 * _prod(_adj(w3), f.phi)
     )
     blocks = {
         "theta1": lambda: k * (
             2.0 * _dz(w1a, a)
             + 2.0 * _comm(f.Z1, w1a)
             + 2.0 * _comm(w1h, f.t1)
-            + 2.0 * _mm(w4, _adj(f.phi))
-            - 2.0 * _mm(_adj(f.psi), w6)
+            + 2.0 * _prod(w4, _adj(f.phi))
+            - 2.0 * _prod(_adj(f.psi), w6)
         ),
         "theta2": lambda: k * (
             2.0 * _dz(w2a, a)
             + 2.0 * _comm(f.Z2, w2a)
             + 2.0 * _comm(w2h, f.t2)
-            + 2.0 * _mm(w6, _adj(f.psi))
-            - 2.0 * _mm(_adj(f.phi), w4)
+            + 2.0 * _prod(w6, _adj(f.psi))
+            - 2.0 * _prod(_adj(f.phi), w4)
         ),
         "phi": lambda: k * (
-            0.5 * _mm(w1h, f.phi)
-            - 0.5 * _mm(f.phi, w2h)
+            0.5 * _prod(w1h, f.phi)
+            - 0.5 * _prod(f.phi, w2h)
             - 2.0 * _dz(w3, a)
-            - 2.0 * _mm(f.Z1, w3)
-            + 2.0 * _mm(w3, f.Z2)
-            + 2.0 * _mm(f.t1d, w4)
-            - 2.0 * _mm(w4, f.t2d)
+            - 2.0 * _prod(f.Z1, w3)
+            + 2.0 * _prod(w3, f.Z2)
+            + 2.0 * _prod(f.t1d, w4)
+            - 2.0 * _prod(w4, f.t2d)
         ),
         "psi": lambda: k * (
-            -0.5 * _mm(f.psi, w1h)
-            + 0.5 * _mm(w2h, f.psi)
+            -0.5 * _prod(f.psi, w1h)
+            + 0.5 * _prod(w2h, f.psi)
             - 2.0 * _dz(w5, a)
-            - 2.0 * _mm(f.Z2, w5)
-            + 2.0 * _mm(w5, f.Z1)
-            + 2.0 * _mm(f.t2d, w6)
-            - 2.0 * _mm(w6, f.t1d)
+            - 2.0 * _prod(f.Z2, w5)
+            + 2.0 * _prod(w5, f.Z1)
+            + 2.0 * _prod(f.t2d, w6)
+            - 2.0 * _prod(w6, f.t1d)
         ),
     }
     grad = {
@@ -467,13 +558,13 @@ def _gradient(
     }
     frozen = _FROZEN[branch]
     for name, block in blocks.items():
-        grad[name] = np.zeros_like(getattr(s, name)) if name in frozen else block()
+        grad[name] = ZERO if name in frozen else block()
     return grad
 
 
 def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
     """The real metric 2 Re sum tr(x^H y) of the gradient convention."""
-    return 2.0 * sum(float(np.vdot(x[k], y[k]).real) for k in x)
+    return 2.0 * sum(_dot(x[k], y[k]) for k in x)
 
 
 def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> LatticeState:
@@ -497,9 +588,9 @@ def _precondition(
     derivative symbol, flattens the spectrum of the residual Hessian so the
     descent converges at a grid-independent rate.  The kernel is real and
     even, hence a real symmetric convolution: it preserves anti-Hermiticity
-    of the A blocks and commutes with constant gauge rotations.  A zero
-    block maps to zero, so it is passed through without a transform: the
-    blocks a branch freezes are zero by construction.
+    of the A blocks and commutes with constant gauge rotations.  A ZERO
+    block (frozen by the branch, or with no nonzero term) maps to ZERO
+    without a transform.
     """
     sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
     omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
@@ -507,7 +598,7 @@ def _precondition(
     kernel = 1.0 / (mass + 4.0 * omega2)
     out = {}
     for name, g in grad.items():
-        if not g.any():
+        if g is ZERO:
             out[name] = g
             continue
         axes = (1, 2) if name in ("A1", "A2") else (0, 1)
@@ -542,9 +633,9 @@ def _exact_step(
     for name, v0 in w0.items():
         hb = 0.5 * (wp[name] - wm[name])
         h2c = 0.5 * (wp.pop(name) + wm.pop(name)) - v0
-        c[1] -= 2.0 * np.vdot(v0, hb).real
-        c[2] += _frob2(hb) + 2.0 * np.vdot(v0, h2c).real
-        c[3] -= 2.0 * np.vdot(hb, h2c).real
+        c[1] -= 2.0 * _dot(v0, hb)
+        c[2] += _frob2(hb) + 2.0 * _dot(v0, h2c)
+        c[3] -= 2.0 * _dot(hb, h2c)
         c[4] += _frob2(h2c)
     if not np.all(np.isfinite(c)):
         return 0.0
@@ -696,22 +787,20 @@ def l4_identity_check(
     f = _Fields(s)
     k = f.k
     s2 = np.einsum("xyab,xyab->xy", np.conj(s.phi), s.phi).real
-    dzs = f.dz_phi()
-    th_s = f.t1d @ s.phi
     res1 = k * float(
         np.sum(
-            4.0 * np.sum(np.abs(dzs) ** 2, axis=(-1, -2))
-            + 4.0 * np.sum(np.abs(th_s) ** 2, axis=(-1, -2))
+            4.0 * _site_frob2(f.dz_phi())
+            + 4.0 * _site_frob2(_prod(f.t1d, f.phi))
             + 2.0 * s2 * s2
             + (p.tau_prime - p.tau) * s2
         )
     )
-    grad_t1 = _dz(s.theta1, f.a) + _comm(f.Z1, s.theta1)
+    grad_t1 = _dz(f.t1, f.a) + _comm(f.Z1, f.t1)
     res2 = k * float(
         np.sum(
-            8.0 * np.sum(np.abs(grad_t1) ** 2, axis=(-1, -2))
-            + 8.0 * np.sum(np.abs(_comm(s.theta1, f.t1d)) ** 2, axis=(-1, -2))
-            + 4.0 * np.sum(np.abs(_adj(s.phi) @ s.theta1) ** 2, axis=(-1, -2))
+            8.0 * _site_frob2(grad_t1)
+            + 8.0 * _site_frob2(_comm(f.t1, f.t1d))
+            + 4.0 * _site_frob2(_prod(_adj(f.phi), f.t1))
         )
     )
     return {"res1": abs(res1), "res2": abs(res2)}
