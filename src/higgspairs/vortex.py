@@ -257,9 +257,17 @@ def _prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] per site; ZERO when a factor is ZERO."""
+    """[x, y] per site of two square fields of one rank; ZERO when a factor
+    is ZERO.
+
+    1x1 blocks are scalars, which commute: their commutator is zeros of the
+    usual shape, formed without a product (the subtraction would only leave
+    rounding noise).
+    """
     if x is ZERO or y is ZERO:
         return ZERO
+    if x.shape[-1] == 1:
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
     return _mm(x, y) - _mm(y, x)
 
 
