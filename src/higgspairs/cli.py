@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 import numpy as np
 
@@ -36,11 +36,14 @@ _FORMATS = ("json", "csv", "pretty")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with validation failures mapped to exit code 1."""
+    """argparse whose usage errors exit 1 with one JSON error object on
+    stderr, in the shape of _emit_error."""
 
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def error(self, message: str) -> NoReturn:
+        if message.endswith("expected one argument"):
+            message += " (a value that starts with '-' is written --option=value)"
+        payload = {"error": "ArgumentError", "message": f"{self.prog}: {message}"}
+        self.exit(1, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _rational(text: str) -> Fraction:
@@ -291,6 +294,7 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         },
         "converged": result.converged,
         "stalled": result.stalled,
+        "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "residual": float(result.residual),
         "breakdown": {key: float(getattr(result, key)) for key in _BREAKDOWN_KEYS},
@@ -308,7 +312,7 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         f"params: r1={args.rank1} r2={args.rank2} N={args.grid} vol={args.vol} "
         f"tau={args.tau} tau'={p.tau_prime} branch={args.branch} seed={args.seed}",
         f"converged: {result.converged} (iterations {result.iterations}, "
-        f"residual {result.residual!r})",
+        f"residual {result.residual!r}, stop reason {result.stop_reason})",
         f"breakdown: eq1={result.eq1!r} eq2={result.eq2!r} "
         f"holomorphicity={result.holomorphicity!r} "
         f"theta_s_sup={result.theta_s_sup!r}",

@@ -45,7 +45,7 @@ conjugate-gradient directions.
 
 Zero blocks.  The solver's kernels never form a term with a factor that is
 zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
-that vanishes at every site by ``ZERO``, the zero block: it absorbs
+that vanishes at every site by ``_ZERO``, the zero block: it absorbs
 products, drops out of sums and passes through the derivative, norm and
 preconditioner kernels, so the formulas below are written once and the
 terms it touches are skipped.  On the branches ``solve`` zeroes the frozen
@@ -198,7 +198,6 @@ class _ZeroBlock:
     makes numpy's operators defer to these methods.
     """
 
-    __slots__ = ()
     __array_ufunc__ = None
 
     def __add__(self, other):
@@ -220,21 +219,18 @@ class _ZeroBlock:
     def __neg__(self):
         return self
 
-    def __repr__(self) -> str:
-        return "ZERO"
 
-
-ZERO = _ZeroBlock()
+_ZERO = _ZeroBlock()
 
 
 def _block(m: np.ndarray):
-    """m, or ZERO when m vanishes at every site."""
-    return m if m.any() else ZERO
+    """m, or _ZERO when m vanishes at every site."""
+    return m if m.any() else _ZERO
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
-    if m is ZERO:
-        return ZERO
+    if m is _ZERO:
+        return _ZERO
     return np.conj(np.swapaxes(m, -1, -2))
 
 
@@ -252,20 +248,20 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y per site; ZERO, without a product, when a factor is ZERO."""
-    return ZERO if x is ZERO or y is ZERO else _mm(x, y)
+    """x @ y per site; _ZERO, without a product, when a factor is _ZERO."""
+    return _ZERO if x is _ZERO or y is _ZERO else _mm(x, y)
 
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] per site of two square fields of one rank; ZERO when a factor
-    is ZERO.
+    """[x, y] per site of two square fields of one rank; _ZERO when a factor
+    is _ZERO.
 
     1x1 blocks are scalars, which commute: their commutator is zeros of the
     usual shape, formed without a product (the subtraction would only leave
     rounding noise).
     """
-    if x is ZERO or y is ZERO:
-        return ZERO
+    if x is _ZERO or y is _ZERO:
+        return _ZERO
     if x.shape[-1] == 1:
         return np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
     return _mm(x, y) - _mm(y, x)
@@ -293,11 +289,11 @@ def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
 
 
 def _dz(m: np.ndarray, a: float) -> np.ndarray:
-    return ZERO if m is ZERO else _stencil(m, m, a, -1.0)
+    return _ZERO if m is _ZERO else _stencil(m, m, a, -1.0)
 
 
 def _dzbar(m: np.ndarray, a: float) -> np.ndarray:
-    return ZERO if m is ZERO else _stencil(m, m, a, 1.0)
+    return _ZERO if m is _ZERO else _stencil(m, m, a, 1.0)
 
 
 def _zpot(A: np.ndarray) -> np.ndarray:
@@ -306,23 +302,23 @@ def _zpot(A: np.ndarray) -> np.ndarray:
 
 
 def _frob2(m: np.ndarray) -> float:
-    return 0.0 if m is ZERO else float(np.sum(np.abs(m) ** 2))
+    return 0.0 if m is _ZERO else float(np.sum(np.abs(m) ** 2))
 
 
 def _site_frob2(m: np.ndarray) -> np.ndarray:
-    """Per-site squared Frobenius norm (a scalar 0.0 for ZERO)."""
-    return 0.0 if m is ZERO else np.sum(np.abs(m) ** 2, axis=(-1, -2))
+    """Per-site squared Frobenius norm (a scalar 0.0 for _ZERO)."""
+    return 0.0 if m is _ZERO else np.sum(np.abs(m) ** 2, axis=(-1, -2))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """Re sum conj(x) y."""
-    return 0.0 if x is ZERO or y is ZERO else float(np.vdot(x, y).real)
+    return 0.0 if x is _ZERO or y is _ZERO else float(np.vdot(x, y).real)
 
 
 class _Fields:
     """Shared derived quantities for one state (plain helper, no caching).
 
-    theta1, theta2, phi and psi are ZERO where they vanish at every site;
+    theta1, theta2, phi and psi are _ZERO where they vanish at every site;
     the connections are always arrays.
     """
 
@@ -388,7 +384,7 @@ def ymh_energy(s: LatticeState, p: VortexParams) -> float:
     h1 = f.curvature(f.Z1 + f.t1, f.Z1b + f.t1d)
     h2 = f.curvature(f.Z2 + f.t2, f.Z2b + f.t2d)
     curv = 4.0 * (_frob2(h1) + _frob2(h2))
-    # Per-site identities, so a ZERO moment map still leaves a site field.
+    # Per-site identities, so a _ZERO moment map still leaves a site field.
     eye1 = np.broadcast_to(np.eye(s.r1), h1.shape)
     eye2 = np.broadcast_to(np.eye(s.r2), h2.shape)
 
@@ -407,7 +403,7 @@ def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
     W1, W2 are the two vortex-equation residuals (2 F_z_zbar of the
     Higgs-coupled connection appears as i Lambda R); W3..W6 are twice the
     holomorphicity and intertwining defects of phi and psi.  A field whose
-    every term has a zero factor is ZERO.
+    every term has a zero factor is _ZERO.
     """
     f = _Fields(s)
     eye1 = np.eye(s.r1)
@@ -487,7 +483,7 @@ def residual_gradient(
     """
     grad = _gradient(s, _residual_fields(s, p), branch)
     return {
-        name: np.zeros_like(getattr(s, name)) if g is ZERO else g
+        name: np.zeros_like(getattr(s, name)) if g is _ZERO else g
         for name, g in grad.items()
     }
 
@@ -498,7 +494,7 @@ def _gradient(
     """residual_gradient from the residual fields w already computed at s.
 
     Blocks the branch freezes, and blocks whose every term has a zero
-    factor, are ZERO.
+    factor, are _ZERO.
     """
     f = _Fields(s)
     k = f.k
@@ -510,8 +506,8 @@ def _gradient(
     a = f.a
 
     # The A blocks are never frozen; the other blocks are built only when
-    # the branch flows them.  No A-block term is ZERO: W1 and W2 carry the
-    # constant tau terms.
+    # the branch flows them.  W1 and W2 always hold their tau terms, so
+    # they, and the A blocks, are arrays.
     g_z1 = k * (
         2.0 * _dz(w1h, a)
         + 2.0 * _comm(f.Z1, w1h)
@@ -566,7 +562,7 @@ def _gradient(
     }
     frozen = _FROZEN[branch]
     for name, block in blocks.items():
-        grad[name] = ZERO if name in frozen else block()
+        grad[name] = _ZERO if name in frozen else block()
     return grad
 
 
@@ -596,8 +592,8 @@ def _precondition(
     derivative symbol, flattens the spectrum of the residual Hessian so the
     descent converges at a grid-independent rate.  The kernel is real and
     even, hence a real symmetric convolution: it preserves anti-Hermiticity
-    of the A blocks and commutes with constant gauge rotations.  A ZERO
-    block (frozen by the branch, or with no nonzero term) maps to ZERO
+    of the A blocks and commutes with constant gauge rotations.  A _ZERO
+    block (frozen by the branch, or with no nonzero term) maps to _ZERO
     without a transform.
     """
     sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
@@ -606,7 +602,7 @@ def _precondition(
     kernel = 1.0 / (mass + 4.0 * omega2)
     out = {}
     for name, g in grad.items():
-        if g is ZERO:
+        if g is _ZERO:
             out[name] = g
             continue
         axes = (1, 2) if name in ("A1", "A2") else (0, 1)
@@ -632,8 +628,8 @@ def _exact_step(
     clear of the rounding of the probes.  The quartic is evaluated at the
     real part of every root of its cubic derivative (a double real root
     may come back as a nearly real pair) and the lowest value wins.
-    Returns 0.0 when no candidate lowers the energy or a coefficient is
-    not finite.
+    Returns 0.0 when no candidate lowers the energy and nan when a
+    coefficient is not finite.
     """
     c = np.zeros(5)
     wp = _residual_fields(_apply_step(s, dirn, -h), p)
@@ -646,7 +642,7 @@ def _exact_step(
         c[3] -= 2.0 * _dot(hb, h2c)
         c[4] += _frob2(h2c)
     if not np.all(np.isfinite(c)):
-        return 0.0
+        return math.nan
     roots = np.roots([4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]]).real
     best, drop = 0.0, 0.0
     for t in roots[roots > 0]:
@@ -657,7 +653,6 @@ def _exact_step(
 
 
 _ZERO_GRAD = 1e-30
-
 
 @dataclass
 class SolveResult:
@@ -675,6 +670,7 @@ class SolveResult:
     theta_s_sup: float
     stalled: bool
     energy_history: list[float]
+    stop_reason: str
 
 
 def solve(
@@ -697,10 +693,13 @@ def solve(
     new state, whose fields give both its energy and its gradient.
     branch "phi" freezes psi and theta2 at zero (the section-carrying
     specialization); "psi" mirrors; None flows every block.  Converged
-    means residual_energy <= tol.  Exhausting max_iter returns
-    converged=False; a zero gradient, a step that does not lower the
-    energy, or a non-finite energy or line coefficient stops the solve
-    with stalled=True.  It never raises.
+    means residual_energy <= tol.  stop_reason names why the solve
+    ended: "converged"; "max_iter" when the budget is
+    spent first; "zero_gradient" when the (preconditioned) gradient
+    vanishes; "no_decrease" when the exact step or the recomputed energy
+    does not lower the energy; "non_finite" when the energy, a line
+    coefficient or the new energy is not finite.  The last three set
+    stalled=True.  It never raises.
     """
     s = s0
     if branch in ("phi", "psi"):
@@ -710,20 +709,20 @@ def solve(
     energy = _energy(s, w)
     history = [energy]
     step = 1.0
-    stalled = False
+    stop_reason = "max_iter"
     iterations = 0
     prev: Optional[tuple[dict[str, np.ndarray], float, dict[str, np.ndarray]]] = None
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
         if not math.isfinite(energy):
-            stalled = True
+            stop_reason = "non_finite"
             break
         grad = _gradient(s, w, branch)
         pgrad = _precondition(grad, s, p)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
-            stalled = True
+            stop_reason = "zero_gradient"
             break
         dirn = pgrad
         if prev is not None:
@@ -736,19 +735,21 @@ def solve(
         prev = (pgrad, gz, dirn)
         del grad
         step = _exact_step(s, p, dirn, w, step)
-        if step == 0.0:
-            stalled = True
+        if not step > 0.0:
+            stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
         cand = _apply_step(s, dirn, step)
         w_new = _residual_fields(cand, p)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
-            stalled = True
+            stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
             break
         s, w, energy = cand, w_new, e_new
         history.append(energy)
         iterations += 1
 
+    if energy <= tol:
+        stop_reason = "converged"
     br = residual_breakdown(s, p)
     return SolveResult(
         state=s,
@@ -757,8 +758,9 @@ def solve(
         iterations=iterations,
         moment_map_value=moment_map_value(s),
         **br,
-        stalled=stalled,
+        stalled=stop_reason in ("zero_gradient", "no_decrease", "non_finite"),
         energy_history=history,
+        stop_reason=stop_reason,
     )
 
 

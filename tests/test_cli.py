@@ -191,6 +191,27 @@ def test_help_exits_0() -> None:
     assert err.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["betti", "--genus", "2", "--degree", "5", "--tau-bar", "-3/2"], "--tau-bar"),
+        (["vortex", "solve", "--rank1", "1", "--tau", "1.0", "--grid", "abc"], "--grid"),
+    ],
+)
+def test_argument_errors_are_structured(capsys, argv: list[str], option: str) -> None:
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "ArgumentError"
+    assert option in payload["message"]
+
+
 def test_stability_model_key_validation(capsys, tmp_path) -> None:
     good = json.loads((GOLDEN / "model_stable.json").read_text())
 
@@ -243,6 +264,7 @@ def test_vortex_solve_converges(capsys) -> None:
     assert code == 0
     report = json.loads(out)
     assert report["converged"] is True
+    assert report["stop_reason"] == "converged"
     assert report["residual"] <= 1e-12
     assert report["params"]["tau_prime"] == -1.0
     assert "note" not in report
@@ -253,6 +275,8 @@ def test_vortex_negative_tau_reports_floor(capsys) -> None:
     assert code == 0
     report = json.loads(out)
     assert report["converged"] is False
+    assert report["stalled"] is True
+    assert report["stop_reason"] == "no_decrease"
     assert "tau^2*vol/8" in report["note"]
     assert report["residual"] >= 0.999 * (1.0 / 8.0)
 

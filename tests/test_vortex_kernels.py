@@ -102,19 +102,78 @@ def split_residual_fields(s: vx.LatticeState, p: vx.VortexParams) -> dict[str, n
     }
 
 
-@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
-def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
-    rng = np.random.default_rng(29 + 10 * r1 + r2)
-    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
+# The blocks a state of each kind holds at zero: the phi branch (psi =
+# theta2 = 0), its psi mirror (phi = theta1 = 0), and no block at all.
+ZERO_BLOCKS = {None: (), "phi": ("psi", "theta2"), "psi": ("phi", "theta1")}
+
+
+def branch_state(r1: int, r2: int, branch, rng: np.random.Generator) -> vx.LatticeState:
     s = vx.random_smooth_state(8, r1, r2, 1.0, rng, amplitude=0.3, tau=0.8)
     # random_smooth_state starts on the phi branch (psi = theta2 = 0); a
-    # second draw fills those blocks so every term of every field is live.
+    # second draw fills those blocks so every term of every field is live,
+    # and then the kind's zero blocks are cleared.
     other = vx.random_smooth_state(8, r2, r1, 1.0, rng, amplitude=0.3, tau=0.8)
     s = replace(s, theta2=other.theta1, psi=other.phi)
+    return replace(s, **{name: np.zeros_like(getattr(s, name)) for name in ZERO_BLOCKS[branch]})
+
+
+def split_energy(s: vx.LatticeState, p: vx.VortexParams) -> float:
+    fields = split_residual_fields(s, p)
+    return s.a * s.a * sum(float(np.sum(np.abs(w) ** 2)) for w in fields.values())
+
+
+def split_slope(
+    s: vx.LatticeState, p: vx.VortexParams, name: str, v: np.ndarray, h: float = 0.05
+) -> float:
+    """d/dt split_energy(s + t v) at t = 0, v in block name.  The energy is
+    a quartic in t, on which the five-point central difference is exact."""
+
+    def energy(t: float) -> float:
+        return split_energy(replace(s, **{name: getattr(s, name) + t * v}), p)
+
+    return (8.0 * (energy(h) - energy(-h)) - (energy(2 * h) - energy(-2 * h))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("branch", [None, "phi", "psi"])
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_residual_fields_match_split_form(r1: int, r2: int, branch) -> None:
+    rng = np.random.default_rng(29 + 10 * r1 + r2)
+    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    s = branch_state(r1, r2, branch, rng)
     got = vx._residual_fields(s, p)
     want = split_residual_fields(s, p)
     assert got.keys() == want.keys()
     for name, ref in want.items():
         scale = np.linalg.norm(ref)
+        if got[name] is vx._ZERO:
+            # Left out by the solver: the reference must vanish too.
+            assert branch is not None, name
+            assert scale == 0.0, name
+            continue
         assert scale > 0.0, name
         assert np.linalg.norm(got[name] - ref) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("branch", [None, "phi", "psi"])
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_gradient_matches_split_form_slopes(r1: int, r2: int, branch) -> None:
+    # The gradient of every block, built with the solver's zero skips,
+    # against exact slopes of the split-form energy along a random
+    # direction in that block.  A block the solver leaves out must have a
+    # vanishing slope.
+    rng = np.random.default_rng(59 + 10 * r1 + r2)
+    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    s = branch_state(r1, r2, branch, rng)
+    grad = vx._gradient(s, vx._residual_fields(s, p), None)
+    norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
+    for name in BLOCKS:
+        v = cfield(rng, *getattr(s, name).shape)
+        if name in ("A1", "A2"):
+            v = 0.5 * (v - adj(v))
+        v /= np.linalg.norm(v)
+        g = grad[name]
+        got = 0.0 if g is vx._ZERO else 2.0 * float(np.vdot(g, v).real)
+        if g is vx._ZERO:
+            assert name in ZERO_BLOCKS[branch], name
+        assert abs(got - split_slope(s, p, name, v)) <= 1e-12 * 2.0 * norm, name

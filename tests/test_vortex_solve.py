@@ -63,11 +63,15 @@ def test_l4_identities_at_solution() -> None:
     assert out["res1"] <= 1e-5
 
 
-def test_negative_tau_cannot_converge_on_section_branch() -> None:
+def negative_tau_section_solve() -> tuple[vx.SolveResult, vx.VortexParams, vx.LatticeState]:
     rng = np.random.default_rng(7)
     p = vx.VortexParams(r1=1, tau=-1.0)
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=-1.0)
-    res = vx.solve(s0, p, tol=1e-12, max_iter=2000)
+    return vx.solve(s0, p, tol=1e-12, max_iter=2000), p, s0
+
+
+def test_negative_tau_cannot_converge_on_section_branch() -> None:
+    res, p, s0 = negative_tau_section_solve()
     assert not res.converged
     assert res.stalled
     floor = p.tau**2 * s0.vol / 8.0
@@ -90,11 +94,15 @@ def test_negative_tau_converges_on_mirror_branch() -> None:
     assert total == pytest.approx(p.tau_prime * s.vol, abs=1e-9)
 
 
-def test_solve_honours_max_iter() -> None:
+def capped_solve() -> vx.SolveResult:
     rng = np.random.default_rng(7)
     p = vx.VortexParams(r1=1, tau=1.0)
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    res = vx.solve(s0, p, tol=1e-12, max_iter=3)
+    return vx.solve(s0, p, tol=1e-12, max_iter=3)
+
+
+def test_solve_honours_max_iter() -> None:
+    res = capped_solve()
     assert not res.converged
     assert res.iterations == 3
     assert len(res.energy_history) == 4
@@ -135,15 +143,56 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
     assert len(calls) == 3 * res.iterations + 2
 
 
-@pytest.mark.parametrize("scale", [1e50, 1e100, np.nan])
-def test_solve_stops_on_non_finite_values(scale: float) -> None:
+@pytest.mark.parametrize("r1, seed, products", [(1, 7, 23), (2, 3, 37)])
+def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, products: int) -> None:
+    # On the phi branch psi = theta2 = 0, so no term with either factor is
+    # formed, and commutators of the 1x1 (r2 = 1) blocks take no product.
+    # Kernel calls per iteration (three field evaluations and one
+    # gradient): 13 stencils where all terms cost 16, and 23 (rank 1) or
+    # 37 (rank 2) small-matrix products where all terms cost 72.
+    counts = {"_stencil": 0, "_mm": 0}
+    for name in counts:
+        kernel = getattr(vx, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            counts[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(vx, name, counted)
+    p = vx.VortexParams(r1=r1, tau=1.0)
+
+    def totals(max_iter: int) -> dict[str, int]:
+        s0 = vx.random_smooth_state(
+            8, r1, 1, 1.0, np.random.default_rng(seed), amplitude=0.1, tau=1.0
+        )
+        for name in counts:
+            counts[name] = 0
+        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        return dict(counts)
+
+    # The same start and budgets 2 and 4: the difference is two iterations,
+    # free of the start-state and final-breakdown evaluations.
+    short, long = totals(2), totals(4)
+    assert (long["_stencil"] - short["_stencil"]) == 2 * 13
+    assert (long["_mm"] - short["_mm"]) == 2 * products
+
+
+NON_FINITE_SCALES = [1e50, 1e100, np.nan]
+
+
+def non_finite_solve(scale: float) -> vx.SolveResult:
     # 1e50: finite energy, but the line probes overflow; 1e100: the energy
     # itself is infinite; nan: the energy is nan.
     rng = np.random.default_rng(5)
     p = vx.VortexParams(r1=1, tau=1.0)
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
     with np.errstate(all="ignore"):
-        res = vx.solve(replace(s0, phi=s0.phi * scale), p)
+        return vx.solve(replace(s0, phi=s0.phi * scale), p)
+
+
+@pytest.mark.parametrize("scale", NON_FINITE_SCALES)
+def test_solve_stops_on_non_finite_values(scale: float) -> None:
+    res = non_finite_solve(scale)
     assert not res.converged
     assert res.stalled
     assert res.iterations == 0
@@ -214,3 +263,43 @@ def test_solve_projects_frozen_blocks_at_entry() -> None:
     assert res.converged
     assert not res.state.psi.any()
     assert not res.state.theta2.any()
+
+
+# -- stop reasons ------------------------------------------------------
+
+
+def test_stop_reason_converged() -> None:
+    res = scalar_solve()
+    assert res.stop_reason == "converged"
+
+
+def test_stop_reason_max_iter() -> None:
+    res = capped_solve()
+    assert res.stop_reason == "max_iter"
+    assert not res.stalled
+
+
+def test_stop_reason_zero_gradient() -> None:
+    # phi = 0 with flat connections is a fixed point of the flow above the
+    # minimum: every gradient term carries phi or a derivative of a
+    # constant field.
+    p = vx.VortexParams(r1=1, tau=1.0)
+    s = vx.zero_state(8, 1)
+    res = vx.solve(s, p, tol=1e-12, max_iter=50)
+    assert res.stop_reason == "zero_gradient"
+    assert res.stalled
+    assert res.iterations == 0
+    assert res.residual == pytest.approx(0.5)
+
+
+def test_stop_reason_no_decrease() -> None:
+    res, _, _ = negative_tau_section_solve()
+    assert res.stop_reason == "no_decrease"
+    assert res.stalled
+
+
+@pytest.mark.parametrize("scale", NON_FINITE_SCALES)
+def test_stop_reason_non_finite(scale: float) -> None:
+    res = non_finite_solve(scale)
+    assert res.stop_reason == "non_finite"
+    assert res.stalled
