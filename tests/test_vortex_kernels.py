@@ -135,45 +135,45 @@ def split_slope(
     return (8.0 * (energy(h) - energy(-h)) - (energy(2 * h) - energy(-2 * h))) / (12.0 * h)
 
 
-@pytest.mark.parametrize("branch", [None, "phi", "psi"])
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
-def test_residual_fields_match_split_form(r1: int, r2: int, branch) -> None:
-    rng = np.random.default_rng(29 + 10 * r1 + r2)
+def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
-    s = branch_state(r1, r2, branch, rng)
-    got = vx._residual_fields(s, p)
-    want = split_residual_fields(s, p)
-    assert got.keys() == want.keys()
-    for name, ref in want.items():
-        scale = np.linalg.norm(ref)
-        if got[name] is vx._ZERO:
-            # Left out by the solver: the reference must vanish too.
-            assert branch is not None, name
-            assert scale == 0.0, name
-            continue
-        assert scale > 0.0, name
-        assert np.linalg.norm(got[name] - ref) <= 1e-12 * scale, name
+    for branch, zero_blocks in ZERO_BLOCKS.items():
+        rng = np.random.default_rng(29 + 10 * r1 + r2)
+        s = branch_state(r1, r2, branch, rng)
+        got = vx._residual_fields(s, p)
+        want = split_residual_fields(s, p)
+        assert got.keys() == want.keys()
+        for name, ref in want.items():
+            scale = np.linalg.norm(ref)
+            if got[name] is vx._ZERO:
+                # Left out by the solver: the reference must vanish too.
+                assert zero_blocks and scale == 0.0, (branch, name)
+                continue
+            assert scale > 0.0, (branch, name)
+            assert np.linalg.norm(got[name] - ref) <= 1e-12 * scale, (branch, name)
 
 
-@pytest.mark.parametrize("branch", [None, "phi", "psi"])
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
-def test_gradient_matches_split_form_slopes(r1: int, r2: int, branch) -> None:
+def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     # The gradient of every block, built with the solver's zero skips,
     # against exact slopes of the split-form energy along a random
     # direction in that block.  A block the solver leaves out must have a
     # vanishing slope.
-    rng = np.random.default_rng(59 + 10 * r1 + r2)
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
-    s = branch_state(r1, r2, branch, rng)
-    grad = vx._gradient(s, vx._residual_fields(s, p), None)
-    norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
-    for name in BLOCKS:
-        v = cfield(rng, *getattr(s, name).shape)
-        if name in ("A1", "A2"):
-            v = 0.5 * (v - adj(v))
-        v /= np.linalg.norm(v)
-        g = grad[name]
-        got = 0.0 if g is vx._ZERO else 2.0 * float(np.vdot(g, v).real)
-        if g is vx._ZERO:
-            assert name in ZERO_BLOCKS[branch], name
-        assert abs(got - split_slope(s, p, name, v)) <= 1e-12 * 2.0 * norm, name
+    for branch, zero_blocks in ZERO_BLOCKS.items():
+        rng = np.random.default_rng(59 + 10 * r1 + r2)
+        s = branch_state(r1, r2, branch, rng)
+        grad = vx._gradient(s, vx._residual_fields(s, p), None)
+        norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
+        for name in BLOCKS:
+            v = cfield(rng, *getattr(s, name).shape)
+            if name in ("A1", "A2"):
+                v = 0.5 * (v - adj(v))
+            v /= np.linalg.norm(v)
+            g = grad[name]
+            got = 0.0 if g is vx._ZERO else 2.0 * float(np.vdot(g, v).real)
+            if g is vx._ZERO:
+                assert name in zero_blocks, (branch, name)
+            want = split_slope(s, p, name, v)
+            assert abs(got - want) <= 1e-12 * 2.0 * norm, (branch, name)
