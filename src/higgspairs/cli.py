@@ -253,6 +253,12 @@ _BREAKDOWN_KEYS = (
 )
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own error for a negative seed does not name the flag.
+    if seed < 0:
+        raise InvalidParamsError(f"--seed must be non-negative, got {seed}")
+
+
 def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     if args.grid < vortex.MIN_GRID:
         raise InvalidParamsError(f"grid must be at least {vortex.MIN_GRID}")
@@ -265,6 +271,7 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         raise InvalidParamsError(f"--tol must be non-negative, got {args.tol!r}")
     if args.max_iter < 0:
         raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
+    _check_seed(args.seed)
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
     rng = np.random.default_rng(args.seed)
     if args.branch == "phi":
@@ -431,6 +438,7 @@ def _run_selftest(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         ("decomposition_identity", _selftest_decomposition),
         ("gradient_check", _selftest_gradient),
     )
+    _check_seed(args.seed)
     results = []
     all_ok = True
     for name, fn in groups:

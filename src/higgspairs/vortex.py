@@ -55,7 +55,13 @@ moment maps and of the intertwining, and every gradient term that carries
 them.  The skip rests on the data alone: a branch only decides which
 gradient blocks are built, and ``residual_gradient`` still returns every
 block as an array.  Commutators of 1x1 blocks are zero, since scalars
-commute, and ``_comm`` returns them as zeros without forming a product.
+commute, and ``_comm`` returns them as _ZERO without forming a product.
+
+Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: its
+kernel and a workspace with a site plane for every entry of the blocks the
+branch flows.  Each iteration packs the live gradient blocks into that
+workspace and transforms them together in place, one forward and one
+inverse 1-D transform per site axis, in the order fft2 and ifft2 take.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ DEVIATION_WEIGHT = 0.25
 
 MIN_GRID = 4
 
+_BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
 _FROZEN = {"phi": ("psi", "theta2"), "psi": ("phi", "theta1"), None: ()}
 
 
@@ -254,16 +261,14 @@ def _prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] per site of two square fields of one rank; _ZERO when a factor
-    is _ZERO.
+    is _ZERO or the blocks are 1x1.
 
-    1x1 blocks are scalars, which commute: their commutator is zeros of the
-    usual shape, formed without a product (the subtraction would only leave
-    rounding noise).
+    1x1 blocks are scalars, which commute: their commutator is _ZERO,
+    formed without a product (the subtraction would only leave rounding
+    noise), so the terms that carry it are skipped too.
     """
-    if x is _ZERO or y is _ZERO:
+    if x is _ZERO or y is _ZERO or x.shape[-1] == 1:
         return _ZERO
-    if x.shape[-1] == 1:
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
     return _mm(x, y) - _mm(y, x)
 
 
@@ -583,33 +588,61 @@ def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> Lat
     )
 
 
-def _precondition(
-    grad: dict[str, np.ndarray], s: LatticeState, p: VortexParams
-) -> dict[str, np.ndarray]:
+class _Preconditioner:
     """Fourier-diagonal approximate inverse Hessian applied blockwise.
 
     The kernel 1/(mass + 4 omega^2), with omega the central-difference
     derivative symbol, flattens the spectrum of the residual Hessian so the
     descent converges at a grid-independent rate.  The kernel is real and
     even, hence a real symmetric convolution: it preserves anti-Hermiticity
-    of the A blocks and commutes with constant gauge rotations.  A _ZERO
-    block (frozen by the branch, or with no nonzero term) maps to _ZERO
-    without a transform.
+    of the A blocks and commutes with constant gauge rotations.
+
+    ``solve`` builds one per solve.  It holds the kernel and one complex
+    workspace of shape (planes, N, N), a site plane for every matrix entry
+    (and direction) of the blocks the branch flows.  A call copies the live
+    blocks into the workspace and transforms all planes in place with one
+    1-D transform pair per site axis, the last axis first, which is the
+    order fft2 and ifft2 use, so the result equals theirs bit for bit.
+    Each block is then copied out into a fresh array: nothing returned is a
+    view of the workspace, which the next call overwrites.  A _ZERO block
+    (frozen by the branch, or with no nonzero term) maps to _ZERO without
+    being packed.
     """
-    sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
-    omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
-    mass = max(1.0, abs(p.tau) + abs(p.tau_prime))
-    kernel = 1.0 / (mass + 4.0 * omega2)
-    out = {}
-    for name, g in grad.items():
-        if g is _ZERO:
-            out[name] = g
-            continue
-        axes = (1, 2) if name in ("A1", "A2") else (0, 1)
-        shape = (1, s.N, s.N, 1, 1) if name in ("A1", "A2") else (s.N, s.N, 1, 1)
-        gh = np.fft.fft2(g, axes=axes) * kernel.reshape(shape)
-        out[name] = np.fft.ifft2(gh, axes=axes)
-    return out
+
+    def __init__(self, s: LatticeState, p: VortexParams, branch: Optional[str]) -> None:
+        sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
+        omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
+        mass = max(1.0, abs(p.tau) + abs(p.tau_prime))
+        self.kernel = 1.0 / (mass + 4.0 * omega2)
+        sites = s.N * s.N
+        planes = sum(
+            getattr(s, name).size // sites for name in _BLOCKS if name not in _FROZEN[branch]
+        )
+        self.work = np.empty((planes, s.N, s.N), dtype=np.complex128)
+
+    def __call__(self, grad: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        sites = self.kernel.size
+        packed = {}
+        used = 0
+        for name, g in grad.items():
+            if g is _ZERO:
+                continue
+            # The block with its two site axes moved last, one plane per entry.
+            planes = np.moveaxis(g, (-4, -3), (-2, -1))
+            n = g.size // sites
+            packed[name] = self.work[used : used + n].reshape(planes.shape)
+            packed[name][...] = planes
+            used += n
+        w = self.work[:used]
+        np.fft.fft(w, axis=-1, out=w)
+        np.fft.fft(w, axis=-2, out=w)
+        w *= self.kernel
+        np.fft.ifft(w, axis=-1, out=w)
+        np.fft.ifft(w, axis=-2, out=w)
+        return {
+            name: np.moveaxis(packed[name], (-2, -1), (-4, -3)).copy() if name in packed else g
+            for name, g in grad.items()
+        }
 
 
 def _exact_step(
@@ -712,6 +745,7 @@ def solve(
     stop_reason = "max_iter"
     iterations = 0
     prev: Optional[tuple[dict[str, np.ndarray], float, dict[str, np.ndarray]]] = None
+    precondition = _Preconditioner(s, p, branch)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
@@ -719,7 +753,7 @@ def solve(
             stop_reason = "non_finite"
             break
         grad = _gradient(s, w, branch)
-        pgrad = _precondition(grad, s, p)
+        pgrad = precondition(grad)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
             stop_reason = "zero_gradient"
@@ -924,13 +958,17 @@ def random_smooth_state(
     """
     rng = np.random.default_rng() if rng is None else rng
     j1, j2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    # One wave per mode for the whole state; every field sums the same table.
+    waves = [
+        np.exp(2j * np.pi * (k1 * j1 + k2 * j2) / N)[:, :, None, None]
+        for k1, k2 in _SMOOTH_MODES
+    ]
 
     def mode_field(*mat_shape: int) -> np.ndarray:
         out = np.zeros((N, N) + mat_shape, dtype=np.complex128)
-        for k1, k2 in _SMOOTH_MODES:
+        for wave in waves:
             coeff = rng.standard_normal(mat_shape) + 1j * rng.standard_normal(mat_shape)
-            wave = np.exp(2j * np.pi * (k1 * j1 + k2 * j2) / N)
-            out += wave[:, :, None, None] * coeff
+            out += wave * coeff
         return out / len(_SMOOTH_MODES)
 
     def potential(r: int) -> np.ndarray:

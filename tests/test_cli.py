@@ -305,6 +305,24 @@ def test_vortex_rejects_bad_number(capsys, flag: str, value: str) -> None:
     assert flag in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vortex", "solve", "--rank1", "1", "--tau", "1", "--seed", "-1"],
+        ["selftest", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_names_the_flag(capsys, argv: list[str]) -> None:
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "InvalidParamsError",
+        "message": "--seed must be non-negative, got -1",
+    }
+
+
 def test_vortex_report_never_holds_infinity(capsys) -> None:
     # Finite inputs whose start state overflows: the solve stops at once,
     # and the JSON report refuses the infinite residual.

@@ -171,7 +171,7 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
         w = vx._residual_fields(s, p)
-        dirn = vx._precondition(vx._gradient(s, w, None), s, p)
+        dirn = vx._Preconditioner(s, p, None)(vx._gradient(s, w, None))
         eta = vx._exact_step(s, p, dirn, w, 1.0)
         assert eta > 0.0
         best = vx.residual_energy(vx._apply_step(s, dirn, eta), p)

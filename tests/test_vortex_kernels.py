@@ -177,3 +177,61 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
                 assert name in zero_blocks, (branch, name)
             want = split_slope(s, p, name, v)
             assert abs(got - want) <= 1e-12 * 2.0 * norm, (branch, name)
+
+
+def fft2_precondition(
+    grad: dict[str, np.ndarray], s: vx.LatticeState, p: vx.VortexParams
+) -> dict[str, np.ndarray]:
+    """The preconditioner as one fft2/ifft2 pair per block, zero blocks
+    passed through."""
+    sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
+    omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
+    kernel = 1.0 / (max(1.0, abs(p.tau) + abs(p.tau_prime)) + 4.0 * omega2)
+    out = {}
+    for name, g in grad.items():
+        if g is vx._ZERO:
+            out[name] = g
+            continue
+        axes = (1, 2) if name in ("A1", "A2") else (0, 1)
+        shape = (1, s.N, s.N, 1, 1) if name in ("A1", "A2") else (s.N, s.N, 1, 1)
+        out[name] = np.fft.ifft2(np.fft.fft2(g, axes=axes) * kernel.reshape(shape), axes=axes)
+    return out
+
+
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
+    # The packed in-place transforms take the same 1-D passes in the same
+    # order as fft2 and ifft2, so the blocks agree bit for bit; also when a
+    # block the branch flows is _ZERO and the packing skips it.
+    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    for branch, zero_blocks in ZERO_BLOCKS.items():
+        rng = np.random.default_rng(71 + 10 * r1 + r2)
+        s = branch_state(r1, r2, branch, rng)
+        grad = vx._gradient(s, vx._residual_fields(s, p), branch)
+        live = next(name for name in ("theta1", "theta2") if name not in zero_blocks)
+        precondition = vx._Preconditioner(s, p, branch)
+        for g in (grad, dict(grad, **{live: vx._ZERO})):
+            got = precondition(g)
+            want = fft2_precondition(g, s, p)
+            assert list(got) == list(want), branch
+            for name, ref in want.items():
+                if ref is vx._ZERO:
+                    assert got[name] is vx._ZERO, (branch, name)
+                else:
+                    assert np.array_equal(got[name], ref), (branch, name)
+
+
+def test_preconditioner_results_outlive_the_next_call() -> None:
+    # The workspace is reused by every call; what a call returns must not
+    # be a view of it.
+    p = vx.VortexParams(r1=2, tau=0.8, r2=1)
+    rng = np.random.default_rng(83)
+    s = branch_state(2, 1, None, rng)
+    grad = vx._gradient(s, vx._residual_fields(s, p), None)
+    precondition = vx._Preconditioner(s, p, None)
+    first = precondition(grad)
+    kept = {name: g.copy() for name, g in first.items()}
+    precondition({name: 2.0 * g + 1.0 for name, g in grad.items()})
+    for name, g in first.items():
+        assert np.array_equal(g, kept[name]), name
+        assert not np.shares_memory(g, precondition.work), name

@@ -177,6 +177,35 @@ def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, 
     assert (long["_mm"] - short["_mm"]) == 2 * products
 
 
+@pytest.mark.parametrize("r1, seed", [(1, 7), (2, 3)])
+def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
+    monkeypatch, r1: int, seed: int
+) -> None:
+    # The preconditioner transforms all live gradient blocks together: a
+    # forward and an inverse transform per site axis, 4 numpy.fft calls per
+    # iteration at every rank, where an fft2/ifft2 pair per live block
+    # (A1, A2, theta1, phi on the phi branch) made 8.
+    calls = []
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    p = vx.VortexParams(r1=r1, tau=1.0)
+
+    def total(max_iter: int) -> int:
+        s0 = vx.random_smooth_state(
+            8, r1, 1, 1.0, np.random.default_rng(seed), amplitude=0.1, tau=1.0
+        )
+        calls.clear()
+        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        return len(calls)
+
+    assert total(4) - total(2) == 2 * 4
+
+
 NON_FINITE_SCALES = [1e50, 1e100, np.nan]
 
 
@@ -208,6 +237,55 @@ def test_smooth_state_samples_grid_independently() -> None:
     assert np.allclose(fine.phi[::2, ::2], coarse.phi, atol=1e-12)
     assert np.allclose(fine.A1[:, ::2, ::2], coarse.A1, atol=1e-12)
     assert np.allclose(fine.theta1[::2, ::2], coarse.theta1, atol=1e-12)
+
+
+def per_field_smooth_state(
+    N: int, r1: int, r2: int, rng: np.random.Generator, amplitude: float, tau: float
+) -> vx.LatticeState:
+    """random_smooth_state as first written: every field evaluates its own
+    mode waves."""
+    j1, j2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    modes = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3) if (k1, k2) != (0, 0)]
+
+    def mode_field(*mat_shape: int) -> np.ndarray:
+        out = np.zeros((N, N) + mat_shape, dtype=np.complex128)
+        for k1, k2 in modes:
+            coeff = rng.standard_normal(mat_shape) + 1j * rng.standard_normal(mat_shape)
+            wave = np.exp(2j * np.pi * (k1 * j1 + k2 * j2) / N)
+            out += wave[:, :, None, None] * coeff
+        return out / len(modes)
+
+    def potential(r: int) -> np.ndarray:
+        out = np.empty((2, N, N, r, r), dtype=np.complex128)
+        for mu in range(2):
+            raw = mode_field(r, r)
+            raw = raw + (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+            out[mu] = amplitude * 0.5 * (raw - np.conj(np.swapaxes(raw, -1, -2)))
+        return out
+
+    A1 = potential(r1)
+    A2 = potential(r2)
+    theta1 = amplitude * mode_field(r1, r1)
+    base = np.zeros((N, N, r1, r2), dtype=np.complex128)
+    base[:, :, 0, 0] = np.sqrt(abs(tau)) if tau != 0 else 1.0
+    phi = base + amplitude * mode_field(r1, r2)
+    zeros = np.zeros
+    return vx.LatticeState(
+        N=N, a=1.0 / N, A1=A1, A2=A2, theta1=theta1,
+        theta2=zeros((N, N, r2, r2), dtype=np.complex128), phi=phi,
+        psi=zeros((N, N, r2, r1), dtype=np.complex128),
+    )
+
+
+@pytest.mark.parametrize("N, r1, r2", [(8, 1, 1), (16, 2, 1)])
+def test_smooth_state_matches_per_field_waves(N: int, r1: int, r2: int) -> None:
+    # The benchmark's fixed starts and the acceptance solves rest on the
+    # seed-to-state mapping, so the shared wave table must not move a bit.
+    got = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(7), 0.3, 1.0)
+    want = per_field_smooth_state(N, r1, r2, np.random.default_rng(7), 0.3, 1.0)
+    assert got.a == want.a
+    for name in ("A1", "A2", "theta1", "theta2", "phi", "psi"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_prolong_reproduces_coarse_sites() -> None:
