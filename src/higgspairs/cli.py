@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, NoReturn, Optional
 
@@ -237,17 +238,6 @@ def _run_stability(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     return report, "\n".join(lines) + "\n", 0
 
 
-def _mirror_smooth_state(
-    N: int, r1: int, r2: int, vol: float, rng: np.random.Generator,
-    amplitude: float, tau: float,
-) -> vortex.LatticeState:
-    sm = vortex.random_smooth_state(N, r2, r1, vol, rng, amplitude, tau)
-    return vortex.LatticeState(
-        N=sm.N, a=sm.a, A1=sm.A2, A2=sm.A1,
-        theta1=sm.theta2, theta2=sm.theta1, phi=sm.psi, psi=sm.phi,
-    )
-
-
 _BREAKDOWN_KEYS = (
     "eq1", "eq2", "holomorphicity", "intertwining", "eq1_max", "eq2_max", "theta_s_sup",
 )
@@ -274,14 +264,11 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     _check_seed(args.seed)
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
     rng = np.random.default_rng(args.seed)
-    if args.branch == "phi":
-        s0 = vortex.random_smooth_state(
-            args.grid, args.rank1, args.rank2, args.vol, rng, args.amplitude, args.tau
-        )
-    else:
-        s0 = _mirror_smooth_state(
-            args.grid, args.rank1, args.rank2, args.vol, rng, args.amplitude, args.tau
-        )
+    # The psi branch starts from the phi-branch sample of the exchanged bundles.
+    ranks = (args.rank1, args.rank2) if args.branch == "phi" else (args.rank2, args.rank1)
+    s0 = vortex.random_smooth_state(args.grid, *ranks, args.vol, rng, args.amplitude, args.tau)
+    if args.branch == "psi":
+        s0 = vortex.exchange_bundles(s0)
     result = vortex.solve(
         s0, p, tol=args.tol, max_iter=args.max_iter, branch=args.branch
     )
@@ -420,8 +407,6 @@ def _selftest_gradient(rng: np.random.Generator) -> tuple[bool, str]:
             if name in ("A1", "A2"):
                 v = 0.5 * (v - np.conj(np.swapaxes(v, -1, -2)))
             analytic = 2.0 * float(np.real(np.sum(np.conj(grad[name]) * v)))
-            from dataclasses import replace
-
             e_plus = vortex.residual_energy(replace(s, **{name: block + h * v}), p)
             e_minus = vortex.residual_energy(replace(s, **{name: block - h * v}), p)
             fd = (e_plus - e_minus) / (2.0 * h)

@@ -73,6 +73,16 @@ class SplitHiggsPairModel:
     s_divisor: object = None
 
     def __post_init__(self) -> None:
+        # bool is an int subclass and a JSON string is truthy: check types
+        # before any value is read as a number or a flag.
+        for name in ("g", "k", "dL"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("psi_nonzero", "theta_zero"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, got {value!r}")
         if self.g < 0:
             raise ValueError(f"genus must be nonnegative, got {self.g}")
         if self.s_placement not in S_PLACEMENTS:

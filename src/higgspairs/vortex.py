@@ -43,6 +43,11 @@ theta-intertwining), so along any line residual_energy is exactly a
 quartic; ``solve`` takes its exact minimum along preconditioned
 conjugate-gradient directions.
 
+Bundle exchange.  Swapping the quiver's two vertices, (A1, theta1, phi,
+tau) with (A2, theta2, psi, tau_prime), swaps W1, W3, W4 with W2, W5, W6,
+so the E2 half of each energy, residual and gradient runs the E1 formulas
+on ``_Fields.exchanged()``; ``exchange_bundles`` swaps a state.
+
 Zero blocks.  The solver's kernels never form a term with a factor that is
 zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
 that vanishes at every site by ``_ZERO``, the zero block: it absorbs
@@ -341,9 +346,18 @@ class _Fields:
         self.phi = _block(s.phi)
         self.psi = _block(s.psi)
 
-    def curvature(self, Z: np.ndarray, Zb: np.ndarray) -> np.ndarray:
-        """F_z_zbar = D_z Zb - D_zbar Z + [Z, Zb], the derivative part in one
-        stencil pass on (Zb - Z, Zb + Z) by linearity."""
+    def exchanged(self) -> _Fields:
+        """These fields with the bundles exchanged; every array is shared, none recomputed."""
+        e = _Fields.__new__(_Fields)
+        e.a, e.k, e.phi, e.psi = self.a, self.k, self.psi, self.phi
+        e.Z1, e.Z2, e.Z1b, e.Z2b = self.Z2, self.Z1, self.Z2b, self.Z1b
+        e.t1, e.t2, e.t1d, e.t2d = self.t2, self.t1, self.t2d, self.t1d
+        return e
+
+    def curvature(self) -> np.ndarray:
+        """F_z_zbar of the Higgs-coupled connection of E1, the derivative part
+        in one stencil pass on (Zb - Z, Zb + Z) by linearity."""
+        Z, Zb = self.Z1 + self.t1, self.Z1b + self.t1d
         return _stencil(Zb - Z, Zb + Z, self.a, -1.0) + _comm(Z, Zb)
 
     def dz_phi(self) -> np.ndarray:
@@ -352,29 +366,14 @@ class _Fields:
     def dzbar_phi(self) -> np.ndarray:
         return _dzbar(self.phi, self.a) + _prod(self.Z1b, self.phi) - _prod(self.phi, self.Z2b)
 
-    def dz_psi(self) -> np.ndarray:
-        return _dz(self.psi, self.a) + _prod(self.Z2, self.psi) - _prod(self.psi, self.Z1)
-
-    def dzbar_psi(self) -> np.ndarray:
-        return _dzbar(self.psi, self.a) + _prod(self.Z2b, self.psi) - _prod(self.psi, self.Z1b)
-
     def x_phi(self) -> np.ndarray:
         return _prod(self.t1, self.phi) - _prod(self.phi, self.t2)
 
     def y_phi(self) -> np.ndarray:
         return _prod(self.t1d, self.phi) - _prod(self.phi, self.t2d)
 
-    def x_psi(self) -> np.ndarray:
-        return _prod(self.t2, self.psi) - _prod(self.psi, self.t1)
-
-    def y_psi(self) -> np.ndarray:
-        return _prod(self.t2d, self.psi) - _prod(self.psi, self.t1d)
-
     def moment1(self) -> np.ndarray:
         return _prod(self.phi, _adj(self.phi)) - _prod(_adj(self.psi), self.psi)
-
-    def moment2(self) -> np.ndarray:
-        return _prod(self.psi, _adj(self.psi)) - _prod(_adj(self.phi), self.phi)
 
 
 def ymh_energy(s: LatticeState, p: VortexParams) -> float:
@@ -386,18 +385,20 @@ def ymh_energy(s: LatticeState, p: VortexParams) -> float:
     DEVIATION_WEIGHT (1/4).
     """
     f = _Fields(s)
-    h1 = f.curvature(f.Z1 + f.t1, f.Z1b + f.t1d)
-    h2 = f.curvature(f.Z2 + f.t2, f.Z2b + f.t2d)
+    e = f.exchanged()
+    h1 = f.curvature()
+    h2 = e.curvature()
     curv = 4.0 * (_frob2(h1) + _frob2(h2))
     # Per-site identities, so a _ZERO moment map still leaves a site field.
     eye1 = np.broadcast_to(np.eye(s.r1), h1.shape)
     eye2 = np.broadcast_to(np.eye(s.r2), h2.shape)
 
-    kin_phi = 2.0 * (_frob2(f.dz_phi() + f.x_phi()) + _frob2(f.dzbar_phi() + f.y_phi()))
-    kin_psi = 2.0 * (_frob2(f.dz_psi() + f.x_psi()) + _frob2(f.dzbar_psi() + f.y_psi()))
+    kin_phi, kin_psi = (
+        2.0 * (_frob2(g.dz_phi() + g.x_phi()) + _frob2(g.dzbar_phi() + g.y_phi())) for g in (f, e)
+    )
 
     dev1 = _frob2(f.moment1() - p.tau * eye1)
-    dev2 = _frob2(f.moment2() - p.tau_prime * eye2)
+    dev2 = _frob2(e.moment1() - p.tau_prime * eye2)
 
     return f.k * (curv + kin_phi + kin_psi + DEVIATION_WEIGHT * (dev1 + dev2))
 
@@ -411,17 +412,18 @@ def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
     every term has a zero factor is _ZERO.
     """
     f = _Fields(s)
+    e = f.exchanged()
     eye1 = np.eye(s.r1)
     eye2 = np.eye(s.r2)
-    g1 = f.curvature(f.Z1 + f.t1, f.Z1b + f.t1d)
-    g2 = f.curvature(f.Z2 + f.t2, f.Z2b + f.t2d)
+    g1 = f.curvature()
+    g2 = e.curvature()
     return {
         "W1": 2.0 * g1 + 0.5 * f.moment1() - 0.5 * p.tau * eye1,
-        "W2": 2.0 * g2 + 0.5 * f.moment2() - 0.5 * p.tau_prime * eye2,
+        "W2": 2.0 * g2 + 0.5 * e.moment1() - 0.5 * p.tau_prime * eye2,
         "W3": 2.0 * f.dzbar_phi(),
         "W4": 2.0 * f.x_phi(),
-        "W5": 2.0 * f.dzbar_psi(),
-        "W6": 2.0 * f.x_psi(),
+        "W5": 2.0 * e.dzbar_phi(),
+        "W6": 2.0 * e.x_phi(),
     }
 
 
@@ -493,73 +495,72 @@ def residual_gradient(
     }
 
 
-def _gradient(
-    s: LatticeState, w: dict[str, np.ndarray], branch: Optional[str]
-) -> dict[str, np.ndarray]:
-    """residual_gradient from the residual fields w already computed at s.
-
-    Blocks the branch freezes, and blocks whose every term has a zero
-    factor, are _ZERO.
-    """
-    f = _Fields(s)
-    k = f.k
-    w1, w2 = w["W1"], w["W2"]
-    w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
-    w1d, w2d = _adj(w1), _adj(w2)
-    w1h, w1a = w1 + w1d, w1 - w1d
-    w2h, w2a = w2 + w2d, w2 - w2d
-    a = f.a
-
-    # The A blocks are never frozen; the other blocks are built only when
-    # the branch flows them.  W1 and W2 always hold their tau terms, so
-    # they, and the A blocks, are arrays.
-    g_z1 = k * (
-        2.0 * _dz(w1h, a)
+def _connection_gradient(
+    f: _Fields, w1h: np.ndarray, w1a: np.ndarray, w3: np.ndarray, w5: np.ndarray
+) -> np.ndarray:
+    return f.k * (
+        2.0 * _dz(w1h, f.a)
         + 2.0 * _comm(f.Z1, w1h)
         + 2.0 * _comm(w1a, f.t1)
         - 2.0 * _prod(f.phi, _adj(w3))
         + 2.0 * _prod(_adj(w5), f.psi)
     )
-    g_z2 = k * (
-        2.0 * _dz(w2h, a)
-        + 2.0 * _comm(f.Z2, w2h)
-        + 2.0 * _comm(w2a, f.t2)
-        - 2.0 * _prod(f.psi, _adj(w5))
-        + 2.0 * _prod(_adj(w3), f.phi)
+
+
+def _higgs_gradient(
+    f: _Fields, w1h: np.ndarray, w1a: np.ndarray, w4: np.ndarray, w6: np.ndarray
+) -> np.ndarray:
+    return f.k * (
+        2.0 * _dz(w1a, f.a)
+        + 2.0 * _comm(f.Z1, w1a)
+        + 2.0 * _comm(w1h, f.t1)
+        + 2.0 * _prod(w4, _adj(f.phi))
+        - 2.0 * _prod(_adj(f.psi), w6)
     )
+
+
+def _section_gradient(
+    f: _Fields, w1h: np.ndarray, w2h: np.ndarray, w3: np.ndarray, w4: np.ndarray
+) -> np.ndarray:
+    return f.k * (
+        0.5 * _prod(w1h, f.phi)
+        - 0.5 * _prod(f.phi, w2h)
+        - 2.0 * _dz(w3, f.a)
+        - 2.0 * _prod(f.Z1, w3)
+        + 2.0 * _prod(w3, f.Z2)
+        + 2.0 * _prod(f.t1d, w4)
+        - 2.0 * _prod(w4, f.t2d)
+    )
+
+
+def _gradient(
+    s: LatticeState, w: dict[str, np.ndarray], branch: Optional[str]
+) -> dict[str, np.ndarray]:
+    """residual_gradient from the residual fields w already computed at s.
+
+    The formulas above give the A1 (its z-part), theta1 and phi blocks; on
+    the exchanged fields, with W2, W5, W6 for W1, W3, W4, the A2, theta2
+    and psi blocks.  Blocks the branch freezes, and blocks whose every
+    term has a zero factor, are _ZERO.
+    """
+    f = _Fields(s)
+    e = f.exchanged()
+    w1, w2 = w["W1"], w["W2"]
+    w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
+    w1d, w2d = _adj(w1), _adj(w2)
+    w1h, w1a = w1 + w1d, w1 - w1d
+    w2h, w2a = w2 + w2d, w2 - w2d
+
+    # The A blocks are never frozen; the other blocks are built only when
+    # the branch flows them.  W1 and W2 always hold their tau terms, so
+    # they, and the A blocks, are arrays.
+    g_z1 = _connection_gradient(f, w1h, w1a, w3, w5)
+    g_z2 = _connection_gradient(e, w2h, w2a, w5, w3)
     blocks = {
-        "theta1": lambda: k * (
-            2.0 * _dz(w1a, a)
-            + 2.0 * _comm(f.Z1, w1a)
-            + 2.0 * _comm(w1h, f.t1)
-            + 2.0 * _prod(w4, _adj(f.phi))
-            - 2.0 * _prod(_adj(f.psi), w6)
-        ),
-        "theta2": lambda: k * (
-            2.0 * _dz(w2a, a)
-            + 2.0 * _comm(f.Z2, w2a)
-            + 2.0 * _comm(w2h, f.t2)
-            + 2.0 * _prod(w6, _adj(f.psi))
-            - 2.0 * _prod(_adj(f.phi), w4)
-        ),
-        "phi": lambda: k * (
-            0.5 * _prod(w1h, f.phi)
-            - 0.5 * _prod(f.phi, w2h)
-            - 2.0 * _dz(w3, a)
-            - 2.0 * _prod(f.Z1, w3)
-            + 2.0 * _prod(w3, f.Z2)
-            + 2.0 * _prod(f.t1d, w4)
-            - 2.0 * _prod(w4, f.t2d)
-        ),
-        "psi": lambda: k * (
-            -0.5 * _prod(f.psi, w1h)
-            + 0.5 * _prod(w2h, f.psi)
-            - 2.0 * _dz(w5, a)
-            - 2.0 * _prod(f.Z2, w5)
-            + 2.0 * _prod(w5, f.Z1)
-            + 2.0 * _prod(f.t2d, w6)
-            - 2.0 * _prod(w6, f.t1d)
-        ),
+        "theta1": lambda: _higgs_gradient(f, w1h, w1a, w4, w6),
+        "theta2": lambda: _higgs_gradient(e, w2h, w2a, w6, w4),
+        "phi": lambda: _section_gradient(f, w1h, w2h, w3, w4),
+        "psi": lambda: _section_gradient(e, w2h, w1h, w5, w6),
     }
     grad = {
         "A1": 0.5 * np.stack([_antiherm(g_z1), _antiherm(1j * g_z1)]),
@@ -691,7 +692,6 @@ _ZERO_GRAD = 1e-30
 class SolveResult:
     state: LatticeState
     residual: float
-    converged: bool
     iterations: int
     moment_map_value: float
     eq1: float
@@ -701,9 +701,18 @@ class SolveResult:
     eq1_max: float
     eq2_max: float
     theta_s_sup: float
-    stalled: bool
     energy_history: list[float]
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """The residual reached tol: the loop ends there and nowhere else."""
+        return self.stop_reason == "converged"
+
+    @property
+    def stalled(self) -> bool:
+        """The descent stopped short of tol with budget left."""
+        return self.stop_reason in ("zero_gradient", "no_decrease", "non_finite")
 
 
 def solve(
@@ -788,11 +797,9 @@ def solve(
     return SolveResult(
         state=s,
         residual=energy,
-        converged=energy <= tol,
         iterations=iterations,
         moment_map_value=moment_map_value(s),
         **br,
-        stalled=stop_reason in ("zero_gradient", "no_decrease", "non_finite"),
         energy_history=history,
         stop_reason=stop_reason,
     )
@@ -1064,6 +1071,13 @@ def gauge_transform(s: LatticeState, u1: np.ndarray, u2: np.ndarray) -> LatticeS
         phi=u1 @ s.phi @ u2d,
         psi=u2 @ s.psi @ u1d,
     )
+
+
+def exchange_bundles(s: LatticeState) -> LatticeState:
+    """The state with its two bundles exchanged, sharing its arrays.  Under
+    VortexParams(r1=r2, tau=tau_prime, r2=r1) its residual fields are the
+    swapped ones, and its psi branch is the phi branch of s."""
+    return replace(s, A1=s.A2, A2=s.A1, theta1=s.theta2, theta2=s.theta1, phi=s.psi, psi=s.phi)
 
 
 def check_invariants(s: LatticeState, atol: float = 1e-12) -> list[str]:

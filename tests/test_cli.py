@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,26 @@ def test_stability_model_key_validation(capsys, tmp_path) -> None:
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("psi_nonzero", "false", "a boolean"), ("g", 2.5, "an integer"),
+     ("g", True, "an integer"), ("k", 5.5, "an integer")],
+)
+def test_stability_model_field_types(capsys, tmp_path, key: str, value, kind: str) -> None:
+    # A JSON string is truthy and a JSON true is an int to Python: each
+    # would pass the value checks and get a verdict for another model.
+    good = json.loads((GOLDEN / "model_stable.json").read_text())
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(dict(good, **{key: value})))
+    code, out, err = run(capsys, ["stability", "check", "--model", str(path), "--tau-bar", "11/4"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParamsError"
+    assert f"{key} must be {kind}" in payload["message"]
+
+
 def test_stability_unstable_model_still_exits_0(capsys, tmp_path) -> None:
     good = json.loads((GOLDEN / "model_stable.json").read_text())
     path = tmp_path / "unstable.json"
@@ -388,9 +409,11 @@ def test_selftest_catches_broken_energy_identity(capsys, monkeypatch) -> None:
 
 
 def test_module_entry_point() -> None:
+    # The child process imports the package from the tree this test imported.
+    src = Path(higgspairs.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "higgspairs"] + STRATA_ARGS,
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d_range"] == [5, 6]

@@ -153,6 +153,17 @@ def test_mu_plus():
 # -- split model construction --------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("g", 2.5), ("g", True), ("k", 5.5), ("k", "5"), ("dL", False), ("dL", None),
+     ("psi_nonzero", "false"), ("psi_nonzero", 1), ("theta_zero", 0)],
+)
+def test_model_rejects_mistyped_fields(key, value):
+    base = dict(g=2, k=5, dL=3, psi_nonzero=True, theta_zero=False, s_placement="in_Lc")
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        SplitHiggsPairModel(**{**base, key: value})
+
+
 def test_model_rejects_contradictions():
     base = dict(g=2, k=5, dL=3, psi_nonzero=True, theta_zero=False, s_placement="in_Lc")
     SplitHiggsPairModel(**base)  # sanity: valid

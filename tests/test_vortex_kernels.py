@@ -1,6 +1,7 @@
 """The per-site kernels behind the residual fields, against oracles that
 share no code with them: numpy's matmul, an np.roll central difference and
-the residual fields assembled in their split form."""
+the residual fields assembled in their split form.  Last, the exchange of
+the two bundles as an exact symmetry of the fields, gradient and solve."""
 
 from __future__ import annotations
 
@@ -235,3 +236,55 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     for name, g in first.items():
         assert np.array_equal(g, kept[name]), name
         assert not np.shares_memory(g, precondition.work), name
+
+
+# Exchanging the bundles swaps W1, W3, W4 with W2, W5, W6 and each block
+# with its mirror, when tau and tau_prime trade places with them.
+EXCHANGED_FIELDS = {"W1": "W2", "W2": "W1", "W3": "W5", "W4": "W6", "W5": "W3", "W6": "W4"}
+EXCHANGED_BLOCKS = {
+    "A1": "A2", "A2": "A1", "theta1": "theta2", "theta2": "theta1", "phi": "psi", "psi": "phi",
+}
+
+
+def exchanged_params(p: vx.VortexParams) -> vx.VortexParams:
+    q = vx.VortexParams(r1=p.r2, tau=p.tau_prime, r2=p.r1)
+    assert q.tau_prime == p.tau
+    return q
+
+
+def assert_swapped(got: dict, want: dict, names: dict[str, str], where) -> None:
+    assert list(got) == list(want), where
+    for name, other in names.items():
+        if want[name] is vx._ZERO:
+            assert got[other] is vx._ZERO, (where, name)
+        else:
+            assert np.array_equal(got[other], want[name]), (where, name)
+
+
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
+    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    q = exchanged_params(p)
+    for branch in ZERO_BLOCKS:
+        rng = np.random.default_rng(97 + 10 * r1 + r2)
+        s = branch_state(r1, r2, branch, rng)
+        t = vx.exchange_bundles(s)
+        assert (t.r1, t.r2) == (r2, r1)
+        w, wt = vx._residual_fields(s, p), vx._residual_fields(t, q)
+        assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
+        grad, grad_t = vx._gradient(s, w, None), vx._gradient(t, wt, None)
+        assert_swapped(grad_t, grad, EXCHANGED_BLOCKS, branch)
+
+
+@pytest.mark.parametrize("r1, r2, N", [(r1, r2, 8) for r1, r2 in RANK_PAIRS] + [(1, 1, 16)])
+def test_psi_branch_solve_is_the_exchanged_phi_branch_solve(r1: int, r2: int, N: int) -> None:
+    p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
+    s0 = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(7), 0.1, 1.0)
+    res = vx.solve(s0, p, max_iter=60, branch="phi")
+    mirrored = vx.solve(vx.exchange_bundles(s0), exchanged_params(p), max_iter=60, branch="psi")
+    assert len(res.energy_history) > 1
+    assert mirrored.energy_history == res.energy_history
+    assert mirrored.stop_reason == res.stop_reason
+    back = vx.exchange_bundles(mirrored.state)
+    for name in BLOCKS:
+        assert np.array_equal(getattr(back, name), getattr(res.state, name)), name
