@@ -17,9 +17,10 @@ the strata; the as-printed one is still computed so the discrepancy can be
 reported rather than silently repaired.  Both floor occurrences in the
 generating function are taken of the normalized parameter tau_bar.
 
-``betti_report`` builds everything one report shows in a single pass: it
-validates once, computes n0 once and each stratum once, and runs both
-extraction conventions from that same n0.
+``ModuliParams`` validates its values when it is built, so every function
+here trusts the parameters it is given.  ``betti_report`` builds everything
+one report shows in a single pass: it computes n0 once and each stratum
+once, and runs both extraction conventions from that same n0.
 
 All arithmetic is exact integer arithmetic on polynomials in t, and every
 x- or y-coefficient is taken from a closed form rather than by expanding a
@@ -44,8 +45,9 @@ from fractions import Fraction
 
 from .series import FormulaIntegrityError, LaurentPoly, exact_divide, render
 from .stability import require_valid
-from .strata import StratumDescriptor, _d_range, _descriptor, stratum_descriptor
+from .strata import StratumDescriptor, d_range, stratum_descriptor
 
+RANK = 2
 AS_PRINTED = "as_printed"
 CORRECTED = "corrected"
 _CONVENTIONS = (AS_PRINTED, CORRECTED)
@@ -53,16 +55,19 @@ _CONVENTIONS = (AS_PRINTED, CORRECTED)
 
 @dataclass(frozen=True)
 class ModuliParams:
-    """Parameters of the moduli problem.
+    """Parameters of the moduli problem, validated when built.
 
     tau_bar is the stability parameter rescaled to slope units; it must be
-    an exact rational (validation rejects floats).  The rank is fixed at 2.
+    an exact rational (validation rejects floats).  The rank is RANK.
+    Invalid values raise InvalidParamsError listing every violation.
     """
 
     g: int
     k: int
     tau_bar: Fraction
-    r: int = 2
+
+    def __post_init__(self) -> None:
+        require_valid(self)
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,6 @@ def pairs_poincare_n0(p) -> PoincarePolynomial:
     division by (1 - t^2) must be exact; either failure raises
     FormulaIntegrityError.
     """
-    require_valid(p)
     numerator = _pairs_bracket_coeff(p)
     negatives = [e for e, _ in numerator.terms() if e < 0]
     if negatives:
@@ -170,34 +174,16 @@ def pairs_poincare_n0(p) -> PoincarePolynomial:
     return PoincarePolynomial(exact_divide(numerator))
 
 
-def _stratum_poly(p, desc: StratumDescriptor) -> PoincarePolynomial:
+def stratum_poincare(p, d: int) -> PoincarePolynomial:
+    """t^index times the two symmetric-product polynomials of the stratum."""
+    desc = stratum_descriptor(p, d)
     product = _macdonald(desc.n1, p.g) * _macdonald(desc.n2, p.g)
     return PoincarePolynomial(product.shift(desc.index))
 
 
-def stratum_poincare(p, d: int) -> PoincarePolynomial:
-    """t^index times the two symmetric-product polynomials of the stratum."""
-    return _stratum_poly(p, stratum_descriptor(p, d))
-
-
-def _morse_sum(p) -> tuple[PoincarePolynomial, list[int], tuple, PoincarePolynomial]:
-    """n0, the d range, each (descriptor, polynomial) stratum, and their total.
-
-    Validation happens once, inside pairs_poincare_n0.
-    """
-    n0 = pairs_poincare_n0(p)
-    ds = _d_range(p)
-    descs = [_descriptor(p, d) for d in ds]
-    strata = tuple((desc, _stratum_poly(p, desc)) for desc in descs)
-    total = n0
-    for _, poly in strata:
-        total = total + poly
-    return n0, ds, strata, total
-
-
 def total_poincare(p) -> PoincarePolynomial:
     """Direct Morse sum: minimum stratum plus all higher strata."""
-    return _morse_sum(p)[3]
+    return sum((stratum_poincare(p, d) for d in d_range(p)), pairs_poincare_n0(p))
 
 
 def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePolynomial:
@@ -218,14 +204,11 @@ def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePol
             f"y_exponent_convention must be one of {_CONVENTIONS}, "
             f"got {y_exponent_convention!r}"
         )
-    n0 = pairs_poincare_n0(p)
-    return _extraction(p, n0, _d_range(p), y_exponent_convention)
+    return _extraction(p, pairs_poincare_n0(p), y_exponent_convention)
 
 
-def _extraction(
-    p, n0: PoincarePolynomial, ds: list[int], y_exponent_convention: str
-) -> PoincarePolynomial:
-    """theorem_extraction given the minimum stratum n0 and the d range.
+def _extraction(p, n0: PoincarePolynomial, y_exponent_convention: str) -> PoincarePolynomial:
+    """theorem_extraction given the minimum stratum n0.
 
     The strata terms are read off the series here, never taken from the
     direct route's stratum polynomials, so the two routes stay independent.
@@ -240,7 +223,7 @@ def _extraction(
     cap = 2 * target
 
     result = n0.poly
-    for d in ds:
+    for d in d_range(p):
         index = 2 * (2 * d + g - k - 1)
         x_target = target - (2 * d + 2)
         if y_exponent_convention == CORRECTED:
@@ -272,10 +255,12 @@ class BettiReport:
 def betti_report(p) -> BettiReport:
     """n0, the strata, their total and both extractions in one pass.
 
-    The parameters are validated once and n0 is computed once; both
-    extractions start from that same n0 but read their strata terms off the
-    generating function, independently of the direct route.
+    n0 is computed once; both extractions start from that same n0 but read
+    their strata terms off the generating function, independently of the
+    direct route.
     """
-    n0, ds, strata, total = _morse_sum(p)
-    extractions = {c: _extraction(p, n0, ds, c) for c in (CORRECTED, AS_PRINTED)}
+    n0 = pairs_poincare_n0(p)
+    strata = tuple((stratum_descriptor(p, d), stratum_poincare(p, d)) for d in d_range(p))
+    total = sum((poly for _, poly in strata), n0)
+    extractions = {c: _extraction(p, n0, c) for c in (CORRECTED, AS_PRINTED)}
     return BettiReport(n0=n0, strata=strata, total=total, extractions=extractions)

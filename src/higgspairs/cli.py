@@ -138,7 +138,7 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
             "genus": args.genus,
             "degree": args.degree,
             "tau_bar": str(p.tau_bar),
-            "rank": p.r,
+            "rank": betti.RANK,
         },
         "n0_poly": _poly_pairs(n0),
         "strata": items,
@@ -146,7 +146,7 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         "extraction_check": checks,
     }
     lines = [
-        f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={p.r}",
+        f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={betti.RANK}",
         f"n0:     {n0}",
         *stratum_lines,
         f"total:  {total}",
@@ -162,7 +162,7 @@ def _run_strata(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     ds = strata.d_range(p)
     items = []
     for d in ds:
-        desc = strata._descriptor(p, d)
+        desc = strata.stratum_descriptor(p, d)
         items.append(
             {"d": d, "n1": desc.n1, "n2": desc.n2, "index": desc.index, "dim": desc.dim}
         )
@@ -171,12 +171,12 @@ def _run_strata(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
             "genus": args.genus,
             "degree": args.degree,
             "tau_bar": str(p.tau_bar),
-            "rank": p.r,
+            "rank": betti.RANK,
         },
         "d_range": list(ds),
         "strata": items,
     }
-    lines = [f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={p.r}"]
+    lines = [f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={betti.RANK}"]
     lines.append(f"d_range: {ds}")
     for item in items:
         lines.append(
@@ -192,6 +192,8 @@ _MODEL_KEYS = ("g", "k", "dL", "psi_nonzero", "theta_zero", "s_placement")
 def _run_stability(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     with open(args.model, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InvalidParamsError(f"model must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(_MODEL_KEYS)
     if unknown:
         raise InvalidParamsError(f"unknown model keys: {sorted(unknown)}")
@@ -367,13 +369,24 @@ def _selftest_series(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _selftest_macdonald(rng: np.random.Generator) -> tuple[bool, str]:
+    def times(a: dict, b: dict, n: int) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
+        for (xa, ta), ca in a.items():
+            for (xb, tb), cb in b.items():
+                if xa + xb <= n:
+                    out[xa + xb, ta + tb] = out.get((xa + xb, ta + tb), 0) + ca * cb
+        return out
+
     def oracle(n: int, g: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for j in range(0, min(2 * g, n) + 1):
-            binom = math.comb(2 * g, j)
-            for i in range(0, n - j + 1):
-                out[j + 2 * i] = out.get(j + 2 * i, 0) + binom
-        return {e: c for e, c in out.items() if c}
+        # (1+tx)^(2g) / ((1-x)(1-t^2 x)) expanded term by term as a series
+        # {(x-degree, t-degree): coefficient} cut at x^n, sharing no code
+        # with the closed form that sym_poincare evaluates.
+        series = {(0, 0): 1}
+        for _ in range(2 * g):
+            series = times(series, {(0, 0): 1, (1, 1): 1}, n)
+        series = times(series, {(a, 0): 1 for a in range(n + 1)}, n)
+        series = times(series, {(b, 2 * b): 1 for b in range(n + 1)}, n)
+        return {t: c for (x, t), c in series.items() if x == n and c}
 
     for n in range(0, 9):
         for g in range(0, 4):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .stability import SplitHiggsPairModel, require_valid
+from .stability import SplitHiggsPairModel
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class StratumDescriptor:
     n1: int
     n2: int
     index: int
-    dim: int
 
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0:
@@ -39,8 +38,11 @@ class StratumDescriptor:
                 f"symmetric-product exponents must be nonnegative, "
                 f"got n1 = {self.n1}, n2 = {self.n2}"
             )
-        if self.dim != self.n1 + self.n2:
-            raise ValueError("dim must equal n1 + n2")
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the fixed-point locus Sym^n1 x Sym^n2, n1 + n2."""
+        return self.n1 + self.n2
 
 
 def _as_multiset(points: Mapping[str, int] | Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -82,12 +84,6 @@ def d_range(p) -> list[int]:
 
     m = min{k, g - 1 + k/2}.  Parameters must be valid.
     """
-    require_valid(p)
-    return _d_range(p)
-
-
-def _d_range(p) -> list[int]:
-    """d_range for parameters the caller has already validated."""
     lo = math.floor(Fraction(p.tau_bar)) + 1
     hi = math.floor(_m_bound(p))
     return list(range(lo, hi + 1))
@@ -102,15 +98,8 @@ def stratum_descriptor(p, d: int) -> StratumDescriptor:
     rng = d_range(p)
     if d not in rng:
         raise ValueError(f"d = {d} outside the stratum range {rng}")
-    return _descriptor(p, d)
-
-
-def _descriptor(p, d: int) -> StratumDescriptor:
-    """stratum_descriptor for validated parameters and a d taken from d_range."""
     n1, n2 = _exponents(p, d)
-    return StratumDescriptor(
-        d=d, n1=n1, n2=n2, index=2 * (2 * d + p.g - p.k - 1), dim=n1 + n2
-    )
+    return StratumDescriptor(d=d, n1=n1, n2=n2, index=2 * (2 * d + p.g - p.k - 1))
 
 
 def _match_stratum(pair: DivisorPair, p) -> int:

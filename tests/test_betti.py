@@ -279,23 +279,22 @@ def test_report_agrees_with_the_public_functions():
             assert ext == theorem_extraction(p, convention), (p.g, p.k, convention)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        betti_report,
-        total_poincare,
-        lambda p: stratum_poincare(p, 3),
-        lambda p: theorem_extraction(p, CORRECTED),
-        lambda p: theorem_extraction(p, AS_PRINTED),
-    ],
-    ids=["betti_report", "total", "stratum", "extraction_corrected", "extraction_as_printed"],
-)
-def test_public_entry_points_reject_invalid_params(call):
-    for bad in (
-        ModuliParams(g=2, k=6, tau_bar=Fraction(13, 4)),
-        ModuliParams(g=1, k=5, tau_bar=Fraction(11, 4)),
-        ModuliParams(g=2, k=5, tau_bar=Fraction(3)),
-        ModuliParams(g=2, k=5, tau_bar=2.75),
+def test_moduli_params_reject_invalid_params():
+    # Parameters are validated once, when built, so no entry point ever sees
+    # an invalid set.
+    for kwargs, message in (
+        (dict(g=2, k=6, tau_bar=Fraction(13, 4)), "k must be odd, got gcd(k, 2) = 2"),
+        (dict(g=1, k=5, tau_bar=Fraction(11, 4)), "g >= 2 required, got g = 1"),
+        (
+            dict(g=2, k=5, tau_bar=Fraction(3)),
+            "tau_bar must lie strictly between k/2 = 5/2 and (k+1)/2 = 3, got 3; "
+            "tau_bar must not be an integer, got 3",
+        ),
+        (dict(g=2, k=5, tau_bar=2.75), "tau_bar must be an exact rational, got float"),
     ):
-        with pytest.raises(InvalidParamsError):
-            call(bad)
+        with pytest.raises(InvalidParamsError) as err:
+            ModuliParams(**kwargs)
+        assert str(err.value) == message
+    # The rank is the constant RANK, not a field a caller could set.
+    with pytest.raises(TypeError):
+        ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4), r=3)

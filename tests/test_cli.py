@@ -14,6 +14,7 @@ import pytest
 import higgspairs.vortex
 from higgspairs import betti, stability
 from higgspairs.cli import main
+from higgspairs.series import LaurentPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -146,16 +147,23 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "g, k, tau_bar", [(2, 5, "11/4"), (8, 61, "123/4")], ids=["g2_k5", "g8_k61"]
+    "g, k, tau_bar, n_strata",
+    [(2, 5, "11/4", 1), (8, 61, "123/4", 7)],
+    ids=["g2_k5", "g8_k61"],
 )
-def test_betti_report_validates_and_builds_n0_once(capsys, monkeypatch, g, k, tau_bar) -> None:
+def test_betti_report_validates_and_builds_n0_once(
+    capsys, monkeypatch, g, k, tau_bar, n_strata
+) -> None:
     brackets = _count_calls(monkeypatch, betti, "_pairs_bracket_coeff")
     validations = _count_calls(monkeypatch, stability, "validate_params")
+    # The report runs the public stratum function, once per stratum.
+    stratum_polys = _count_calls(monkeypatch, betti, "stratum_poincare")
     argv = ["betti", "--genus", str(g), "--degree", str(k), "--tau-bar", tau_bar]
-    code, _, _ = run(capsys, argv)
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert brackets[0] == 1
     assert validations[0] == 1
+    assert stratum_polys[0] == len(json.loads(out)["strata"]) == n_strata
 
 
 def test_strata_report_validates_once(capsys, monkeypatch) -> None:
@@ -231,6 +239,17 @@ def test_stability_model_key_validation(capsys, tmp_path) -> None:
     path.write_text("{not json")
     code, _, _ = run(capsys, ["stability", "check", "--model", str(path), "--tau-bar", "11/4"])
     assert code == 1
+
+    for text, kind in (("5", "int"), ("[]", "list"), ('"x"', "str")):
+        path.write_text(text)
+        argv = ["stability", "check", "--model", str(path), "--tau-bar", "11/4"]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "InvalidParamsError",
+            "message": f"model must be a JSON object, got {kind}",
+        }
 
 
 @pytest.mark.parametrize(
@@ -406,6 +425,27 @@ def test_selftest_catches_broken_energy_identity(capsys, monkeypatch) -> None:
     by_name = {g["name"]: g["passed"] for g in report["groups"]}
     assert by_name["decomposition_identity"] is False
     assert by_name["gradient_check"] is True
+
+
+def test_selftest_catches_broken_macdonald_formula(capsys, monkeypatch) -> None:
+    # The oracle expands the generating series itself, so a wrong closed
+    # form cannot agree with it.
+    original = betti._macdonald
+
+    def broken(n: int, g: int):
+        poly = original(n, g)
+        return poly + LaurentPoly([0, 1]) if n == 3 and g == 2 else poly
+
+    monkeypatch.setattr(betti, "_macdonald", broken)
+    code, out, _ = run(capsys, ["selftest", "--seed", "0"])
+    assert code == 2
+    by_name = {g["name"]: g["passed"] for g in json.loads(out)["groups"]}
+    assert by_name == {
+        "series_ring_axioms": True,
+        "macdonald_oracle": False,
+        "decomposition_identity": True,
+        "gradient_check": True,
+    }
 
 
 def test_module_entry_point() -> None:

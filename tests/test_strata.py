@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from higgspairs.betti import ModuliParams
 from higgspairs.stability import is_tau_stable_split
 from higgspairs.strata import (
     DivisorPair,
@@ -53,7 +54,7 @@ def test_d_range_examples():
 
 def test_d_range_rejects_invalid_params():
     with pytest.raises(ValueError):
-        d_range(Params(1, 5, Fraction(11, 4)))
+        ModuliParams(g=1, k=5, tau_bar=Fraction(11, 4))
 
 
 def test_d_range_lower_end_follows_floor():
@@ -73,7 +74,7 @@ def test_d_range_lower_end_follows_floor():
 def test_descriptor_example_values():
     p = Params(3, 9, Fraction(19, 4))
     desc = stratum_descriptor(p, 5)
-    assert desc == StratumDescriptor(d=5, n1=3, n2=4, index=6, dim=7)
+    assert desc == StratumDescriptor(d=5, n1=3, n2=4, index=6)
     desc6 = stratum_descriptor(p, 6)
     assert (desc6.n1, desc6.n2, desc6.index, desc6.dim) == (1, 3, 10, 4)
 
@@ -102,9 +103,7 @@ def test_descriptor_out_of_range_raises():
 
 def test_descriptor_rejects_negative_exponents_directly():
     with pytest.raises(ValueError):
-        StratumDescriptor(d=1, n1=-1, n2=0, index=2, dim=-1)
-    with pytest.raises(ValueError):
-        StratumDescriptor(d=1, n1=1, n2=0, index=2, dim=2)  # dim != n1 + n2
+        StratumDescriptor(d=1, n1=-1, n2=0, index=2)
 
 
 # -- divisor pairs ----------------------------------------------------------
