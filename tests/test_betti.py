@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -277,6 +278,33 @@ def test_report_agrees_with_the_public_functions():
         assert list(built.extractions) == [CORRECTED, AS_PRINTED]
         for convention, ext in built.extractions.items():
             assert ext == theorem_extraction(p, convention), (p.g, p.k, convention)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        betti_report,
+        total_poincare,
+        lambda p: stratum_poincare(p, 3),
+        lambda p: theorem_extraction(p, CORRECTED),
+        lambda p: theorem_extraction(p, AS_PRINTED),
+    ],
+    ids=["betti_report", "total", "stratum", "extraction_corrected", "extraction_as_printed"],
+)
+def test_public_entry_points_reject_invalid_params(call):
+    # An invalid set cannot reach an entry point: building it, directly or by
+    # replacing fields of a valid set, raises before the call is made.
+    valid = ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4))
+    for bad in (
+        dict(g=2, k=6, tau_bar=Fraction(13, 4)),
+        dict(g=1, k=5, tau_bar=Fraction(11, 4)),
+        dict(g=2, k=5, tau_bar=Fraction(3)),
+        dict(g=2, k=5, tau_bar=2.75),
+    ):
+        with pytest.raises(InvalidParamsError):
+            call(ModuliParams(**bad))
+        with pytest.raises(InvalidParamsError):
+            call(dataclasses.replace(valid, **bad))
 
 
 def test_moduli_params_reject_invalid_params():
