@@ -100,27 +100,38 @@ def _poly_pairs(poly: betti.PoincarePolynomial) -> list[list[int]]:
 # -- subcommands ---------------------------------------------------------
 
 
-def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
+def _moduli(args: argparse.Namespace) -> tuple[betti.ModuliParams, dict[str, Any], str]:
+    """The parameters of a betti or strata run, with their report entry and
+    their pretty line."""
     p = betti.ModuliParams(g=args.genus, k=args.degree, tau_bar=_rational(args.tau_bar))
+    params = {
+        "genus": args.genus,
+        "degree": args.degree,
+        "tau_bar": str(p.tau_bar),
+        "rank": betti.RANK,
+    }
+    line = f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={betti.RANK}"
+    return p, params, line
+
+
+def _stratum_row(desc: strata.StratumDescriptor, sep: str) -> tuple[dict[str, int], str]:
+    """A stratum's report entry (d, n1, n2, index, dim) and its
+    "n1=... n2=... index=... dim=..." text joined by sep."""
+    item = {"d": desc.d, "n1": desc.n1, "n2": desc.n2, "index": desc.index, "dim": desc.dim}
+    text = f"n1={desc.n1}{sep}n2={desc.n2}{sep}index={desc.index}{sep}dim={item['dim']}"
+    return item, text
+
+
+def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
+    p, params, params_line = _moduli(args)
     built = betti.betti_report(p)
     n0, total = built.n0, built.total
     items = []
     stratum_lines = []
     for desc, poly in built.strata:
-        items.append(
-            {
-                "d": desc.d,
-                "n1": desc.n1,
-                "n2": desc.n2,
-                "index": desc.index,
-                "dim": desc.dim,
-                "poly": _poly_pairs(poly),
-            }
-        )
-        stratum_lines.append(
-            f"stratum d={desc.d} (n1={desc.n1}, n2={desc.n2}, "
-            f"index={desc.index}, dim={desc.dim}): {poly}"
-        )
+        item, text = _stratum_row(desc, ", ")
+        items.append({**item, "poly": _poly_pairs(poly)})
+        stratum_lines.append(f"stratum d={desc.d} ({text}): {poly}")
     checks = []
     total_coeffs = dict(total.as_pairs())
     for convention, ext in built.extractions.items():
@@ -134,19 +145,14 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
             {"convention": convention, "matches": not diff, "diff": diff}
         )
     report = {
-        "params": {
-            "genus": args.genus,
-            "degree": args.degree,
-            "tau_bar": str(p.tau_bar),
-            "rank": betti.RANK,
-        },
+        "params": params,
         "n0_poly": _poly_pairs(n0),
         "strata": items,
         "total_poly": _poly_pairs(total),
         "extraction_check": checks,
     }
     lines = [
-        f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={betti.RANK}",
+        params_line,
         f"n0:     {n0}",
         *stratum_lines,
         f"total:  {total}",
@@ -158,31 +164,16 @@ def _run_betti(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
 
 
 def _run_strata(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
-    p = betti.ModuliParams(g=args.genus, k=args.degree, tau_bar=_rational(args.tau_bar))
+    p, params, params_line = _moduli(args)
     ds = strata.d_range(p)
-    items = []
-    for d in ds:
-        desc = strata.stratum_descriptor(p, d)
-        items.append(
-            {"d": d, "n1": desc.n1, "n2": desc.n2, "index": desc.index, "dim": desc.dim}
-        )
+    rows = [_stratum_row(strata.stratum_descriptor(p, d), " ") for d in ds]
     report = {
-        "params": {
-            "genus": args.genus,
-            "degree": args.degree,
-            "tau_bar": str(p.tau_bar),
-            "rank": betti.RANK,
-        },
+        "params": params,
         "d_range": list(ds),
-        "strata": items,
+        "strata": [item for item, _ in rows],
     }
-    lines = [f"params: g={args.genus} k={args.degree} tau_bar={p.tau_bar} rank={betti.RANK}"]
-    lines.append(f"d_range: {ds}")
-    for item in items:
-        lines.append(
-            f"d={item['d']}: n1={item['n1']} n2={item['n2']} "
-            f"index={item['index']} dim={item['dim']}"
-        )
+    lines = [params_line, f"d_range: {ds}"]
+    lines.extend(f"d={item['d']}: {text}" for item, text in rows)
     return report, "\n".join(lines) + "\n", 0
 
 
@@ -240,11 +231,6 @@ def _run_stability(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     return report, "\n".join(lines) + "\n", 0
 
 
-_BREAKDOWN_KEYS = (
-    "eq1", "eq2", "holomorphicity", "intertwining", "eq1_max", "eq2_max", "theta_s_sup",
-)
-
-
 def _check_seed(seed: int) -> None:
     # numpy's own error for a negative seed does not name the flag.
     if seed < 0:
@@ -292,26 +278,30 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         "stalled": result.stalled,
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
-        "residual": float(result.residual),
-        "breakdown": {key: float(getattr(result, key)) for key in _BREAKDOWN_KEYS},
-        "moment_map": float(result.moment_map_value),
+        "residual": result.residual,
+        "breakdown": result.breakdown,
+        "moment_map": result.moment_map_value,
     }
-    if not result.converged and args.tau <= 0:
-        floor = args.tau * args.tau * args.vol / 8.0
+    # The branch's section (phi, or psi on its mirror) has coupling tau, or
+    # tau' on the mirror; a degree-0 bundle carries it only when that is > 0.
+    name, coupling = ("tau", args.tau) if args.branch == "phi" else ("tau'", p.tau_prime)
+    if not result.converged and coupling <= 0:
+        floor = coupling * coupling * args.vol / 8.0
         report["note"] = (
             "no solution expected: a nonzero section on a degree-0 bundle "
-            f"needs tau > 0; the residual cannot drop below tau^2*vol/8 = {floor!r}"
+            f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
         )
     if args.dump_fields:
         _dump_fields(args.dump_fields, result.state, args)
+    bd = result.breakdown
     lines = [
         f"params: r1={args.rank1} r2={args.rank2} N={args.grid} vol={args.vol} "
         f"tau={args.tau} tau'={p.tau_prime} branch={args.branch} seed={args.seed}",
         f"converged: {result.converged} (iterations {result.iterations}, "
         f"residual {result.residual!r}, stop reason {result.stop_reason})",
-        f"breakdown: eq1={result.eq1!r} eq2={result.eq2!r} "
-        f"holomorphicity={result.holomorphicity!r} "
-        f"theta_s_sup={result.theta_s_sup!r}",
+        f"breakdown: eq1={bd['eq1']!r} eq2={bd['eq2']!r} "
+        f"holomorphicity={bd['holomorphicity']!r} "
+        f"theta_s_sup={bd['theta_s_sup']!r}",
         f"moment map |theta|^2: {result.moment_map_value!r}",
     ]
     if "note" in report:
@@ -320,20 +310,19 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
 
 
 def _dump_fields(path: str, s: vortex.LatticeState, args: argparse.Namespace) -> None:
-    names = ["A1", "A2", "theta1", "theta2", "phi", "psi"]
     header = {
         "N": s.N,
         "rank1": s.r1,
         "rank2": s.r2,
         "vol": float(args.vol),
-        "fields": names,
-        "shapes": {name: list(getattr(s, name).shape) for name in names},
+        "fields": vortex.BLOCKS,
+        "shapes": {name: getattr(s, name).shape for name in vortex.BLOCKS},
         "dtype": "<c16",
         "order": "C",
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in names:
+        for name in vortex.BLOCKS:
             fh.write(np.ascontiguousarray(getattr(s, name)).astype("<c16").tobytes())
 
 
@@ -414,7 +403,7 @@ def _selftest_gradient(rng: np.random.Generator) -> tuple[bool, str]:
         p = vortex.VortexParams(r1=r1, tau=0.9, r2=r2)
         s = vortex.random_state(5, r1, r2, 1.0, rng, amplitude=0.7)
         grad = vortex.residual_gradient(s, p)
-        for name in ("A1", "A2", "theta1", "theta2", "phi", "psi"):
+        for name in vortex.BLOCKS:
             block = getattr(s, name)
             v = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
             if name in ("A1", "A2"):
@@ -551,7 +540,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FormulaIntegrityError as exc:
         _emit_error(fmt, exc)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         _emit_error(fmt, exc)
         return 1
     except MemoryError as exc:

@@ -86,7 +86,7 @@ DEVIATION_WEIGHT = 0.25
 
 MIN_GRID = 4
 
-_BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
+BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
 _FROZEN = {"phi": ("psi", "theta2"), "psi": ("phi", "theta1"), None: ()}
 
 
@@ -151,13 +151,25 @@ def hym_constant(p: VortexParams) -> float:
     )
 
 
+def _block_shapes(N: int, r1: int, r2: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each block, in BLOCKS order: the potentials are
+    direction-major, and phi maps E2 to E1 and psi back."""
+    return {
+        "A1": (2, N, N, r1, r1),
+        "A2": (2, N, N, r2, r2),
+        "theta1": (N, N, r1, r1),
+        "theta2": (N, N, r2, r2),
+        "phi": (N, N, r1, r2),
+        "psi": (N, N, r2, r1),
+    }
+
+
 @dataclass(frozen=True)
 class LatticeState:
     """Field configuration on the periodic grid.
 
-    A1, A2 have shape (2, N, N, r, r) (direction-major, anti-Hermitian);
-    theta1, theta2 are (N, N, r, r); phi is (N, N, r1, r2) and psi is
-    (N, N, r2, r1).  All complex128.
+    Every block is complex128 with the shape ``_block_shapes`` gives; the
+    potentials A1, A2 are anti-Hermitian.
     """
 
     N: int
@@ -174,16 +186,8 @@ class LatticeState:
             raise ValueError(f"grid size must be at least {MIN_GRID}, got {self.N}")
         if not self.a > 0:
             raise ValueError(f"spacing must be positive, got {self.a}")
-        r1, r2 = self.r1, self.r2
-        shapes = {
-            "A1": (self.A1, (2, self.N, self.N, r1, r1)),
-            "A2": (self.A2, (2, self.N, self.N, r2, r2)),
-            "theta1": (self.theta1, (self.N, self.N, r1, r1)),
-            "theta2": (self.theta2, (self.N, self.N, r2, r2)),
-            "phi": (self.phi, (self.N, self.N, r1, r2)),
-            "psi": (self.psi, (self.N, self.N, r2, r1)),
-        }
-        for name, (arr, want) in shapes.items():
+        for name, want in _block_shapes(self.N, self.r1, self.r2).items():
+            arr = getattr(self, name)
             if arr.shape != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
             if arr.dtype != np.complex128:
@@ -455,7 +459,9 @@ def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
         "intertwining": k * (_frob2(w["W4"]) + _frob2(w["W6"])),
         "eq1_max": site_max(w["W1"]),
         "eq2_max": site_max(w["W2"]),
-        "theta_s_sup": 0.5 * site_max(w["W4"]),
+        # phi's intertwining defect is W4 and psi's is W6; a branch freezes
+        # one of them at zero, so both are read.
+        "theta_s_sup": 0.5 * float(np.maximum(site_max(w["W4"]), site_max(w["W6"]))),
     }
 
 
@@ -578,15 +584,7 @@ def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
 
 
 def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> LatticeState:
-    return replace(
-        s,
-        A1=s.A1 - eta * grad["A1"],
-        A2=s.A2 - eta * grad["A2"],
-        theta1=s.theta1 - eta * grad["theta1"],
-        theta2=s.theta2 - eta * grad["theta2"],
-        phi=s.phi - eta * grad["phi"],
-        psi=s.psi - eta * grad["psi"],
-    )
+    return replace(s, **{name: getattr(s, name) - eta * grad[name] for name in BLOCKS})
 
 
 class _Preconditioner:
@@ -617,7 +615,7 @@ class _Preconditioner:
         self.kernel = 1.0 / (mass + 4.0 * omega2)
         sites = s.N * s.N
         planes = sum(
-            getattr(s, name).size // sites for name in _BLOCKS if name not in _FROZEN[branch]
+            getattr(s, name).size // sites for name in BLOCKS if name not in _FROZEN[branch]
         )
         self.work = np.empty((planes, s.N, s.N), dtype=np.complex128)
 
@@ -688,21 +686,32 @@ def _exact_step(
 
 _ZERO_GRAD = 1e-30
 
+
 @dataclass
 class SolveResult:
+    """What a solve leaves: its final state, the energy at the start and
+    after each accepted step, why it stopped and the residual_breakdown of
+    the final state."""
+
     state: LatticeState
-    residual: float
-    iterations: int
-    moment_map_value: float
-    eq1: float
-    eq2: float
-    holomorphicity: float
-    intertwining: float
-    eq1_max: float
-    eq2_max: float
-    theta_s_sup: float
     energy_history: list[float]
     stop_reason: str
+    breakdown: dict[str, float]
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps: one energy per step after the start's."""
+        return len(self.energy_history) - 1
+
+    @property
+    def residual(self) -> float:
+        """residual_energy of the final state."""
+        return self.energy_history[-1]
+
+    @property
+    def moment_map_value(self) -> float:
+        """The module's moment_map_value of the final state."""
+        return moment_map_value(self.state)
 
     @property
     def converged(self) -> bool:
@@ -793,15 +802,11 @@ def solve(
 
     if energy <= tol:
         stop_reason = "converged"
-    br = residual_breakdown(s, p)
     return SolveResult(
         state=s,
-        residual=energy,
-        iterations=iterations,
-        moment_map_value=moment_map_value(s),
-        **br,
         energy_history=history,
         stop_reason=stop_reason,
+        breakdown=residual_breakdown(s, p),
     )
 
 
@@ -865,17 +870,9 @@ def _spacing(N: int, vol: float) -> float:
 
 
 def zero_state(N: int, r1: int, r2: int = 1, vol: float = 1.0) -> LatticeState:
-    z = np.zeros
-    return LatticeState(
-        N=N,
-        a=_spacing(N, vol),
-        A1=z((2, N, N, r1, r1), dtype=np.complex128),
-        A2=z((2, N, N, r2, r2), dtype=np.complex128),
-        theta1=z((N, N, r1, r1), dtype=np.complex128),
-        theta2=z((N, N, r2, r2), dtype=np.complex128),
-        phi=z((N, N, r1, r2), dtype=np.complex128),
-        psi=z((N, N, r2, r1), dtype=np.complex128),
-    )
+    blocks = {name: np.zeros(shape, dtype=np.complex128)
+              for name, shape in _block_shapes(N, r1, r2).items()}
+    return LatticeState(N=N, a=_spacing(N, vol), **blocks)
 
 
 def constant_solution_state(N: int, p: VortexParams) -> LatticeState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import higgspairs.cli
 import higgspairs.vortex
 from higgspairs import betti, stability
 from higgspairs.cli import main
@@ -321,6 +323,24 @@ def test_vortex_negative_tau_reports_floor(capsys) -> None:
     assert report["residual"] >= 0.999 * (1.0 / 8.0)
 
 
+@pytest.mark.parametrize("tau, noted", [("1.0", True), ("-1.0", False)])
+def test_vortex_psi_branch_note_follows_tau_prime(capsys, tau: str, noted: bool) -> None:
+    # The psi branch's section couples to tau' = -tau at degree 0, so the
+    # note follows tau', not tau.
+    argv = vortex_args(**{"--tau": tau, "--max-iter": "500", "--branch": "psi"})
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["converged"] is not noted
+    if noted:
+        assert report["stop_reason"] == "no_decrease"
+        assert "needs tau' > 0" in report["note"]
+        assert "tau'^2*vol/8 = 0.125" in report["note"]
+        assert report["residual"] >= 0.999 * (1.0 / 8.0)
+    else:
+        assert "note" not in report
+
+
 def test_vortex_rejects_bad_grid(capsys) -> None:
     code, _, _ = run(capsys, vortex_args(**{"--grid": "2"}))
     assert code == 1
@@ -446,6 +466,28 @@ def test_selftest_catches_broken_macdonald_formula(capsys, monkeypatch) -> None:
         "decomposition_identity": True,
         "gradient_check": True,
     }
+
+
+def test_cli_reads_no_private_library_names() -> None:
+    # The CLI speaks to the library through its public names only.
+    tree = ast.parse(Path(higgspairs.cli.__file__).read_text(encoding="utf-8"))
+    library = {"betti", "series", "stability", "strata", "vortex"}
+    private = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in library
+            and node.attr.startswith("_")
+        ):
+            private.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in library:
+            private += [
+                f"line {node.lineno}: from .{node.module} import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert private == []
 
 
 def test_module_entry_point() -> None:

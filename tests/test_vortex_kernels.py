@@ -285,6 +285,8 @@ def test_psi_branch_solve_is_the_exchanged_phi_branch_solve(r1: int, r2: int, N:
     assert len(res.energy_history) > 1
     assert mirrored.energy_history == res.energy_history
     assert mirrored.stop_reason == res.stop_reason
+    swapped = {"eq1": "eq2", "eq2": "eq1", "eq1_max": "eq2_max", "eq2_max": "eq1_max"}
+    assert mirrored.breakdown == {swapped.get(key, key): v for key, v in res.breakdown.items()}
     back = vx.exchange_bundles(mirrored.state)
     for name in BLOCKS:
         assert np.array_equal(getattr(back, name), getattr(res.state, name)), name

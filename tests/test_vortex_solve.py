@@ -24,9 +24,9 @@ def test_scalar_vortex_converges() -> None:
     assert res.residual <= 1e-12
     assert res.iterations < 1000
     assert res.moment_map_value <= 1e-10
-    assert res.eq1_max <= 1e-5 and res.eq2_max <= 1e-5
-    assert res.holomorphicity <= 1e-10
-    assert res.theta_s_sup <= 1e-5
+    assert res.breakdown["eq1_max"] <= 1e-5 and res.breakdown["eq2_max"] <= 1e-5
+    assert res.breakdown["holomorphicity"] <= 1e-10
+    assert res.breakdown["theta_s_sup"] <= 1e-5
 
 
 def test_energy_history_is_monotone() -> None:
@@ -35,6 +35,14 @@ def test_energy_history_is_monotone() -> None:
     assert len(hist) == res.iterations + 1
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert hist[-1] == res.residual
+
+
+def test_result_reads_its_diagnostics_off_the_final_state() -> None:
+    res = scalar_solve()
+    p = vx.VortexParams(r1=1, tau=1.0)
+    assert res.residual == vx.residual_energy(res.state, p)
+    assert res.breakdown == vx.residual_breakdown(res.state, p)
+    assert res.moment_map_value == vx.moment_map_value(res.state)
 
 
 def test_solve_is_deterministic() -> None:
