@@ -251,15 +251,23 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
     _check_seed(args.seed)
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
-    rng = np.random.default_rng(args.seed)
     # The psi branch starts from the phi-branch sample of the exchanged bundles.
     ranks = (args.rank1, args.rank2) if args.branch == "phi" else (args.rank2, args.rank1)
-    s0 = vortex.random_smooth_state(args.grid, *ranks, args.vol, rng, args.amplitude, args.tau)
-    if args.branch == "psi":
-        s0 = vortex.exchange_bundles(s0)
-    result = vortex.solve(
-        s0, p, tol=args.tol, max_iter=args.max_iter, branch=args.branch
+
+    def sample(n: int) -> vortex.LatticeState:
+        # A fresh generator per grid: every grid samples one continuum start.
+        rng = np.random.default_rng(args.seed)
+        s0 = vortex.random_smooth_state(n, *ranks, args.vol, rng, args.amplitude, args.tau)
+        return vortex.exchange_bundles(s0) if args.branch == "psi" else s0
+
+    results = vortex.solve_ladder(
+        sample, args.grid, p, tol=args.tol, max_iter=args.max_iter, branch=args.branch
     )
+    result = results[-1]
+    levels = [
+        {"grid": r.state.N, "iterations": r.iterations, "stop_reason": r.stop_reason}
+        for r in results
+    ]
     report: dict[str, Any] = {
         "params": {
             "rank1": args.rank1,
@@ -281,6 +289,7 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         "residual": result.residual,
         "breakdown": result.breakdown,
         "moment_map": result.moment_map_value,
+        "levels": levels,
     }
     # The branch's section (phi, or psi on its mirror) has coupling tau, or
     # tau' on the mirror; a degree-0 bundle carries it only when that is > 0.
@@ -303,6 +312,10 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         f"holomorphicity={bd['holomorphicity']!r} "
         f"theta_s_sup={bd['theta_s_sup']!r}",
         f"moment map |theta|^2: {result.moment_map_value!r}",
+        "levels: " + ", ".join(
+            f"N={lv['grid']} ({lv['iterations']} iterations, {lv['stop_reason']})"
+            for lv in levels
+        ),
     ]
     if "note" in report:
         lines.append(f"note: {report['note']}")
@@ -513,9 +526,16 @@ def _emit_error(fmt: str, exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
+# Built on the first call of main and reused: building the tree took two
+# thirds of a betti report at (2, 5), parsing with it a small part.
+_PARSER: Optional[_Parser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
         report, pretty, code = args.fn(args)

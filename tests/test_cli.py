@@ -202,6 +202,34 @@ def test_help_exits_0() -> None:
     assert err.value.code == 0
 
 
+def test_main_builds_one_parser_and_survives_argument_errors(capsys, monkeypatch) -> None:
+    built = []
+    real = higgspairs.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(higgspairs.cli, "build_parser", counted)
+    monkeypatch.setattr(higgspairs.cli, "_PARSER", None)
+    code, _, _ = run(capsys, BETTI_ARGS + ["--golden", str(GOLDEN / "betti_g2_k5.json")])
+    assert code == 0
+    # The error comes after --rank2 and --max-iter were read: the next
+    # parse must see their defaults again.
+    with pytest.raises(SystemExit) as err:
+        main(["vortex", "solve", "--rank1", "1", "--tau", "1.0", "--rank2", "3",
+              "--max-iter", "7", "--grid", "abc"])
+    assert err.value.code == 1
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["vortex", "solve", "--rank1", "1", "--tau", "1.0", "--grid", "8"])
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["rank2"], params["max_iter"], params["grid"]) == (1, 10000, 8)
+    code, _, _ = run(capsys, BETTI_ARGS + ["--golden", str(GOLDEN / "betti_g2_k5.json")])
+    assert code == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -339,6 +367,58 @@ def test_vortex_psi_branch_note_follows_tau_prime(capsys, tau: str, noted: bool)
         assert report["residual"] >= 0.999 * (1.0 / 8.0)
     else:
         assert "note" not in report
+
+
+@pytest.mark.parametrize("branch, tau", [("phi", "1.0"), ("psi", "-1.0")])
+def test_vortex_grid_32_solves_coarse_to_fine(capsys, branch: str, tau: str) -> None:
+    # tau' = -tau, so each branch's section has a positive coupling.
+    argv = vortex_args(**{"--grid": "32", "--tau": tau, "--branch": branch, "--seed": "7"})
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    levels = report["levels"]
+    assert [lv["grid"] for lv in levels] == [16, 32]
+    assert all(lv["stop_reason"] == "converged" for lv in levels)
+    assert levels[-1]["iterations"] == report["iterations"]
+    assert levels[-1]["stop_reason"] == report["stop_reason"]
+    assert report["converged"] is True
+    code, out, _ = run(capsys, argv + ["--format", "pretty"])
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("levels: ")]
+    assert lines == [
+        "levels: " + ", ".join(
+            f"N={lv['grid']} ({lv['iterations']} iterations, converged)" for lv in levels
+        )
+    ]
+
+
+@pytest.mark.parametrize("grid", [8, 16])
+def test_vortex_small_grids_solve_cold(capsys, grid: int) -> None:
+    # The rank-2 grids of the benchmark: below 32 the report is the cold
+    # solve's, with one entry in levels.
+    argv = vortex_args(**{
+        "--rank1": "2", "--grid": str(grid), "--seed": "3", "--max-iter": "30",
+        "--tol": "1e-12",
+    })
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    p = higgspairs.vortex.VortexParams(r1=2, tau=1.0)
+    s0 = higgspairs.vortex.random_smooth_state(grid, 2, 1, 1.0, np.random.default_rng(3), 0.1, 1.0)
+    cold = higgspairs.vortex.solve(s0, p, tol=1e-12, max_iter=30)
+    assert report["levels"] == [
+        {"grid": grid, "iterations": cold.iterations, "stop_reason": cold.stop_reason}
+    ]
+    del report["levels"], report["params"]
+    assert report == {
+        "converged": cold.converged,
+        "stalled": cold.stalled,
+        "stop_reason": cold.stop_reason,
+        "iterations": cold.iterations,
+        "residual": cold.residual,
+        "breakdown": cold.breakdown,
+        "moment_map": cold.moment_map_value,
+    }
 
 
 def test_vortex_rejects_bad_grid(capsys) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ def test_lattice_state_validation() -> None:
             theta1=s.theta2, theta2=s.theta2,
             phi=np.zeros((4, 4, 2, 1), dtype=np.complex128), psi=s.psi,
         )
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), ()])
+def test_lattice_state_rejects_phi_without_rank_axes(shape: tuple[int, ...]) -> None:
+    # The ranks are read off phi's last two axes, so a phi with fewer than
+    # four axes must be refused before they are read.
+    phi = np.zeros(shape, dtype=np.complex128)
+    with pytest.raises(ValueError, match=r"^phi has shape .*, expected \(4, 4, r1, r2\)$"):
+        replace(vx.zero_state(4, 1), phi=phi)
 
 
 def test_zero_state_energies() -> None:
