@@ -239,12 +239,12 @@ def _check_seed(seed: int) -> None:
 
 def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     if args.grid < vortex.MIN_GRID:
-        raise InvalidParamsError(f"grid must be at least {vortex.MIN_GRID}")
+        raise InvalidParamsError(f"--grid must be at least {vortex.MIN_GRID}, got {args.grid}")
     for name in ("tau", "vol", "amplitude", "tol"):
         if not math.isfinite(getattr(args, name)):
             raise InvalidParamsError(f"--{name} must be finite, got {getattr(args, name)!r}")
     if args.vol <= 0:
-        raise InvalidParamsError("vol must be positive")
+        raise InvalidParamsError(f"--vol must be positive, got {args.vol!r}")
     if args.tol < 0:
         raise InvalidParamsError(f"--tol must be non-negative, got {args.tol!r}")
     if args.max_iter < 0:

@@ -72,7 +72,7 @@ inverse 1-D transform per site axis, in the order fft2 and ifft2 take.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,6 +90,14 @@ BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
 _FROZEN = {"phi": ("psi", "theta2"), "psi": ("phi", "theta1"), None: ()}
 
 
+def _frozen(branch: Optional[str]) -> tuple[str, ...]:
+    """The blocks a branch freezes; every read of _FROZEN goes through here."""
+    if branch not in _FROZEN:
+        allowed = ", ".join(map(repr, _FROZEN))
+        raise ValueError(f"branch must be one of {allowed}, got {branch!r}")
+    return _FROZEN[branch]
+
+
 class NotConvergedError(RuntimeError):
     """An operation that requires a converged state got a non-converged one."""
 
@@ -98,8 +106,8 @@ class NotConvergedError(RuntimeError):
 class VortexParams:
     """Ranks, degrees, area and coupling constants.
 
-    tau_prime is derived from tau r1 + tau_prime r2 = (4 pi / vol)(d1 + d2);
-    passing it explicitly is allowed but it must satisfy that identity.
+    tau_prime is derived from tau r1 + tau_prime r2 = (4 pi / vol)(d1 + d2)
+    and is not an argument, so dataclasses.replace re-derives it.
     """
 
     r1: int
@@ -108,7 +116,7 @@ class VortexParams:
     d1: int = 0
     d2: int = 0
     vol: float = 1.0
-    tau_prime: Optional[float] = None
+    tau_prime: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.r1 < 1 or self.r2 < 1:
@@ -116,13 +124,7 @@ class VortexParams:
         if not self.vol > 0:
             raise ValueError(f"vol must be positive, got {self.vol}")
         derived = ((FOUR_PI / self.vol) * (self.d1 + self.d2) - self.tau * self.r1) / self.r2
-        if self.tau_prime is None:
-            object.__setattr__(self, "tau_prime", derived)
-        elif not math.isclose(self.tau_prime, derived, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                f"tau_prime = {self.tau_prime} violates the coupling identity; "
-                f"expected {derived}"
-            )
+        object.__setattr__(self, "tau_prime", derived)
 
 
 def sigma_of(p: VortexParams) -> float:
@@ -553,6 +555,7 @@ def _gradient(
     and psi blocks.  Blocks the branch freezes, and blocks whose every
     term has a zero factor, are _ZERO.
     """
+    frozen = _frozen(branch)
     f = _Fields(s)
     e = f.exchanged()
     w1, w2 = w["W1"], w["W2"]
@@ -576,7 +579,6 @@ def _gradient(
         "A1": 0.5 * np.stack([_antiherm(g_z1), _antiherm(1j * g_z1)]),
         "A2": 0.5 * np.stack([_antiherm(g_z2), _antiherm(1j * g_z2)]),
     }
-    frozen = _FROZEN[branch]
     for name, block in blocks.items():
         grad[name] = _ZERO if name in frozen else block()
     return grad
@@ -618,9 +620,8 @@ class _Preconditioner:
         mass = max(1.0, abs(p.tau) + abs(p.tau_prime))
         self.kernel = 1.0 / (mass + 4.0 * omega2)
         sites = s.N * s.N
-        planes = sum(
-            getattr(s, name).size // sites for name in BLOCKS if name not in _FROZEN[branch]
-        )
+        frozen = _frozen(branch)
+        planes = sum(getattr(s, name).size // sites for name in BLOCKS if name not in frozen)
         self.work = np.empty((planes, s.N, s.N), dtype=np.complex128)
 
     def __call__(self, grad: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -754,12 +755,10 @@ def solve(
     vanishes; "no_decrease" when the exact step or the recomputed energy
     does not lower the energy; "non_finite" when the energy, a line
     coefficient or the new energy is not finite.  The last three set
-    stalled=True.  It never raises.
+    stalled=True.  It raises only on an unknown branch.
     """
-    s = s0
-    if branch in ("phi", "psi"):
-        frozen = {name: np.zeros_like(getattr(s0, name)) for name in _FROZEN[branch]}
-        s = replace(s0, **frozen)
+    frozen = {name: np.zeros_like(getattr(s0, name)) for name in _frozen(branch)}
+    s = replace(s0, **frozen) if frozen else s0
     w = _residual_fields(s, p)
     energy = _energy(s, w)
     history = [energy]
@@ -1045,57 +1044,38 @@ def random_smooth_state(
     )
 
 
-def prolong_state(s: LatticeState, factor: int = 2) -> LatticeState:
-    """Trigonometric interpolation of every field block onto a finer grid.
+def prolong_state(s: LatticeState) -> LatticeState:
+    """Trigonometric interpolation of every field block onto the 2N-grid.
 
-    Zero-pads the lattice Fourier spectrum; the even-N Nyquist row and
-    column are split symmetrically so the interpolation kernel is real,
-    which preserves anti-Hermiticity of the potentials exactly.  The torus
-    volume is unchanged (spacing shrinks by the factor).  Used to warm-start
-    a fine-grid solve from a coarse converged solution so that both grids
-    discretize the same continuum configuration.
+    Each coarse Fourier mode keeps its frequency on the fine grid, every
+    other mode is zero.  At even N the Nyquist plane -N/2 is split in half
+    between -N/2 and +N/2 (Trefethen, Spectral Methods in MATLAB, ch. 3),
+    so the interpolant of a real field is real and anti-Hermiticity of the
+    potentials is kept; odd N has no Nyquist mode.  The torus volume is
+    unchanged (the spacing halves).  Used to warm-start a fine-grid solve
+    from a coarse solution so that both grids discretize the same
+    continuum configuration.
     """
-    if factor < 1:
-        raise ValueError("refinement factor must be a positive integer")
-    if factor == 1:
-        return s
-    N, N2 = s.N, s.N * factor
+    N, N2 = s.N, 2 * s.N
+    # The fine-grid index of each coarse mode: k and k mod 2N share a frequency.
+    at = np.fft.fftfreq(N, 1 / N).astype(int) % N2
 
-    def up(field: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-        spec = np.fft.fftshift(np.fft.fft2(field, axes=axes), axes=axes)
-        shape = list(field.shape)
-        for ax in axes:
-            shape[ax] = N2
-        big = np.zeros(shape, dtype=np.complex128)
-        lo = N2 // 2 - N // 2
-        sl = [slice(None)] * field.ndim
-        for ax in axes:
-            sl[ax] = slice(lo, lo + N)
-        big[tuple(sl)] = spec
-        for ax in axes:
-            src = [slice(None)] * field.ndim
-            dst = [slice(None)] * field.ndim
-            src[ax] = slice(lo, lo + 1)
-            dst[ax] = slice(lo + N, lo + N + 1)
-            big[tuple(dst)] = 0.5 * big[tuple(src)]
-            big[tuple(src)] *= 0.5
-        out = np.fft.ifft2(np.fft.ifftshift(big, axes=axes), axes=axes)
-        return out * (factor * factor)
+    def up(block: np.ndarray) -> np.ndarray:
+        # The site axes of every block are (-4, -3).
+        spec = np.fft.fft2(block, axes=(-4, -3))
+        big = np.zeros(block.shape[:-4] + (N2, N2) + block.shape[-2:], dtype=np.complex128)
+        big[..., at[:, None], at, :, :] = spec
+        if N % 2 == 0:
+            for ax in (-4, -3):
+                planes = np.moveaxis(big, ax, 0)
+                planes[N // 2] = 0.5 * planes[N2 - N // 2]
+                planes[N2 - N // 2] *= 0.5
+        return np.fft.ifft2(big, axes=(-4, -3)) * 4
 
-    A1 = up(s.A1, (1, 2))
-    A2 = up(s.A2, (1, 2))
-    A1 = 0.5 * (A1 - _adj(A1))
-    A2 = 0.5 * (A2 - _adj(A2))
-    return LatticeState(
-        N=N2,
-        a=s.a / factor,
-        A1=A1,
-        A2=A2,
-        theta1=up(s.theta1, (0, 1)),
-        theta2=up(s.theta2, (0, 1)),
-        phi=up(s.phi, (0, 1)),
-        psi=up(s.psi, (0, 1)),
-    )
+    fine = {name: up(getattr(s, name)) for name in BLOCKS}
+    for name in ("A1", "A2"):
+        fine[name] = 0.5 * (fine[name] - _adj(fine[name]))
+    return LatticeState(N=N2, a=s.a / 2, **fine)
 
 
 def gauge_transform(s: LatticeState, u1: np.ndarray, u2: np.ndarray) -> LatticeState:

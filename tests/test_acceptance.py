@@ -278,7 +278,7 @@ def test_section_identity_residual_halving_ratio() -> None:
     res1 = []
     for N in (16, 32, 64):
         if N > 16:
-            state = vx.prolong_state(state, 2)
+            state = vx.prolong_state(state)
         res = vx.solve(state, p, tol=1e-25, max_iter=60000)
         assert res.converged, N
         state = res.state

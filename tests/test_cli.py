@@ -16,7 +16,7 @@ import higgspairs.cli
 import higgspairs.vortex
 from higgspairs import betti, stability
 from higgspairs.cli import main
-from higgspairs.series import LaurentPoly
+from higgspairs.series import FormulaIntegrityError, LaurentPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,6 +103,40 @@ def test_csv_format(capsys) -> None:
     assert lines[0] == "path,value"
     assert "params.genus,2" in lines
     assert any(line.startswith("total_poly[0][0],") for line in lines)
+
+
+def test_csv_writes_floats_by_repr(capsys) -> None:
+    _, out, _ = run(capsys, vortex_args())
+    residual = json.loads(out)["residual"]
+    code, out, _ = run(capsys, vortex_args(**{"--format": "csv"}))
+    assert code == 0
+    assert f"residual,{residual!r}" in out.splitlines()
+
+
+def test_csv_writes_none_as_null(capsys) -> None:
+    argv = [
+        "stability", "check",
+        "--model", str(GOLDEN / "model_stable.json"),
+        "--tau-bar", "11/4",
+        "--format", "csv",
+    ]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "witness,null" in out.splitlines()
+
+
+def test_formula_integrity_error_exits_2(capsys, monkeypatch) -> None:
+    def broken(p):
+        raise FormulaIntegrityError("remainder 1 after dividing by 1 - t^2")
+
+    monkeypatch.setattr(betti, "betti_report", broken)
+    code, out, err = run(capsys, BETTI_ARGS)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "FormulaIntegrityError",
+        "message": "remainder 1 after dividing by 1 - t^2",
+    }
 
 
 def test_pretty_format(capsys) -> None:
@@ -422,8 +456,13 @@ def test_vortex_small_grids_solve_cold(capsys, grid: int) -> None:
 
 
 def test_vortex_rejects_bad_grid(capsys) -> None:
-    code, _, _ = run(capsys, vortex_args(**{"--grid": "2"}))
+    code, out, err = run(capsys, vortex_args(**{"--grid": "2"}))
     assert code == 1
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "InvalidParamsError",
+        "message": "--grid must be at least 4, got 2",
+    }
 
 
 @pytest.mark.parametrize(
@@ -431,6 +470,8 @@ def test_vortex_rejects_bad_grid(capsys) -> None:
     [
         ("--tau", "nan"),
         ("--vol", "inf"),
+        ("--vol", "-1"),
+        ("--vol", "0"),
         ("--amplitude", "inf"),
         ("--tol", "nan"),
         ("--tol", "-0.5"),

@@ -30,12 +30,13 @@ def test_tau_prime_with_nonzero_degrees() -> None:
     assert p.tau_prime == pytest.approx(FOUR_PI / 2.0 - 1.0)
 
 
-def test_explicit_tau_prime_must_match() -> None:
-    vx.VortexParams(r1=1, tau=1.0, tau_prime=-1.0)
-    with pytest.raises(ValueError):
-        vx.VortexParams(r1=1, tau=1.0, tau_prime=0.5)
-    with pytest.raises(ValueError):
-        vx.VortexParams(r1=2, tau=1.0, tau_prime=-1.0)
+def test_replace_rederives_tau_prime() -> None:
+    p = vx.VortexParams(r1=1, tau=1.0)
+    assert replace(p, tau=2.0).tau_prime == pytest.approx(-2.0)
+    assert replace(p, r2=2).tau_prime == pytest.approx(-0.5)
+    assert replace(p, d1=1, vol=2.0).tau_prime == pytest.approx(FOUR_PI / 2.0 - 1.0)
+    with pytest.raises(TypeError):
+        vx.VortexParams(r1=1, tau=1.0, tau_prime=-1.0)
 
 
 def test_params_validation() -> None:

@@ -299,7 +299,7 @@ def test_smooth_state_matches_per_field_waves(N: int, r1: int, r2: int) -> None:
 def test_prolong_reproduces_coarse_sites() -> None:
     rng = np.random.default_rng(13)
     s = vx.random_smooth_state(8, 2, 1, 1.0, rng, amplitude=0.4, tau=1.0)
-    fine = vx.prolong_state(s, 2)
+    fine = vx.prolong_state(s)
     assert fine.N == 16
     assert fine.a == pytest.approx(s.a / 2)
     assert fine.vol == pytest.approx(s.vol)
@@ -316,24 +316,58 @@ def test_prolong_band_limited_is_spectrally_exact() -> None:
     fine = vx.random_smooth_state(
         16, 1, 1, 1.0, np.random.default_rng(5), amplitude=0.3, tau=1.0
     )
-    lifted = vx.prolong_state(coarse, 2)
+    lifted = vx.prolong_state(coarse)
     assert np.allclose(lifted.phi, fine.phi, atol=1e-11)
     assert np.allclose(lifted.A1, fine.A1, atol=1e-11)
     assert np.allclose(lifted.theta1, fine.theta1, atol=1e-11)
 
 
-def test_prolong_factor_validation() -> None:
-    s = vx.zero_state(4, 1)
-    assert vx.prolong_state(s, 1) is s
-    with pytest.raises(ValueError):
-        vx.prolong_state(s, 0)
+@pytest.mark.parametrize("N", [9, 17])
+@pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1)])
+def test_prolong_at_odd_grid_is_the_real_band_limited_interpolant(
+    N: int, r1: int, r2: int
+) -> None:
+    # Odd N has no Nyquist mode: the coarse band |k| <= (N - 1) / 2 is
+    # copied and nothing else, so a real field stays real.
+    rng = np.random.default_rng(N)
+    s = vx.random_smooth_state(N, r1, r2, 1.0, rng, amplitude=0.4, tau=1.0)
+    real = rng.standard_normal((N, N, r1, r2)).astype(np.complex128)
+    s = replace(s, phi=real)
+    fine = vx.prolong_state(s)
+    assert fine.N == 2 * N
+    assert float(np.max(np.abs(fine.phi.imag))) <= 1e-14
+    k = np.abs(np.fft.fftfreq(2 * N, 1 / (2 * N)))
+    outside = (k[:, None] > (N - 1) / 2) | (k[None, :] > (N - 1) / 2)
+    spec = np.fft.fft2(fine.phi, axes=(0, 1))
+    # Relative to the in-band coefficients, which are O(N^2).
+    assert float(np.max(np.abs(spec[outside]))) <= 1e-13 * float(np.max(np.abs(spec)))
+    for name in vx.BLOCKS:
+        coarse = getattr(s, name)
+        sites = getattr(fine, name)[..., ::2, ::2, :, :]
+        assert float(np.max(np.abs(sites - coarse))) <= 1e-13, name
+    assert not vx.check_invariants(fine, atol=1e-13)
 
 
 def test_prolonged_constant_solution_stays_exact() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.constant_solution_state(8, p)
-    fine = vx.prolong_state(s, 2)
+    fine = vx.prolong_state(s)
     assert vx.residual_energy(fine, p) <= 1e-24
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s, p: vx.solve(s, p, max_iter=1, branch="bogus"),
+        lambda s, p: vx.residual_gradient(s, p, "bogus"),
+    ],
+    ids=["solve", "residual_gradient"],
+)
+def test_unknown_branch_names_the_allowed_values(entry) -> None:
+    p = vx.VortexParams(r1=1, tau=1.0)
+    s = vx.zero_state(4, 1)
+    with pytest.raises(ValueError, match="branch must be one of 'phi', 'psi', None, got 'bogus'"):
+        entry(s, p)
 
 
 def test_solve_projects_frozen_blocks_at_entry() -> None:
@@ -469,6 +503,18 @@ def test_ladder_of_one_level_is_the_cold_solve(N: int) -> None:
     assert len(results) == 1
     assert results[0].converged
     assert_same_solve(results[0], vx.solve(sample(N), p, tol=1e-8, max_iter=5000))
+
+
+def test_ladder_from_an_odd_grid_starts_at_its_prolonged_answer() -> None:
+    # 34 halves to the odd grid 17 and stops there.
+    p = vx.VortexParams(r1=1, tau=1.0)
+    results = vx.solve_ladder(smooth_sampler(1, 1, 7, []), 34, p, tol=1e-13)
+    assert [r.state.N for r in results] == [17, 34]
+    # Measured 68 + 4.
+    assert all(r.converged for r in results)
+    # The fine level's first energy is the refinement jump of the coarse answer.
+    jump = vx.residual_energy(vx.prolong_state(results[0].state), p)
+    assert results[1].energy_history[0] == jump
 
 
 @pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1), (2, 2)])
