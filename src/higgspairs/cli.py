@@ -251,19 +251,27 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
     _check_seed(args.seed)
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
-    # The psi branch starts from the phi-branch sample of the exchanged bundles.
-    ranks = (args.rank1, args.rank2) if args.branch == "phi" else (args.rank2, args.rank1)
+    # vortex.solve holds psi at zero, so the psi branch is solved as the phi
+    # branch of the exchanged bundles, whose coupling is tau', and its
+    # answer is exchanged back.
+    mirror = args.branch == "psi"
+    solved = (
+        vortex.VortexParams(r1=args.rank2, tau=p.tau_prime, r2=args.rank1, vol=args.vol)
+        if mirror else p
+    )
 
     def sample(n: int) -> vortex.LatticeState:
         # A fresh generator per grid: every grid samples one continuum start.
         rng = np.random.default_rng(args.seed)
-        s0 = vortex.random_smooth_state(n, *ranks, args.vol, rng, args.amplitude, args.tau)
-        return vortex.exchange_bundles(s0) if args.branch == "psi" else s0
+        return vortex.random_smooth_state(
+            n, solved.r1, solved.r2, args.vol, rng, args.amplitude, args.tau
+        )
 
-    results = vortex.solve_ladder(
-        sample, args.grid, p, tol=args.tol, max_iter=args.max_iter, branch=args.branch
-    )
+    results = vortex.solve_ladder(sample, args.grid, solved, tol=args.tol, max_iter=args.max_iter)
     result = results[-1]
+    if mirror:
+        state = vortex.exchange_bundles(result.state)
+        result = replace(result, state=state, breakdown=vortex.residual_breakdown(state, p))
     levels = [
         {"grid": r.state.N, "iterations": r.iterations, "stop_reason": r.stop_reason}
         for r in results
@@ -291,17 +299,17 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
         "moment_map": result.moment_map_value,
         "levels": levels,
     }
-    # The branch's section (phi, or psi on its mirror) has coupling tau, or
-    # tau' on the mirror; a degree-0 bundle carries it only when that is > 0.
-    name, coupling = ("tau", args.tau) if args.branch == "phi" else ("tau'", p.tau_prime)
-    if not result.converged and coupling <= 0:
-        floor = coupling * coupling * args.vol / 8.0
+    # The solved section has coupling solved.tau (tau, or tau' on the
+    # mirror); a degree-0 bundle carries it only when that is > 0.
+    if not result.converged and solved.tau <= 0:
+        name = "tau'" if mirror else "tau"
+        floor = solved.tau * solved.tau * args.vol / 8.0
         report["note"] = (
             "no solution expected: a nonzero section on a degree-0 bundle "
             f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
         )
     if args.dump_fields:
-        _dump_fields(args.dump_fields, result.state, args)
+        _dump_fields(args.dump_fields, result.state, args.vol)
     bd = result.breakdown
     lines = [
         f"params: r1={args.rank1} r2={args.rank2} N={args.grid} vol={args.vol} "
@@ -322,12 +330,12 @@ def _run_vortex(args: argparse.Namespace) -> tuple[dict[str, Any], str, int]:
     return report, "\n".join(lines) + "\n", 0
 
 
-def _dump_fields(path: str, s: vortex.LatticeState, args: argparse.Namespace) -> None:
+def _dump_fields(path: str, s: vortex.LatticeState, vol: float) -> None:
     header = {
         "N": s.N,
         "rank1": s.r1,
         "rank2": s.r2,
-        "vol": float(args.vol),
+        "vol": float(vol),
         "fields": vortex.BLOCKS,
         "shapes": {name: getattr(s, name).shape for name in vortex.BLOCKS},
         "dtype": "<c16",

@@ -48,23 +48,26 @@ tau) with (A2, theta2, psi, tau_prime), swaps W1, W3, W4 with W2, W5, W6,
 so the E2 half of each energy, residual and gradient runs the E1 formulas
 on ``_Fields.exchanged()``; ``exchange_bundles`` swaps a state.
 
+One problem.  ``solve`` solves the section branch: it holds theta2 and psi
+at zero and flows the FLOWS blocks A1, A2, theta1 and phi.  The mirror
+branch, with theta1 and phi at zero, is the same problem on the exchanged
+bundles, so it is solved there and exchanged back.
+
 Zero blocks.  The solver's kernels never form a term with a factor that is
 zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
 that vanishes at every site by ``_ZERO``, the zero block: it absorbs
 products, drops out of sums and passes through the derivative, norm and
 preconditioner kernels, so the formulas below are written once and the
-terms it touches are skipped.  On the branches ``solve`` zeroes the frozen
-blocks (psi and theta2 on the phi branch, phi and theta1 on its mirror),
-which removes W5 and W6 (or W3 and W4), the psi (or phi) half of the
-moment maps and of the intertwining, and every gradient term that carries
-them.  The skip rests on the data alone: a branch only decides which
-gradient blocks are built, and ``residual_gradient`` still returns every
-block as an array.  Commutators of 1x1 blocks are zero, since scalars
-commute, and ``_comm`` returns them as _ZERO without forming a product.
+terms it touches are skipped.  In a solve theta2 and psi are zero, which
+removes W5 and W6, the psi half of the moment maps and of the
+intertwining, and every gradient term that carries them.  The skip rests
+on the data alone; ``residual_gradient`` still returns every block as an
+array.  Commutators of 1x1 blocks are zero, since scalars commute, and
+``_comm`` returns them as _ZERO without forming a product.
 
 Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: its
-kernel and a workspace with a site plane for every entry of the blocks the
-branch flows.  Each iteration packs the live gradient blocks into that
+kernel and a workspace with a site plane for every entry of the FLOWS
+blocks.  Each iteration packs the live gradient blocks into that
 workspace and transforms them together in place, one forward and one
 inverse 1-D transform per site axis, in the order fft2 and ifft2 take.
 """
@@ -87,15 +90,8 @@ DEVIATION_WEIGHT = 0.25
 MIN_GRID = 4
 
 BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
-_FROZEN = {"phi": ("psi", "theta2"), "psi": ("phi", "theta1"), None: ()}
-
-
-def _frozen(branch: Optional[str]) -> tuple[str, ...]:
-    """The blocks a branch freezes; every read of _FROZEN goes through here."""
-    if branch not in _FROZEN:
-        allowed = ", ".join(map(repr, _FROZEN))
-        raise ValueError(f"branch must be one of {allowed}, got {branch!r}")
-    return _FROZEN[branch]
+# The blocks solve flows, in BLOCKS order; it holds theta2 and psi at zero.
+FLOWS = ("A1", "A2", "theta1", "phi")
 
 
 class NotConvergedError(RuntimeError):
@@ -465,8 +461,8 @@ def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
         "intertwining": k * (_frob2(w["W4"]) + _frob2(w["W6"])),
         "eq1_max": site_max(w["W1"]),
         "eq2_max": site_max(w["W2"]),
-        # phi's intertwining defect is W4 and psi's is W6; a branch freezes
-        # one of them at zero, so both are read.
+        # phi's intertwining defect is W4 and psi's is W6; a state on either
+        # branch holds one of them at zero, so both are read.
         "theta_s_sup": 0.5 * float(np.maximum(site_max(w["W4"]), site_max(w["W6"]))),
     }
 
@@ -491,16 +487,14 @@ def _antiherm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - _adj(m))
 
 
-def residual_gradient(
-    s: LatticeState, p: VortexParams, branch: Optional[str] = None
-) -> dict[str, np.ndarray]:
+def residual_gradient(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
     """Gradient of residual_energy in the convention dE = 2 Re sum tr(g^H dq).
 
-    A-blocks are returned as anti-Hermitian per-direction stacks (the
-    projection of the unconstrained gradient onto the constraint manifold);
-    blocks frozen by the branch come back as zeros.
+    Every block is returned as an array.  A-blocks are anti-Hermitian
+    per-direction stacks (the projection of the unconstrained gradient onto
+    the constraint manifold).
     """
-    grad = _gradient(s, _residual_fields(s, p), branch)
+    grad = _gradient(s, _residual_fields(s, p), BLOCKS)
     return {
         name: np.zeros_like(getattr(s, name)) if g is _ZERO else g
         for name, g in grad.items()
@@ -546,16 +540,16 @@ def _section_gradient(
 
 
 def _gradient(
-    s: LatticeState, w: dict[str, np.ndarray], branch: Optional[str]
+    s: LatticeState, w: dict[str, np.ndarray], flows: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    """residual_gradient from the residual fields w already computed at s.
+    """The blocks named in flows of residual_gradient, in BLOCKS order,
+    from the residual fields w already computed at s.
 
     The formulas above give the A1 (its z-part), theta1 and phi blocks; on
     the exchanged fields, with W2, W5, W6 for W1, W3, W4, the A2, theta2
-    and psi blocks.  Blocks the branch freezes, and blocks whose every
-    term has a zero factor, are _ZERO.
+    and psi blocks.  A block whose every term has a zero factor is _ZERO;
+    W1 and W2 always hold their tau terms, so the A blocks are arrays.
     """
-    frozen = _frozen(branch)
     f = _Fields(s)
     e = f.exchanged()
     w1, w2 = w["W1"], w["W2"]
@@ -564,24 +558,18 @@ def _gradient(
     w1h, w1a = w1 + w1d, w1 - w1d
     w2h, w2a = w2 + w2d, w2 - w2d
 
-    # The A blocks are never frozen; the other blocks are built only when
-    # the branch flows them.  W1 and W2 always hold their tau terms, so
-    # they, and the A blocks, are arrays.
-    g_z1 = _connection_gradient(f, w1h, w1a, w3, w5)
-    g_z2 = _connection_gradient(e, w2h, w2a, w5, w3)
+    def potential(g_z: np.ndarray) -> np.ndarray:
+        return 0.5 * np.stack([_antiherm(g_z), _antiherm(1j * g_z)])
+
     blocks = {
+        "A1": lambda: potential(_connection_gradient(f, w1h, w1a, w3, w5)),
+        "A2": lambda: potential(_connection_gradient(e, w2h, w2a, w5, w3)),
         "theta1": lambda: _higgs_gradient(f, w1h, w1a, w4, w6),
         "theta2": lambda: _higgs_gradient(e, w2h, w2a, w6, w4),
         "phi": lambda: _section_gradient(f, w1h, w2h, w3, w4),
         "psi": lambda: _section_gradient(e, w2h, w1h, w5, w6),
     }
-    grad = {
-        "A1": 0.5 * np.stack([_antiherm(g_z1), _antiherm(1j * g_z1)]),
-        "A2": 0.5 * np.stack([_antiherm(g_z2), _antiherm(1j * g_z2)]),
-    }
-    for name, block in blocks.items():
-        grad[name] = _ZERO if name in frozen else block()
-    return grad
+    return {name: blocks[name]() for name in BLOCKS if name in flows}
 
 
 def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
@@ -590,7 +578,8 @@ def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
 
 
 def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> LatticeState:
-    return replace(s, **{name: getattr(s, name) - eta * grad[name] for name in BLOCKS})
+    """s - eta grad on the blocks grad holds; the others are kept."""
+    return replace(s, **{name: getattr(s, name) - eta * g for name, g in grad.items()})
 
 
 class _Preconditioner:
@@ -604,24 +593,23 @@ class _Preconditioner:
 
     ``solve`` builds one per solve.  It holds the kernel and one complex
     workspace of shape (planes, N, N), a site plane for every matrix entry
-    (and direction) of the blocks the branch flows.  A call copies the live
-    blocks into the workspace and transforms all planes in place with one
-    1-D transform pair per site axis, the last axis first, which is the
-    order fft2 and ifft2 use, so the result equals theirs bit for bit.
+    (and direction) of the FLOWS blocks, and is called on gradients of
+    those blocks only.  A call copies the live blocks into the workspace
+    and transforms all planes in place with one 1-D transform pair per
+    site axis, the last axis first, which is the order fft2 and ifft2 use,
+    so the result equals theirs bit for bit.
     Each block is then copied out into a fresh array: nothing returned is a
     view of the workspace, which the next call overwrites.  A _ZERO block
-    (frozen by the branch, or with no nonzero term) maps to _ZERO without
-    being packed.
+    (one with no nonzero term) maps to _ZERO without being packed.
     """
 
-    def __init__(self, s: LatticeState, p: VortexParams, branch: Optional[str]) -> None:
+    def __init__(self, s: LatticeState, p: VortexParams) -> None:
         sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
         omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
         mass = max(1.0, abs(p.tau) + abs(p.tau_prime))
         self.kernel = 1.0 / (mass + 4.0 * omega2)
         sites = s.N * s.N
-        frozen = _frozen(branch)
-        planes = sum(getattr(s, name).size // sites for name in BLOCKS if name not in frozen)
+        planes = sum(getattr(s, name).size // sites for name in FLOWS)
         self.work = np.empty((planes, s.N, s.N), dtype=np.complex128)
 
     def __call__(self, grad: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -734,7 +722,6 @@ def solve(
     p: VortexParams,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    branch: Optional[str] = "phi",
 ) -> SolveResult:
     """Minimize residual_energy by preconditioned nonlinear conjugate gradients.
 
@@ -747,18 +734,17 @@ def solve(
     monotone and the iteration deterministic.  One iteration costs three
     evaluations of the residual fields: two probes along the line and the
     new state, whose fields give both its energy and its gradient.
-    branch "phi" freezes psi and theta2 at zero (the section-carrying
-    specialization); "psi" mirrors; None flows every block.  Converged
-    means residual_energy <= tol.  stop_reason names why the solve
-    ended: "converged"; "max_iter" when the budget is
-    spent first; "zero_gradient" when the (preconditioned) gradient
-    vanishes; "no_decrease" when the exact step or the recomputed energy
-    does not lower the energy; "non_finite" when the energy, a line
-    coefficient or the new energy is not finite.  The last three set
-    stalled=True.  It raises only on an unknown branch.
+    The solve starts from s0 with theta2 and psi set to zero and flows the
+    FLOWS blocks (see "One problem" above).  Converged means
+    residual_energy <= tol.  stop_reason names why the solve ended:
+    "converged"; "max_iter" when the budget is spent first;
+    "zero_gradient" when the (preconditioned) gradient vanishes;
+    "no_decrease" when the exact step or the recomputed energy does not
+    lower the energy; "non_finite" when the energy, a line coefficient or
+    the new energy is not finite.  The last three set stalled=True.
     """
-    frozen = {name: np.zeros_like(getattr(s0, name)) for name in _frozen(branch)}
-    s = replace(s0, **frozen) if frozen else s0
+    s = replace(s0, **{name: np.zeros_like(getattr(s0, name))
+                       for name in BLOCKS if name not in FLOWS})
     w = _residual_fields(s, p)
     energy = _energy(s, w)
     history = [energy]
@@ -766,14 +752,14 @@ def solve(
     stop_reason = "max_iter"
     iterations = 0
     prev: Optional[tuple[dict[str, np.ndarray], float, dict[str, np.ndarray]]] = None
-    precondition = _Preconditioner(s, p, branch)
+    precondition = _Preconditioner(s, p)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
         if not math.isfinite(energy):
             stop_reason = "non_finite"
             break
-        grad = _gradient(s, w, branch)
+        grad = _gradient(s, w, FLOWS)
         pgrad = precondition(grad)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
@@ -825,7 +811,6 @@ def solve_ladder(
     p: VortexParams,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    branch: Optional[str] = "phi",
 ) -> list[SolveResult]:
     """Solve coarse to fine: one SolveResult per grid, the last at N.
 
@@ -846,13 +831,13 @@ def solve_ladder(
     results: list[SolveResult] = []
     start = sample(grids[0])
     for _ in grids[:-1]:
-        result = solve(start, p, tol=tol, max_iter=max_iter, branch=branch)
+        result = solve(start, p, tol=tol, max_iter=max_iter)
         results.append(result)
         if not result.converged:
             start = sample(N)
             break
         start = prolong_state(result.state)
-    results.append(solve(start, p, tol=tol, max_iter=max_iter, branch=branch))
+    results.append(solve(start, p, tol=tol, max_iter=max_iter))
     return results
 
 
@@ -1100,7 +1085,8 @@ def gauge_transform(s: LatticeState, u1: np.ndarray, u2: np.ndarray) -> LatticeS
 def exchange_bundles(s: LatticeState) -> LatticeState:
     """The state with its two bundles exchanged, sharing its arrays.  Under
     VortexParams(r1=r2, tau=tau_prime, r2=r1) its residual fields are the
-    swapped ones, and its psi branch is the phi branch of s."""
+    swapped ones, so a state with theta1 and phi zero becomes one of the
+    problem ``solve`` solves."""
     return replace(s, A1=s.A2, A2=s.A1, theta1=s.theta2, theta2=s.theta1, phi=s.psi, psi=s.phi)
 
 

@@ -426,6 +426,47 @@ def test_vortex_grid_32_solves_coarse_to_fine(capsys, branch: str, tau: str) -> 
     ]
 
 
+def read_dump(path: Path) -> dict[str, np.ndarray]:
+    """The blocks of a --dump-fields file by name."""
+    blob = path.read_bytes()
+    newline = blob.index(b"\n")
+    header = json.loads(blob[:newline])
+    blocks, at = {}, newline + 1
+    for name in header["fields"]:
+        shape = header["shapes"][name]
+        size = int(np.prod(shape)) * 16
+        blocks[name] = np.frombuffer(blob[at : at + size], dtype="<c16").reshape(shape)
+        at += size
+    assert at == len(blob)
+    return blocks
+
+
+@pytest.mark.parametrize("grid", [8, 32])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_vortex_psi_branch_is_the_exchanged_phi_branch(capsys, tmp_path, rank: int, grid: int) -> None:
+    # With equal ranks, the psi branch at tau = -1 is the phi branch at
+    # tau = 1 with the two bundles exchanged: tau' = -tau at degree 0.
+    reports, dumps = {}, {}
+    for branch, tau in (("phi", "1.0"), ("psi", "-1.0")):
+        dumps[branch] = tmp_path / f"{branch}.bin"
+        argv = vortex_args(**{
+            "--rank1": str(rank), "--rank2": str(rank), "--grid": str(grid),
+            "--tau": tau, "--branch": branch, "--dump-fields": str(dumps[branch]),
+        })
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        reports[branch] = json.loads(out)
+    phi, psi = reports["phi"], reports["psi"]
+    for key in ("residual", "iterations", "levels", "stop_reason", "converged", "moment_map"):
+        assert psi[key] == phi[key], key
+    swap = {"eq1": "eq2", "eq2": "eq1", "eq1_max": "eq2_max", "eq2_max": "eq1_max"}
+    assert psi["breakdown"] == {swap.get(k, k): v for k, v in phi["breakdown"].items()}
+    phi_blocks, psi_blocks = read_dump(dumps["phi"]), read_dump(dumps["psi"])
+    pairs = (("A1", "A2"), ("theta1", "theta2"), ("phi", "psi"))
+    for one, two in pairs + tuple((b, a) for a, b in pairs):
+        assert np.array_equal(psi_blocks[one], phi_blocks[two]), one
+
+
 @pytest.mark.parametrize("grid", [8, 16])
 def test_vortex_small_grids_solve_cold(capsys, grid: int) -> None:
     # The rank-2 grids of the benchmark: below 32 the report is the cold

@@ -114,17 +114,16 @@ def test_a_gradient_blocks_are_anti_hermitian() -> None:
 
 
 def test_branch_freezes_blocks() -> None:
+    # The solver's gradient holds the blocks it flows, the section branch's,
+    # each equal to the full gradient's block; theta2 and psi are not built.
     rng = np.random.default_rng(41)
     s = dense_state(6, 2, 2, rng)
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     full = vx.residual_gradient(s, p)
-    for branch, frozen in (("phi", ("psi", "theta2")), ("psi", ("phi", "theta1"))):
-        grad = vx.residual_gradient(s, p, branch)
-        for name in BLOCKS:
-            if name in frozen:
-                assert not grad[name].any()
-            else:
-                assert np.array_equal(grad[name], full[name])
+    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    assert list(grad) == ["A1", "A2", "theta1", "phi"]
+    for name, g in grad.items():
+        assert np.array_equal(g, full[name]), name
 
 
 def test_gradient_vanishes_at_exact_solution() -> None:
@@ -139,7 +138,7 @@ def test_solve_decreases_energy_every_iteration() -> None:
     rng = np.random.default_rng(43)
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.random_state(8, 1, rng=rng, amplitude=0.5)
-    res = vx.solve(s, p, tol=0.0, max_iter=5, branch=None)
+    res = vx.solve(s, p, tol=0.0, max_iter=5)
     hist = res.energy_history
     assert res.iterations == 5 and len(hist) == 6
     assert all(b < a for a, b in zip(hist, hist[1:]))
@@ -148,16 +147,20 @@ def test_solve_decreases_energy_every_iteration() -> None:
 def test_solve_at_fixed_point_returns_same_object() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.constant_solution_state(8, p)
-    res = vx.solve(s, p, tol=0.0, branch=None)
-    assert res.state is s
+    res = vx.solve(s, p, tol=0.0)
+    # solve rebuilds the state to zero theta2 and psi, so "the same object"
+    # is the same arrays: the start comes back without a step.
     assert res.iterations == 0
+    assert res.stop_reason == "converged"
+    for name in BLOCKS:
+        assert np.array_equal(getattr(res.state, name), getattr(s, name)), name
 
 
 def test_solve_branch_keeps_frozen_blocks() -> None:
     rng = np.random.default_rng(47)
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     s = dense_state(6, 2, 2, rng)
-    out = vx.solve(s, p, tol=0.0, max_iter=1, branch="phi").state
+    out = vx.solve(s, p, tol=0.0, max_iter=1).state
     assert not out.psi.any()
     assert not out.theta2.any()
     assert not np.array_equal(out.phi, s.phi)
@@ -171,7 +174,7 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
         w = vx._residual_fields(s, p)
-        dirn = vx._Preconditioner(s, p, None)(vx._gradient(s, w, None))
+        dirn = vx._Preconditioner(s, p)(vx._gradient(s, w, vx.FLOWS))
         eta = vx._exact_step(s, p, dirn, w, 1.0)
         assert eta > 0.0
         best = vx.residual_energy(vx._apply_step(s, dirn, eta), p)

@@ -1,7 +1,7 @@
 """The per-site kernels behind the residual fields, against oracles that
 share no code with them: numpy's matmul, an np.roll central difference and
 the residual fields assembled in their split form.  Last, the exchange of
-the two bundles as an exact symmetry of the fields, gradient and solve."""
+the two bundles as an exact symmetry of the fields and the gradient."""
 
 from __future__ import annotations
 
@@ -165,7 +165,7 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(59 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        grad = vx._gradient(s, vx._residual_fields(s, p), None)
+        grad = vx._gradient(s, vx._residual_fields(s, p), vx.BLOCKS)
         norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
         for name in BLOCKS:
             v = cfield(rng, *getattr(s, name).shape)
@@ -203,23 +203,22 @@ def fft2_precondition(
 def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     # The packed in-place transforms take the same 1-D passes in the same
     # order as fft2 and ifft2, so the blocks agree bit for bit; also when a
-    # block the branch flows is _ZERO and the packing skips it.
+    # block the solver flows is _ZERO and the packing skips it.
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
-    for branch, zero_blocks in ZERO_BLOCKS.items():
-        rng = np.random.default_rng(71 + 10 * r1 + r2)
-        s = branch_state(r1, r2, branch, rng)
-        grad = vx._gradient(s, vx._residual_fields(s, p), branch)
-        live = next(name for name in ("theta1", "theta2") if name not in zero_blocks)
-        precondition = vx._Preconditioner(s, p, branch)
-        for g in (grad, dict(grad, **{live: vx._ZERO})):
-            got = precondition(g)
-            want = fft2_precondition(g, s, p)
-            assert list(got) == list(want), branch
-            for name, ref in want.items():
-                if ref is vx._ZERO:
-                    assert got[name] is vx._ZERO, (branch, name)
-                else:
-                    assert np.array_equal(got[name], ref), (branch, name)
+    rng = np.random.default_rng(71 + 10 * r1 + r2)
+    s = branch_state(r1, r2, "phi", rng)
+    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    assert list(grad) == list(vx.FLOWS)
+    precondition = vx._Preconditioner(s, p)
+    for g in (grad, dict(grad, theta1=vx._ZERO)):
+        got = precondition(g)
+        want = fft2_precondition(g, s, p)
+        assert list(got) == list(want)
+        for name, ref in want.items():
+            if ref is vx._ZERO:
+                assert got[name] is vx._ZERO, name
+            else:
+                assert np.array_equal(got[name], ref), name
 
 
 def test_preconditioner_results_outlive_the_next_call() -> None:
@@ -227,9 +226,9 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     # be a view of it.
     p = vx.VortexParams(r1=2, tau=0.8, r2=1)
     rng = np.random.default_rng(83)
-    s = branch_state(2, 1, None, rng)
-    grad = vx._gradient(s, vx._residual_fields(s, p), None)
-    precondition = vx._Preconditioner(s, p, None)
+    s = branch_state(2, 1, "phi", rng)
+    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    precondition = vx._Preconditioner(s, p)
     first = precondition(grad)
     kept = {name: g.copy() for name, g in first.items()}
     precondition({name: 2.0 * g + 1.0 for name, g in grad.items()})
@@ -272,21 +271,6 @@ def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
         assert (t.r1, t.r2) == (r2, r1)
         w, wt = vx._residual_fields(s, p), vx._residual_fields(t, q)
         assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
-        grad, grad_t = vx._gradient(s, w, None), vx._gradient(t, wt, None)
+        grad, grad_t = vx._gradient(s, w, vx.BLOCKS), vx._gradient(t, wt, vx.BLOCKS)
         assert_swapped(grad_t, grad, EXCHANGED_BLOCKS, branch)
 
-
-@pytest.mark.parametrize("r1, r2, N", [(r1, r2, 8) for r1, r2 in RANK_PAIRS] + [(1, 1, 16)])
-def test_psi_branch_solve_is_the_exchanged_phi_branch_solve(r1: int, r2: int, N: int) -> None:
-    p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
-    s0 = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(7), 0.1, 1.0)
-    res = vx.solve(s0, p, max_iter=60, branch="phi")
-    mirrored = vx.solve(vx.exchange_bundles(s0), exchanged_params(p), max_iter=60, branch="psi")
-    assert len(res.energy_history) > 1
-    assert mirrored.energy_history == res.energy_history
-    assert mirrored.stop_reason == res.stop_reason
-    swapped = {"eq1": "eq2", "eq2": "eq1", "eq1_max": "eq2_max", "eq2_max": "eq1_max"}
-    assert mirrored.breakdown == {swapped.get(key, key): v for key, v in res.breakdown.items()}
-    back = vx.exchange_bundles(mirrored.state)
-    for name in BLOCKS:
-        assert np.array_equal(getattr(back, name), getattr(res.state, name)), name

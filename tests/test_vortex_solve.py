@@ -87,17 +87,19 @@ def test_negative_tau_cannot_converge_on_section_branch() -> None:
 
 
 def test_negative_tau_converges_on_mirror_branch() -> None:
+    # The mirror branch (phi = theta1 = 0) at tau = -1 is the section
+    # branch of the exchanged bundles, whose coupling is tau' = 1.
     rng = np.random.default_rng(7)
-    src = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    mirrored = vx.LatticeState(
-        N=src.N, a=src.a, A1=src.A2, A2=src.A1,
-        theta1=src.theta2, theta2=src.theta1,
-        phi=src.psi, psi=src.phi,
+    mirrored = vx.exchange_bundles(
+        vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
     )
     p = vx.VortexParams(r1=1, tau=-1.0)
-    res = vx.solve(mirrored, p, tol=1e-20, max_iter=5000, branch="psi")
+    q = vx.VortexParams(r1=p.r2, tau=p.tau_prime, r2=p.r1)
+    res = vx.solve(vx.exchange_bundles(mirrored), q, tol=1e-20, max_iter=5000)
     assert res.converged
-    s = res.state
+    s = vx.exchange_bundles(res.state)
+    assert not s.phi.any() and not s.theta1.any()
+    assert vx.residual_energy(s, p) <= 1e-20
     total = s.a * s.a * float(np.sum(np.abs(s.psi) ** 2))
     assert total == pytest.approx(p.tau_prime * s.vol, abs=1e-9)
 
@@ -355,21 +357,6 @@ def test_prolonged_constant_solution_stays_exact() -> None:
     assert vx.residual_energy(fine, p) <= 1e-24
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda s, p: vx.solve(s, p, max_iter=1, branch="bogus"),
-        lambda s, p: vx.residual_gradient(s, p, "bogus"),
-    ],
-    ids=["solve", "residual_gradient"],
-)
-def test_unknown_branch_names_the_allowed_values(entry) -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    s = vx.zero_state(4, 1)
-    with pytest.raises(ValueError, match="branch must be one of 'phi', 'psi', None, got 'bogus'"):
-        entry(s, p)
-
-
 def test_solve_projects_frozen_blocks_at_entry() -> None:
     rng = np.random.default_rng(19)
     p = vx.VortexParams(r1=1, tau=1.0)
@@ -379,7 +366,7 @@ def test_solve_projects_frozen_blocks_at_entry() -> None:
         psi=np.full((8, 8, 1, 1), 0.3, dtype=np.complex128),
         theta2=np.full((8, 8, 1, 1), 0.2j, dtype=np.complex128),
     )
-    res = vx.solve(dirty, p, tol=1e-12, max_iter=5000, branch="phi")
+    res = vx.solve(dirty, p, tol=1e-12, max_iter=5000)
     assert res.converged
     assert not res.state.psi.any()
     assert not res.state.theta2.any()
