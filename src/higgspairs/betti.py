@@ -42,8 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, sub
 
-from .series import FormulaIntegrityError, LaurentPoly, exact_divide, render
+from .series import FormulaIntegrityError, LaurentPoly, _trimmed, exact_divide, render
 from .stability import require_valid
 from .strata import StratumDescriptor, d_range, stratum_descriptor
 
@@ -115,15 +117,22 @@ class PoincarePolynomial:
 
 
 def _macdonald(n: int, g: int) -> LaurentPoly:
-    """P_n(t), the coefficient of x^n in (1+tx)^(2g) / ((1-x)(1-t^2 x))."""
+    """P_n(t), the coefficient of x^n in (1+tx)^(2g) / ((1-x)(1-t^2 x)).
+
+    Each j <= min(2g, n) adds C(2g, j) along the stride-2 run of exponents
+    j, j+2, ..., 2n-j.  The runs are marked in a difference array, +C(2g, j)
+    at j and -C(2g, j) at 2n+2-j, and summed with stride 2: O(n + g).
+    """
     if n < 0:
         return LaurentPoly()
-    cs = [0] * (2 * n + 1)
+    cs = [0] * (2 * n + 3)
     for j in range(min(2 * g, n) + 1):
         binom = math.comb(2 * g, j)
-        for i in range(n - j + 1):
-            cs[j + 2 * i] += binom
-    return LaurentPoly(cs)
+        cs[j] += binom
+        cs[2 * n + 2 - j] -= binom
+    cs[0::2] = accumulate(cs[0::2])
+    cs[1::2] = accumulate(cs[1::2])
+    return _trimmed(cs)
 
 
 def sym_poincare(n: int, g: int) -> PoincarePolynomial:
@@ -150,12 +159,17 @@ def _pairs_bracket_coeff(p) -> LaurentPoly:
     f = math.floor(Fraction(p.tau_bar))
     m = k - 1 - f
     c = g + 1 - k + 2 * f
-    bracket = LaurentPoly()
+    # P_(m-i) has degree 2(m-i): its +copy at t^(2m-2i) ends at t^(4m-4i),
+    # its -copy at t^(2c+4i) ends at t^(2c+2m+2i).
+    low = min(0, 2 * c)
+    cs = [0] * (max(4 * m, 2 * c + 4 * m) + 1 - low)
     for i in range(m + 1):
-        pair = LaurentPoly.from_terms([(2 * m - 2 * i, 1), (2 * c + 4 * i, -1)])
-        bracket = bracket + pair * _macdonald(m - i, g)
-    one_plus_t = LaurentPoly([math.comb(2 * g, j) for j in range(2 * g + 1)])
-    return one_plus_t * bracket
+        p_mi = _macdonald(m - i, g).coeffs
+        for start, op in ((2 * m - 2 * i - low, add), (2 * c + 4 * i - low, sub)):
+            stop = start + len(p_mi)
+            cs[start:stop] = map(op, cs[start:stop], p_mi)
+    one_plus_t = _trimmed([math.comb(2 * g, j) for j in range(2 * g + 1)])
+    return one_plus_t * _trimmed(cs, low)
 
 
 def pairs_poincare_n0(p) -> PoincarePolynomial:
@@ -166,8 +180,8 @@ def pairs_poincare_n0(p) -> PoincarePolynomial:
     FormulaIntegrityError.
     """
     numerator = _pairs_bracket_coeff(p)
-    negatives = [e for e, _ in numerator.terms() if e < 0]
-    if negatives:
+    if numerator.low < 0:
+        negatives = [e for e, _ in numerator.terms() if e < 0]
         raise FormulaIntegrityError(
             f"negative t-exponents {negatives} survive the bracket difference"
         )
@@ -230,10 +244,9 @@ def _extraction(p, n0: PoincarePolynomial, y_exponent_convention: str) -> Poinca
             y_target = target - (d + 2 * g)
         else:
             y_target = target - (d - 2 * g)
-        term = (_macdonald(x_target, g) * _macdonald(y_target, g)).shift(index)
-        result = result + LaurentPoly.from_terms(
-            (e, c) for e, c in term.terms() if e <= cap
-        )
+        term = _macdonald(x_target, g) * _macdonald(y_target, g)
+        low = term.low + index
+        result = result + _trimmed(term.coeffs[: max(cap - low + 1, 0)], low)
     return PoincarePolynomial(result)
 
 

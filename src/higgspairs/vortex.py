@@ -409,18 +409,18 @@ def ymh_energy(s: LatticeState, p: VortexParams) -> float:
     return f.k * (curv + kin_phi + kin_psi + DEVIATION_WEIGHT * (dev1 + dev2))
 
 
-def _residual_fields(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
-    """The six residual fields whose squared norms sum to residual_energy.
+def _residual_fields(f: _Fields, p: VortexParams) -> dict[str, np.ndarray]:
+    """The six residual fields of the state f was built from; their squared
+    norms sum to residual_energy.
 
     W1, W2 are the two vortex-equation residuals (2 F_z_zbar of the
     Higgs-coupled connection appears as i Lambda R); W3..W6 are twice the
     holomorphicity and intertwining defects of phi and psi.  A field whose
     every term has a zero factor is _ZERO.
     """
-    f = _Fields(s)
     e = f.exchanged()
-    eye1 = np.eye(s.r1)
-    eye2 = np.eye(s.r2)
+    eye1 = np.eye(f.Z1.shape[-1])
+    eye2 = np.eye(f.Z2.shape[-1])
     g1 = f.curvature()
     g2 = e.curvature()
     return {
@@ -443,12 +443,12 @@ def residual_energy(s: LatticeState, p: VortexParams) -> float:
     Zero exactly at discrete solutions of the coupled equations together
     with D_zbar phi = 0, theta-intertwining of phi, and the psi mirrors.
     """
-    return _energy(s, _residual_fields(s, p))
+    return _energy(s, _residual_fields(_Fields(s), p))
 
 
 def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
     """Named parts of residual_energy plus pointwise diagnostics."""
-    w = _residual_fields(s, p)
+    w = _residual_fields(_Fields(s), p)
     k = s.a * s.a
 
     def site_max(m: np.ndarray) -> float:
@@ -494,7 +494,8 @@ def residual_gradient(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]
     per-direction stacks (the projection of the unconstrained gradient onto
     the constraint manifold).
     """
-    grad = _gradient(s, _residual_fields(s, p), BLOCKS)
+    f = _Fields(s)
+    grad = _gradient(f, _residual_fields(f, p), BLOCKS)
     return {
         name: np.zeros_like(getattr(s, name)) if g is _ZERO else g
         for name, g in grad.items()
@@ -540,17 +541,16 @@ def _section_gradient(
 
 
 def _gradient(
-    s: LatticeState, w: dict[str, np.ndarray], flows: tuple[str, ...]
+    f: _Fields, w: dict[str, np.ndarray], flows: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
-    """The blocks named in flows of residual_gradient, in BLOCKS order,
-    from the residual fields w already computed at s.
+    """The blocks named in flows of residual_gradient, in BLOCKS order, at
+    the state f was built from, given its residual fields w.
 
     The formulas above give the A1 (its z-part), theta1 and phi blocks; on
     the exchanged fields, with W2, W5, W6 for W1, W3, W4, the A2, theta2
     and psi blocks.  A block whose every term has a zero factor is _ZERO;
     W1 and W2 always hold their tau terms, so the A blocks are arrays.
     """
-    f = _Fields(s)
     e = f.exchanged()
     w1, w2 = w["W1"], w["W2"]
     w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
@@ -657,8 +657,8 @@ def _exact_step(
     coefficient is not finite.
     """
     c = np.zeros(5)
-    wp = _residual_fields(_apply_step(s, dirn, -h), p)
-    wm = _residual_fields(_apply_step(s, dirn, h), p)
+    wp = _residual_fields(_Fields(_apply_step(s, dirn, -h)), p)
+    wm = _residual_fields(_Fields(_apply_step(s, dirn, h)), p)
     for name, v0 in w0.items():
         hb = 0.5 * (wp[name] - wm[name])
         h2c = 0.5 * (wp.pop(name) + wm.pop(name)) - v0
@@ -733,7 +733,8 @@ def solve(
     the energy recomputed at the new state is lower, so the energy is
     monotone and the iteration deterministic.  One iteration costs three
     evaluations of the residual fields: two probes along the line and the
-    new state, whose fields give both its energy and its gradient.
+    new state, whose _Fields and residual fields give both its energy and
+    its gradient.
     The solve starts from s0 with theta2 and psi set to zero and flows the
     FLOWS blocks (see "One problem" above).  Converged means
     residual_energy <= tol.  stop_reason names why the solve ended:
@@ -745,7 +746,8 @@ def solve(
     """
     s = replace(s0, **{name: np.zeros_like(getattr(s0, name))
                        for name in BLOCKS if name not in FLOWS})
-    w = _residual_fields(s, p)
+    f = _Fields(s)
+    w = _residual_fields(f, p)
     energy = _energy(s, w)
     history = [energy]
     step = 1.0
@@ -759,7 +761,7 @@ def solve(
         if not math.isfinite(energy):
             stop_reason = "non_finite"
             break
-        grad = _gradient(s, w, FLOWS)
+        grad = _gradient(f, w, FLOWS)
         pgrad = precondition(grad)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
@@ -780,12 +782,13 @@ def solve(
             stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
         cand = _apply_step(s, dirn, step)
-        w_new = _residual_fields(cand, p)
+        f_new = _Fields(cand)
+        w_new = _residual_fields(f_new, p)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
             stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
             break
-        s, w, energy = cand, w_new, e_new
+        s, f, w, energy = cand, f_new, w_new, e_new
         history.append(energy)
         iterations += 1
 

@@ -13,6 +13,7 @@ from higgspairs.betti import (
     CORRECTED,
     ModuliParams,
     PoincarePolynomial,
+    _macdonald,
     betti_report,
     pairs_poincare_n0,
     stratum_poincare,
@@ -63,9 +64,13 @@ def euler_characteristic(poly: PoincarePolynomial) -> int:
 
 
 def test_sym_poincare_matches_convolution_oracle():
-    for g in range(0, 4):
-        for n in range(0, 9):
+    # n <= 70 covers every P_n a benchmark-ladder report takes: g = 2..8
+    # at k = 4g - 3 and (8, 61) reach n = 62.
+    for g in range(0, 9):
+        for n in range(0, 71):
             assert sym_poincare(n, g).as_pairs() == macdonald_oracle(n, g)
+        for n in (-1, -2, -7):
+            assert _macdonald(n, g) == LaurentPoly()
 
 
 def test_sym_poincare_base_cases():
@@ -161,6 +166,50 @@ def test_pairs_polynomial_palindromic_with_vanishing_euler_characteristic():
         for e, c in poly.as_pairs():
             assert poly.coeff(top - e) == c, (p.g, p.k, e)
         assert euler_characteristic(poly) == 0, (p.g, p.k)
+
+
+def dict_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e, x in a.items():
+        for f, y in b.items():
+            out[e + f] = out.get(e + f, 0) + x * y
+    return out
+
+
+def dict_add(a: dict[int, int], b: dict[int, int], sign: int = 1) -> dict[int, int]:
+    out = dict(a)
+    for e, y in b.items():
+        out[e] = out.get(e, 0) + sign * y
+    return out
+
+
+def projective_space(n: int) -> dict[int, int]:
+    """P(P^n) = 1 + t^2 + ... + t^(2n)."""
+    return {2 * j: 1 for j in range(n + 1)}
+
+
+def thaddeus_n0(g: int, k: int) -> list[tuple[int, int]]:
+    """n0 from Thaddeus's flips (Invent. Math. 117, 1994), sharing no code with betti.
+
+    The rank-2 stable pairs of fixed odd determinant of degree k start at
+    M_1 = P^(k+g-2); the flip at i replaces a P^(i-1)-bundle over Sym^i C by
+    a P^(k+g-2-2i)-bundle, so P(M_(i+1)) = P(M_i) + P(Sym^i C) (P(P^(k+g-2-2i))
+    - P(P^(i-1))), and n0 = (1+t)^(2g) P(M_((k+1)/2)).
+    """
+    moduli = projective_space(k + g - 2)
+    for i in range(1, (k - 1) // 2 + 1):
+        flip = dict_add(projective_space(k + g - 2 - 2 * i), projective_space(i - 1), -1)
+        moduli = dict_add(moduli, dict_mul(dict(macdonald_oracle(i, g)), flip))
+    one_plus_t = {j: math.comb(2 * g, j) for j in range(2 * g + 1)}
+    return sorted((e, c) for e, c in dict_mul(one_plus_t, moduli).items() if c)
+
+
+def test_pairs_polynomial_matches_thaddeus_flips():
+    cases = [(g, k) for g in range(2, 9) for k in range(4 * g - 3, 4 * g + 12, 2)] + [(8, 61)]
+    assert len(cases) == 57
+    for g, k in cases:
+        p = ModuliParams(g=g, k=k, tau_bar=mid_tau(k))
+        assert pairs_poincare_n0(p).as_pairs() == thaddeus_n0(g, k), (g, k)
 
 
 def test_pairs_polynomial_rejects_invalid_params():

@@ -35,6 +35,14 @@ def test_betti_matches_golden(capsys) -> None:
     assert code == 0
 
 
+def test_large_betti_matches_golden(capsys) -> None:
+    # The top of the benchmark ladder: coefficients reach 3.2e10 here, where
+    # g = 2, k = 5 stays below 100.
+    argv = ["betti", "--genus", "8", "--degree", "61", "--tau-bar", "123/4"]
+    code, _, _ = run(capsys, argv + ["--golden", str(GOLDEN / "betti_g8_k61.json")])
+    assert code == 0
+
+
 def test_strata_matches_golden(capsys) -> None:
     code, _, _ = run(capsys, STRATA_ARGS + ["--golden", str(GOLDEN / "strata_g3_k9.json")])
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ polys = st.builds(
 )
 
 ONE_MINUS_T2 = LaurentPoly([1, 0, -1])
+BIG = 2**100
 
 
 def negated(a: LaurentPoly) -> LaurentPoly:
@@ -115,6 +117,72 @@ def test_product_coefficients_stay_exact(a, b):
 @given(polys, st.integers(-10, 10))
 def test_shift_is_multiplication_by_a_power_of_t(a, e):
     assert a.shift(e) == a * LaurentPoly([1], low=e)
+
+
+def naive_product(a: LaurentPoly, b: LaurentPoly) -> list[tuple[int, int]]:
+    """Nonzero (exponent, coefficient) pairs of a*b by the schoolbook double loop."""
+    out: dict[int, int] = {}
+    for e, x in a.terms():
+        for f, y in b.terms():
+            out[e + f] = out.get(e + f, 0) + x * y
+    return sorted((e, c) for e, c in out.items() if c)
+
+
+def extreme_factors() -> list[LaurentPoly]:
+    """Factors at the edge of the product's digit width and its borrows."""
+    rng = random.Random(2024)
+    full = [BIG] * 200
+    return [
+        LaurentPoly(),
+        LaurentPoly([BIG]),
+        LaurentPoly([-1], low=-7),
+        LaurentPoly(full, low=-100),
+        LaurentPoly([-c for c in full], low=3),
+        LaurentPoly([(-1) ** i * BIG for i in range(200)], low=-1),
+        LaurentPoly([BIG] + [0] * 198 + [-1], low=-40),
+        LaurentPoly([-1, BIG, -1, 0, 0, -BIG, 1]),
+        # bit lengths 95 and 7, one short of a digit width: the top bit of
+        # a digit then holds the sign alone
+        LaurentPoly([2**95 - 1, -(2**94), 127, -127, 0, 2**94 + 1]),
+        LaurentPoly([rng.randint(-BIG, BIG) if rng.random() < 0.1 else 0 for _ in range(200)], -9),
+        LaurentPoly([rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 101)) for _ in range(173)]),
+    ]
+
+
+def test_extreme_products_match_schoolbook_and_divide_back():
+    factors = extreme_factors()
+    for a in factors:
+        for b in factors:
+            ab = a * b
+            assert ab.terms() == naive_product(a, b)
+            assert exact_divide(ab * ONE_MINUS_T2) == ab
+
+
+def wide_factor(rng: random.Random) -> LaurentPoly:
+    """Up to 200 terms with coefficients up to 2^100 in size, zeros common:
+    products then carry digits far wider than a machine word."""
+
+    def coeff() -> int:
+        u = rng.random()
+        if u < 0.3:
+            return 0
+        if u < 0.4:
+            return rng.choice([1, -1, BIG, -BIG])
+        return rng.randint(-BIG, BIG) >> rng.randrange(101)
+
+    return LaurentPoly([coeff() for _ in range(rng.randint(0, 200))], rng.randint(-60, 60))
+
+
+def test_wide_products_match_schoolbook_and_divide_back():
+    # Seeded draws rather than hypothesis: shrinking 200-term failures
+    # against the quadratic oracle takes minutes.
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = wide_factor(rng), wide_factor(rng)
+        ab = a * b
+        assert ab.terms() == naive_product(a, b)
+        assert exact_divide(a * ONE_MINUS_T2) == a
+        assert exact_divide(ab * ONE_MINUS_T2) == ab
 
 
 def test_scalar_scale():

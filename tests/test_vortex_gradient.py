@@ -120,7 +120,8 @@ def test_branch_freezes_blocks() -> None:
     s = dense_state(6, 2, 2, rng)
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     full = vx.residual_gradient(s, p)
-    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    f = vx._Fields(s)
+    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
     assert list(grad) == ["A1", "A2", "theta1", "phi"]
     for name, g in grad.items():
         assert np.array_equal(g, full[name]), name
@@ -173,8 +174,9 @@ def test_exact_step_beats_brute_force_line_search() -> None:
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
         p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
-        w = vx._residual_fields(s, p)
-        dirn = vx._Preconditioner(s, p)(vx._gradient(s, w, vx.FLOWS))
+        f = vx._Fields(s)
+        w = vx._residual_fields(f, p)
+        dirn = vx._Preconditioner(s, p)(vx._gradient(f, w, vx.FLOWS))
         eta = vx._exact_step(s, p, dirn, w, 1.0)
         assert eta > 0.0
         best = vx.residual_energy(vx._apply_step(s, dirn, eta), p)

@@ -142,7 +142,7 @@ def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(29 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        got = vx._residual_fields(s, p)
+        got = vx._residual_fields(vx._Fields(s), p)
         want = split_residual_fields(s, p)
         assert got.keys() == want.keys()
         for name, ref in want.items():
@@ -165,7 +165,8 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(59 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        grad = vx._gradient(s, vx._residual_fields(s, p), vx.BLOCKS)
+        f = vx._Fields(s)
+        grad = vx._gradient(f, vx._residual_fields(f, p), vx.BLOCKS)
         norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
         for name in BLOCKS:
             v = cfield(rng, *getattr(s, name).shape)
@@ -207,7 +208,8 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
-    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    f = vx._Fields(s)
+    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
     assert list(grad) == list(vx.FLOWS)
     precondition = vx._Preconditioner(s, p)
     for g in (grad, dict(grad, theta1=vx._ZERO)):
@@ -227,7 +229,8 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     p = vx.VortexParams(r1=2, tau=0.8, r2=1)
     rng = np.random.default_rng(83)
     s = branch_state(2, 1, "phi", rng)
-    grad = vx._gradient(s, vx._residual_fields(s, p), vx.FLOWS)
+    f = vx._Fields(s)
+    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
     precondition = vx._Preconditioner(s, p)
     first = precondition(grad)
     kept = {name: g.copy() for name, g in first.items()}
@@ -269,8 +272,9 @@ def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
         s = branch_state(r1, r2, branch, rng)
         t = vx.exchange_bundles(s)
         assert (t.r1, t.r2) == (r2, r1)
-        w, wt = vx._residual_fields(s, p), vx._residual_fields(t, q)
+        f, ft = vx._Fields(s), vx._Fields(t)
+        w, wt = vx._residual_fields(f, p), vx._residual_fields(ft, q)
         assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
-        grad, grad_t = vx._gradient(s, w, vx.BLOCKS), vx._gradient(t, wt, vx.BLOCKS)
+        grad, grad_t = vx._gradient(f, w, vx.BLOCKS), vx._gradient(ft, wt, vx.BLOCKS)
         assert_swapped(grad_t, grad, EXCHANGED_BLOCKS, branch)
 

@@ -141,9 +141,9 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
     calls = []
     fields = vx._residual_fields
 
-    def counted(s: vx.LatticeState, p: vx.VortexParams) -> dict[str, np.ndarray]:
+    def counted(f: vx._Fields, p: vx.VortexParams) -> dict[str, np.ndarray]:
         calls.append(1)
-        return fields(s, p)
+        return fields(f, p)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
     res = scalar_solve(N=16, tol=1e-13)
