@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import higgspairs.cli
 import higgspairs.vortex
@@ -21,6 +24,7 @@ from higgspairs.series import FormulaIntegrityError, LaurentPoly
 GOLDEN = Path(__file__).parent / "golden"
 
 BETTI_ARGS = ["betti", "--genus", "2", "--degree", "5", "--tau-bar", "11/4"]
+LARGE_BETTI_ARGS = ["betti", "--genus", "8", "--degree", "61", "--tau-bar", "123/4"]
 STRATA_ARGS = ["strata", "--genus", "3", "--degree", "9", "--tau-bar", "19/4"]
 
 
@@ -38,9 +42,35 @@ def test_betti_matches_golden(capsys) -> None:
 def test_large_betti_matches_golden(capsys) -> None:
     # The top of the benchmark ladder: coefficients reach 3.2e10 here, where
     # g = 2, k = 5 stays below 100.
-    argv = ["betti", "--genus", "8", "--degree", "61", "--tau-bar", "123/4"]
-    code, _, _ = run(capsys, argv + ["--golden", str(GOLDEN / "betti_g8_k61.json")])
+    code, _, _ = run(capsys, LARGE_BETTI_ARGS + ["--golden", str(GOLDEN / "betti_g8_k61.json")])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (BETTI_ARGS + ["--format", "pretty"], "betti_g2_k5.pretty.txt"),
+        (LARGE_BETTI_ARGS + ["--format", "pretty"], "betti_g8_k61.pretty.txt"),
+        (BETTI_ARGS + ["--format", "csv"], "betti_g2_k5.csv"),
+    ],
+    ids=["pretty_g2_k5", "pretty_g8_k61", "csv_g2_k5"],
+)
+def test_betti_text_formats_match_golden(capsys, argv: list[str], golden: str) -> None:
+    code, _, _ = run(capsys, argv + ["--golden", str(GOLDEN / golden)])
+    assert code == 0
+
+
+def test_json_and_csv_never_build_the_pretty_text(capsys, monkeypatch) -> None:
+    def refuse(self) -> str:
+        raise RuntimeError("pretty text built")
+
+    monkeypatch.setattr(betti.PoincarePolynomial, "__str__", refuse)
+    for fmt, golden in (("json", "betti_g2_k5.json"), ("csv", "betti_g2_k5.csv")):
+        code, _, _ = run(capsys, BETTI_ARGS + ["--format", fmt, "--golden", str(GOLDEN / golden)])
+        assert code == 0
+    # The patch is seen where the pretty text is built.
+    with pytest.raises(RuntimeError, match="pretty text built"):
+        main(BETTI_ARGS + ["--format", "pretty"])
 
 
 def test_strata_matches_golden(capsys) -> None:
@@ -636,6 +666,115 @@ def test_selftest_catches_broken_macdonald_formula(capsys, monkeypatch) -> None:
         "decomposition_identity": True,
         "gradient_check": True,
     }
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BETTI_ARGS,
+        LARGE_BETTI_ARGS,
+        STRATA_ARGS,
+        ["stability", "check", "--model", str(GOLDEN / "model_stable.json"), "--tau-bar", "11/4"],
+        ["selftest", "--seed", "0"],
+        vortex_args(**{"--max-iter": "20"}),
+        vortex_args(**{"--rank1": "2", "--max-iter": "20"}),
+    ],
+    ids=[
+        "betti_g2_k5", "betti_g8_k61", "strata", "stability", "selftest", "vortex_1", "vortex_2_1"
+    ],
+)
+def test_json_report_is_json_dumps_of_the_report(argv: list[str]) -> None:
+    # Vortex reports have no golden; this is their byte check.
+    args = higgspairs.cli.build_parser().parse_args(argv)
+    report, pretty, _ = args.fn(args)
+    assert higgspairs.cli._render(report, "json", pretty) == json_dumps(report) + "\n"
+
+
+class Loud(int):
+    """An int subclass that prints differently: json writes int.__repr__."""
+
+    def __repr__(self) -> str:
+        return "loud"
+
+    __str__ = __repr__
+
+
+# Report-shaped values: str keys, lists and tuples, big and negative ints,
+# bools, None, floats (numpy's too) and strings json must escape, with
+# (exponent, coefficient) pair lists and lists that almost are one.
+WRITER = settings(max_examples=200, derandomize=True, database=None)
+keys = st.text(max_size=4) | st.sampled_from(['"', "\\", "\x00\x1f", "é", "\u2028", "\U0001f600"])
+ints = st.integers(-(2**70), 2**70) | st.sampled_from([2**64, -(2**64) - 1, 0, -1, Loud(3)])
+floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+)
+scalars = st.none() | st.booleans() | ints | floats | keys | st.text()
+pairs = st.lists(st.lists(ints, min_size=2, max_size=2), max_size=5)
+near_pair = (
+    st.tuples(st.booleans(), ints).map(list)
+    | st.tuples(ints, st.booleans()).map(list)
+    | st.tuples(floats, ints).map(list)
+    | st.lists(ints, min_size=1, max_size=1)
+    | st.lists(ints, min_size=3, max_size=3)
+    | st.tuples(ints, ints)
+)
+near_pairs = st.tuples(pairs, near_pair | scalars | pairs, pairs).map(
+    lambda t: [*t[0], t[1], *t[2]]
+)
+reports = st.recursive(
+    scalars | pairs | near_pairs,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def holding(leaf):
+    """Report-shaped values with leaf somewhere inside."""
+    return st.recursive(
+        st.just(leaf),
+        lambda inner: st.tuples(st.lists(scalars | pairs, max_size=2), inner).map(
+            lambda t: [*t[0], t[1]]
+        )
+        | st.tuples(st.dictionaries(keys, scalars | pairs, max_size=2), keys, inner).map(
+            lambda t: {**t[0], t[1]: t[2]}
+        ),
+        max_leaves=4,
+    )
+
+
+@WRITER
+@given(reports)
+def test_json_writer_matches_json_dumps(obj) -> None:
+    assert higgspairs.cli._json_text(obj) == json_dumps(obj)
+
+
+@settings(WRITER, max_examples=50)
+@given(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.inf)]).flatmap(holding))
+def test_json_writer_refuses_non_finite_floats(obj) -> None:
+    with pytest.raises(ValueError) as expected:
+        json_dumps(obj)
+    with pytest.raises(ValueError) as got:
+        higgspairs.cli._json_text(obj)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+non_str_keys = st.none() | st.booleans() | ints | floats | st.tuples(ints)
+
+
+@settings(WRITER, max_examples=50)
+@given(non_str_keys.map(lambda key: {key: 0}).flatmap(holding))
+def test_json_writer_refuses_non_str_keys(obj) -> None:
+    with pytest.raises(TypeError):
+        higgspairs.cli._json_text(obj)
 
 
 def test_cli_reads_no_private_library_names() -> None:
