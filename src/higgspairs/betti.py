@@ -244,10 +244,18 @@ def _extraction(p, n0: PoincarePolynomial, y_exponent_convention: str) -> Poinca
             y_target = target - (d + 2 * g)
         else:
             y_target = target - (d - 2 * g)
-        term = _macdonald(x_target, g) * _macdonald(y_target, g)
-        low = term.low + index
-        result = result + _trimmed(term.coeffs[: max(cap - low + 1, 0)], low)
+        # The product's terms above t^top fall past the cap, and its term at
+        # t^e reads each factor only up to t^(e - low of the other factor).
+        top = cap - index
+        x_poly, y_poly = _macdonald(x_target, g), _macdonald(y_target, g)
+        term = _up_to(x_poly, top - y_poly.low) * _up_to(y_poly, top - x_poly.low)
+        result = result + _up_to(term, top).shift(index)
     return PoincarePolynomial(result)
+
+
+def _up_to(poly: LaurentPoly, top: int) -> LaurentPoly:
+    """poly without its terms above t^top."""
+    return _trimmed(poly.coeffs[: max(top - poly.low + 1, 0)], poly.low)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,18 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, NoReturn, Optional
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Optional
 
-import numpy as np
-
-from . import betti, stability, strata, vortex
+from . import betti, stability, strata
 from .series import FormulaIntegrityError, LaurentPoly, exact_divide
 from .stability import InvalidParamsError
+
+# numpy and vortex are imported by the functions that use them, so betti,
+# strata and stability check run without loading numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import vortex
 
 _FORMATS = ("json", "csv", "pretty")
 
@@ -68,12 +73,28 @@ def _scalar_text(v: Any) -> str:
     return str(v)
 
 
+def _int_pairs(obj: list | tuple) -> Optional[tuple[int, ...]]:
+    """The entries of obj in order when obj is a nonempty list of [int, int]
+    lists, a polynomial's (exponent, coefficient) pairs; otherwise None.
+    Bools and int subclasses do not count as ints."""
+    if obj and {*map(type, obj)} == {list} and {*map(len, obj)} == {2}:
+        flat = tuple(chain.from_iterable(obj))
+        if {*map(type, flat)} == {int}:
+            return flat
+    return None
+
+
 def _flatten(obj: Any, prefix: str, rows: list[tuple[str, str]]) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
             sub = f"{prefix}.{key}" if prefix else str(key)
             _flatten(obj[key], sub, rows)
     elif isinstance(obj, (list, tuple)):
+        flat = _int_pairs(obj)
+        if flat is not None:
+            paths = [f"{prefix}[{i}][{j}]" for i in range(len(obj)) for j in (0, 1)]
+            rows.extend(zip(paths, map(int.__repr__, flat)))
+            return
         for i, item in enumerate(obj):
             _flatten(item, f"{prefix}[{i}]", rows)
     else:
@@ -112,12 +133,11 @@ def _json_text(obj: Any, indent: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if {*map(type, obj)} == {list} and {*map(len, obj)} == {2}:
-            flat = tuple(chain.from_iterable(obj))
-            if {*map(type, flat)} == {int}:
-                deep = inner + "  "
-                pair = f"\n{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
-                return f"[{','.join([pair] * len(obj))}\n{indent}]" % flat
+        flat = _int_pairs(obj)
+        if flat is not None:
+            deep = inner + "  "
+            pair = f"\n{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
+            return f"[{','.join([pair] * len(obj))}\n{indent}]" % flat
         items = [_json_text(item, inner) for item in obj]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(obj, dict):
@@ -304,6 +324,10 @@ def _check_seed(seed: int) -> None:
 
 
 def _run_vortex(args: argparse.Namespace) -> _Outcome:
+    import numpy as np
+
+    from . import vortex
+
     if args.grid < vortex.MIN_GRID:
         raise InvalidParamsError(f"--grid must be at least {vortex.MIN_GRID}, got {args.grid}")
     for name in ("tau", "vol", "amplitude", "tol"):
@@ -401,6 +425,10 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
 
 
 def _dump_fields(path: str, s: vortex.LatticeState, vol: float) -> None:
+    import numpy as np
+
+    from . import vortex
+
     header = {
         "N": s.N,
         "rank1": s.r1,
@@ -477,6 +505,8 @@ def _selftest_macdonald(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _selftest_decomposition(rng: np.random.Generator) -> tuple[bool, str]:
+    from . import vortex
+
     worst = 0.0
     for r1, r2 in ((1, 1), (2, 1)):
         p = vortex.VortexParams(r1=r1, tau=0.7, r2=r2)
@@ -488,6 +518,10 @@ def _selftest_decomposition(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _selftest_gradient(rng: np.random.Generator) -> tuple[bool, str]:
+    import numpy as np
+
+    from . import vortex
+
     h = 1e-6
     worst = 0.0
     for r1, r2 in ((1, 1), (2, 1)):
@@ -510,6 +544,8 @@ def _selftest_gradient(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _run_selftest(args: argparse.Namespace) -> _Outcome:
+    import numpy as np
+
     groups = (
         ("series_ring_axioms", _selftest_series),
         ("macdonald_oracle", _selftest_macdonald),

@@ -65,11 +65,14 @@ on the data alone; ``residual_gradient`` still returns every block as an
 array.  Commutators of 1x1 blocks are zero, since scalars commute, and
 ``_comm`` returns them as _ZERO without forming a product.
 
-Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: its
-kernel and a workspace with a site plane for every entry of the FLOWS
-blocks.  Each iteration packs the live gradient blocks into that
-workspace and transforms them together in place, one forward and one
-inverse 1-D transform per site axis, in the order fft2 and ifft2 take.
+Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: a
+workspace with a site plane for every entry of the FLOWS blocks and the
+kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the Fourier
+symbol of the Gauss-Newton Hessian J*J at the constant vacuum of the
+solved problem (VACUUM_SYMBOL, derived in the class docstring).  Each
+iteration packs the gradient blocks into that workspace and transforms
+them together in place, one forward and one inverse 1-D transform per site
+axis, in the order fft2 and ifft2 take.
 """
 
 from __future__ import annotations
@@ -582,50 +585,92 @@ def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> Lat
     return replace(s, **{name: getattr(s, name) - eta * g for name, g in grad.items()})
 
 
+# The Fourier symbol of J*J at the vacuum per FLOWS block, as (mass,
+# stiffness): the preconditioner's kernel is 1/(mass t + stiffness omega^2).
+VACUUM_SYMBOL = {"A1": (1.0, 0.5), "A2": (1.0, 0.5), "theta1": (4.0, 2.0), "phi": (1.0, 1.0)}
+# The least t of that kernel, which keeps it finite at tau = 0.  Eight cold
+# rank-1 solves at tau = 0 (N = 8..64, vol 0.25..16, starts with |phi|^2
+# near 1) took 15-24 iterations at 0.1; at 1e-2 one of them missed tol in
+# 1000 and another took 220, and at 1 they took 27-169.
+MASS_FLOOR = 0.1
+
+
 class _Preconditioner:
-    """Fourier-diagonal approximate inverse Hessian applied blockwise.
+    """Fourier-diagonal approximate inverse Hessian, one kernel per FLOWS block.
 
-    The kernel 1/(mass + 4 omega^2), with omega the central-difference
-    derivative symbol, flattens the spectrum of the residual Hessian so the
-    descent converges at a grid-independent rate.  The kernel is real and
-    even, hence a real symmetric convolution: it preserves anti-Hermiticity
-    of the A blocks and commutes with constant gauge rotations.
+    Near a solution the Hessian of residual_energy is a^2 J*J, with J the
+    linear part of the residual fields.  At the constant vacuum of the
+    solved problem (A = theta = 0, phi phi^H = tau) J*J is diagonal in
+    Fourier space.  The central difference has the symbol i sin(2 pi k/N)/a
+    along each axis, so D_z and D_zbar both have |symbol|^2 = omega^2/4,
+    omega^2 = (sin^2(2 pi k1/N) + sin^2(2 pi k2/N))/a^2.  A plane wave in
+    one matrix entry of a block then gives:
 
-    ``solve`` builds one per solve.  It holds the kernel and one complex
-    workspace of shape (planes, N, N), a site plane for every matrix entry
-    (and direction) of the FLOWS blocks, and is called on gradients of
-    those blocks only.  A call copies the live blocks into the workspace
-    and transforms all planes in place with one 1-D transform pair per
-    site axis, the last axis first, which is the order fft2 and ifft2 use,
-    so the result equals theirs bit for bit.
-    Each block is then copied out into a fresh array: nothing returned is a
-    view of the workspace, which the next call overwrites.  A _ZERO block
-    (one with no nonzero term) maps to _ZERO without being packed.
+    * theta1: W4 = 2 theta1 phi gives 4 tau, and the curvature part
+      2(D_z theta1^H - D_zbar theta1) of W1 gives 2 omega^2;
+    * phi: W3 = 2 D_zbar phi gives omega^2, and the moment maps
+      (dphi phi^H + phi dphi^H)/2 in W1 and W2 give tau at k != 0 (at
+      k = 0, 2 tau along phi and 0 along i phi, a gauge direction);
+    * A1, A2: W3 = 2(Zb1 phi - phi Zb2) gives tau, and the curvature in W1
+      (W2) is the lattice curl, omega^2 on transverse waves and 0 on
+      longitudinal ones, the gauge directions; the kernel takes the
+      polarization average tau + omega^2/2.
+
+    So block b gets the kernel 1/(m_b t + c_b omega^2), with (m_b, c_b)
+    from VACUUM_SYMBOL and t = |tau| (tests/test_vortex_kernels.py checks
+    the symbol against Rayleigh quotients of J).  The factor a^2 and the
+    overall scale drop out of the directions and the exact line step.
+    J reads phi only through these products, so at a constant state with
+    |phi|^2 = x the symbol is the same with t = x.  At tau = 0 the vacuum
+    is phi = 0 and has no mass, and the kernel would be infinite at
+    omega^2 = 0 (the constant mode and the doublers); a solve there carries
+    x from its start down to 0, and t is floored at MASS_FLOOR, an x that
+    such a solve passes through.  Each kernel is real and even, hence a
+    real symmetric convolution: it preserves anti-Hermiticity of the A
+    blocks and commutes with constant gauge rotations.
+
+    ``solve`` builds one per solve.  It holds one complex workspace of
+    shape (planes, N, N), a site plane for every matrix entry (and
+    direction) of the FLOWS blocks, each block in its own fixed slot, and
+    the kernel of every plane.  It is called on gradients of those blocks.
+    A call copies the blocks into their slots and transforms all planes in
+    place with one 1-D transform pair per site axis, the last axis first,
+    which is the order fft2 and ifft2 use, so the result equals theirs bit
+    for bit.  Each block is then copied out into a fresh array: nothing
+    returned is a view of the workspace, which the next call overwrites.  A
+    _ZERO block (one with no nonzero term) maps to _ZERO and its slot is
+    zeroed.
     """
 
     def __init__(self, s: LatticeState, p: VortexParams) -> None:
         sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
         omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
-        mass = max(1.0, abs(p.tau) + abs(p.tau_prime))
-        self.kernel = 1.0 / (mass + 4.0 * omega2)
+        t = max(abs(p.tau), MASS_FLOOR)
         sites = s.N * s.N
-        planes = sum(getattr(s, name).size // sites for name in FLOWS)
-        self.work = np.empty((planes, s.N, s.N), dtype=np.complex128)
+        self.slots: dict[str, slice] = {}
+        kernels = []
+        used = 0
+        for name in FLOWS:
+            n = getattr(s, name).size // sites
+            mass, stiffness = VACUUM_SYMBOL[name]
+            kernels.append(np.broadcast_to(1.0 / (mass * t + stiffness * omega2), (n, s.N, s.N)))
+            self.slots[name] = slice(used, used + n)
+            used += n
+        self.kernel = np.concatenate(kernels)
+        self.work = np.zeros(self.kernel.shape, dtype=np.complex128)
 
     def __call__(self, grad: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        sites = self.kernel.size
         packed = {}
-        used = 0
         for name, g in grad.items():
+            planes = self.work[self.slots[name]]
             if g is _ZERO:
+                planes[...] = 0.0
                 continue
             # The block with its two site axes moved last, one plane per entry.
-            planes = np.moveaxis(g, (-4, -3), (-2, -1))
-            n = g.size // sites
-            packed[name] = self.work[used : used + n].reshape(planes.shape)
-            packed[name][...] = planes
-            used += n
-        w = self.work[:used]
+            moved = np.moveaxis(g, (-4, -3), (-2, -1))
+            packed[name] = planes.reshape(moved.shape)
+            packed[name][...] = moved
+        w = self.work
         np.fft.fft(w, axis=-1, out=w)
         np.fft.fft(w, axis=-2, out=w)
         w *= self.kernel
@@ -803,8 +848,8 @@ def solve(
 
 
 # The coarsest grid of a ladder.  From N = 8 the (2, 2) solve loses: seed 3
-# needs 263 iterations at N = 8, and its N = 16 ladder took 0.50 s against
-# 0.33 s cold; from 16, (2, 2) at N = 32 went 0.86 -> 0.42 s (best of 3).
+# needs 338 iterations at N = 8, and its N = 16 ladder took 0.61 s against
+# 0.25 s cold; from 16, (2, 2) at N = 32 went 0.61 -> 0.27 s (best of 3).
 LADDER_FLOOR = 16
 
 

@@ -52,8 +52,9 @@ def test_large_betti_matches_golden(capsys) -> None:
         (BETTI_ARGS + ["--format", "pretty"], "betti_g2_k5.pretty.txt"),
         (LARGE_BETTI_ARGS + ["--format", "pretty"], "betti_g8_k61.pretty.txt"),
         (BETTI_ARGS + ["--format", "csv"], "betti_g2_k5.csv"),
+        (LARGE_BETTI_ARGS + ["--format", "csv"], "betti_g8_k61.csv"),
     ],
-    ids=["pretty_g2_k5", "pretty_g8_k61", "csv_g2_k5"],
+    ids=["pretty_g2_k5", "pretty_g8_k61", "csv_g2_k5", "csv_g8_k61"],
 )
 def test_betti_text_formats_match_golden(capsys, argv: list[str], golden: str) -> None:
     code, _, _ = run(capsys, argv + ["--golden", str(GOLDEN / golden)])
@@ -756,6 +757,30 @@ def test_json_writer_matches_json_dumps(obj) -> None:
     assert higgspairs.cli._json_text(obj) == json_dumps(obj)
 
 
+def csv_rows(obj, prefix: str = "") -> list[tuple[str, str]]:
+    """The CSV (path, value) rows of obj, one scalar at a time."""
+    if isinstance(obj, dict):
+        return [row for key in sorted(obj)
+                for row in csv_rows(obj[key], f"{prefix}.{key}" if prefix else str(key))]
+    if isinstance(obj, (list, tuple)):
+        return [row for i, item in enumerate(obj) for row in csv_rows(item, f"{prefix}[{i}]")]
+    if isinstance(obj, bool):
+        return [(prefix, "true" if obj else "false")]
+    if obj is None:
+        return [(prefix, "null")]
+    return [(prefix, repr(obj) if isinstance(obj, float) else str(obj))]
+
+
+@WRITER
+@given(reports)
+def test_csv_rows_match_the_scalar_walk(obj) -> None:
+    # Pair lists take the flattener's fast path; bools, int subclasses and
+    # lists that almost are pair lists must still come out scalar by scalar.
+    rows: list[tuple[str, str]] = []
+    higgspairs.cli._flatten(obj, "", rows)
+    assert rows == csv_rows(obj)
+
+
 @settings(WRITER, max_examples=50)
 @given(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.inf)]).flatmap(holding))
 def test_json_writer_refuses_non_finite_floats(obj) -> None:
@@ -797,6 +822,32 @@ def test_cli_reads_no_private_library_names() -> None:
                 if alias.name.startswith("_")
             ]
     assert private == []
+
+
+def test_exact_commands_never_import_numpy() -> None:
+    # betti, strata and stability check are pure-integer code: a fresh
+    # process that runs all three, each to its golden, must not load numpy.
+    src = Path(higgspairs.__file__).parents[1]
+    runs = [
+        BETTI_ARGS + ["--golden", str(GOLDEN / "betti_g2_k5.json")],
+        STRATA_ARGS + ["--golden", str(GOLDEN / "strata_g3_k9.json")],
+        ["stability", "check", "--model", str(GOLDEN / "model_stable.json"),
+         "--tau-bar", "11/4", "--golden", str(GOLDEN / "stability_stable.json")],
+    ]
+    code = (
+        "import io, sys, contextlib\n"
+        "from higgspairs.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point() -> None:

@@ -181,19 +181,31 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
             assert abs(got - want) <= 1e-12 * 2.0 * norm, (branch, name)
 
 
+# The Fourier symbol of J*J at the vacuum |phi|^2 = tau, per block, as
+# (mass, stiffness) in units of |tau| and omega^2: restated here, and
+# checked against Rayleigh quotients of J below.
+SYMBOL = {"A1": (1.0, 0.5), "A2": (1.0, 0.5), "theta1": (4.0, 2.0), "phi": (1.0, 1.0)}
+
+
+def omega2(N: int, a: float) -> np.ndarray:
+    """The squared central-difference derivative symbol on the N-grid."""
+    sin2 = np.sin(2.0 * np.pi * np.arange(N) / N) ** 2
+    return (sin2[:, None] + sin2[None, :]) / (a * a)
+
+
 def fft2_precondition(
     grad: dict[str, np.ndarray], s: vx.LatticeState, p: vx.VortexParams
 ) -> dict[str, np.ndarray]:
-    """The preconditioner as one fft2/ifft2 pair per block, zero blocks
-    passed through."""
-    sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
-    omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
-    kernel = 1.0 / (max(1.0, abs(p.tau) + abs(p.tau_prime)) + 4.0 * omega2)
+    """The preconditioner as one fft2/ifft2 pair per block with that block's
+    kernel 1/(mass |tau| + stiffness omega^2), zero blocks passed through."""
+    om2 = omega2(s.N, s.a)
     out = {}
     for name, g in grad.items():
         if g is vx._ZERO:
             out[name] = g
             continue
+        mass, stiffness = SYMBOL[name]
+        kernel = 1.0 / (mass * abs(p.tau) + stiffness * om2)
         axes = (1, 2) if name in ("A1", "A2") else (0, 1)
         shape = (1, s.N, s.N, 1, 1) if name in ("A1", "A2") else (s.N, s.N, 1, 1)
         out[name] = np.fft.ifft2(np.fft.fft2(g, axes=axes) * kernel.reshape(shape), axes=axes)
@@ -203,8 +215,9 @@ def fft2_precondition(
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     # The packed in-place transforms take the same 1-D passes in the same
-    # order as fft2 and ifft2, so the blocks agree bit for bit; also when a
-    # block the solver flows is _ZERO and the packing skips it.
+    # order as fft2 and ifft2, and each plane is multiplied by its block's
+    # kernel, so the blocks agree bit for bit; also when a block the solver
+    # flows is _ZERO and its slot is skipped.
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
@@ -221,6 +234,69 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
                 assert got[name] is vx._ZERO, name
             else:
                 assert np.array_equal(got[name], ref), name
+
+
+def vacuum_state(N: int, r: int, tau: float) -> vx.LatticeState:
+    """The constant vacuum of the (r, r) problem: A = theta = 0 and
+    phi = sqrt(tau) times the identity, so phi phi^H = tau."""
+    s = vx.zero_state(N, r, r)
+    phi = np.zeros_like(s.phi)
+    phi[...] = np.sqrt(tau) * np.eye(r)
+    return replace(s, phi=phi)
+
+
+def rayleigh_quotient(s: vx.LatticeState, p: vx.VortexParams, name: str, d: np.ndarray) -> float:
+    """|J d|^2 / |d|^2 for a perturbation d of one block, with J d the
+    central difference of the residual fields, exact for fields at most
+    quadratic in the state."""
+    plus = vx._residual_fields(vx._Fields(replace(s, **{name: getattr(s, name) + d})), p)
+    minus = vx._residual_fields(vx._Fields(replace(s, **{name: getattr(s, name) - d})), p)
+    jd = (0.5 * (plus[k] - minus[k]) for k in plus)
+    jd2 = sum(np.sum(np.abs(v) ** 2) for v in jd if v is not vx._ZERO)
+    return float(jd2 / np.sum(np.abs(d) ** 2))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_vacuum_symbol_matches_rayleigh_quotients(r: int, tau: float) -> None:
+    # At the vacuum J*J is diagonal in Fourier space: a plane wave in one
+    # matrix entry has the Rayleigh quotient 4 tau + 2 omega^2 in theta1
+    # and tau + omega^2 in phi (k != 0), the SYMBOL rows.  A potential has
+    # tau + omega^2 on transverse waves and tau on longitudinal ones, and
+    # its SYMBOL row is their average.
+    N = 16
+    p = vx.VortexParams(r1=r, tau=tau, r2=r)
+    s = vacuum_state(N, r, tau)
+    om2 = omega2(N, s.a)
+
+    def symbol(name: str, k1: int, k2: int) -> float:
+        mass, stiffness = SYMBOL[name]
+        return mass * tau + stiffness * om2[k1, k2]
+
+    j1, j2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    for k1, k2 in ((1, 0), (2, 3), (5, 1)):
+        phase = 2.0 * np.pi * (k1 * j1 + k2 * j2) / N
+        for i in range(r):
+            for j in range(r):
+                d = np.zeros((N, N, r, r), dtype=np.complex128)
+                d[:, :, i, j] = np.exp(1j * phase)
+                for name in ("theta1", "phi"):
+                    got = rayleigh_quotient(s, p, name, d)
+                    assert got == pytest.approx(symbol(name, k1, k2), rel=1e-9), (name, k1, k2, i, j)
+        along = np.array([np.sin(2.0 * np.pi * k1 / N), np.sin(2.0 * np.pi * k2 / N)])
+        along /= np.linalg.norm(along)
+        across = np.array([-along[1], along[0]])
+        for name in ("A1", "A2"):
+            quotients = []
+            for pol in (across, along):
+                d = np.zeros((2, N, N, r, r), dtype=np.complex128)
+                for mu in range(2):
+                    d[mu, :, :, 0, 0] = 1j * pol[mu] * np.cos(phase)
+                quotients.append(rayleigh_quotient(s, p, name, d))
+            transverse, longitudinal = quotients
+            assert transverse == pytest.approx(tau + om2[k1, k2], rel=1e-9), name
+            assert longitudinal == pytest.approx(tau, rel=1e-9), name
+            assert 0.5 * (transverse + longitudinal) == pytest.approx(symbol(name, k1, k2), rel=1e-9)
 
 
 def test_preconditioner_results_outlive_the_next_call() -> None:

@@ -137,6 +137,13 @@ def test_rank_two_solve_leaves_the_saddle() -> None:
     assert res.converged
 
 
+def test_cold_rank_one_solve_takes_at_most_50_iterations() -> None:
+    # The benchmark's smallest solve; measured 43 iterations.
+    res = scalar_solve(N=16, tol=1e-13)
+    assert res.converged
+    assert res.iterations <= 50, res.iterations
+
+
 def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
     calls = []
     fields = vx._residual_fields
@@ -456,7 +463,7 @@ def test_ladder_rank_one_finishes_fine_grids_in_a_few_iterations() -> None:
     results = vx.solve_ladder(smooth_sampler(1, 1, 7, drawn), 64, p, tol=1e-13)
     assert [r.state.N for r in results] == [16, 32, 64]
     assert all(r.converged for r in results)
-    # Measured 65 + 4 + 4; a cold N = 64 solve takes 73.
+    # Measured 43 + 4 + 4; a cold N = 64 solve takes 48.
     assert results[-1].iterations <= 10
     assert results[-1].residual <= 1e-13
     assert drawn == [16]
@@ -465,7 +472,7 @@ def test_ladder_rank_one_finishes_fine_grids_in_a_few_iterations() -> None:
 def test_ladder_converges_at_rank_two() -> None:
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     results = vx.solve_ladder(smooth_sampler(2, 2, 3, []), 32, p, tol=1e-12)
-    # Measured 84 + 8; a cold N = 32 solve takes 102.
+    # Measured 76 + 8; a cold N = 32 solve takes 84.
     assert [r.state.N for r in results] == [16, 32]
     assert all(r.converged for r in results)
 
@@ -497,7 +504,7 @@ def test_ladder_from_an_odd_grid_starts_at_its_prolonged_answer() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     results = vx.solve_ladder(smooth_sampler(1, 1, 7, []), 34, p, tol=1e-13)
     assert [r.state.N for r in results] == [17, 34]
-    # Measured 68 + 4.
+    # Measured 46 + 4.
     assert all(r.converged for r in results)
     # The fine level's first energy is the refinement jump of the coarse answer.
     jump = vx.residual_energy(vx.prolong_state(results[0].state), p)
