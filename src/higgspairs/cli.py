@@ -11,8 +11,9 @@ with code 2.
 Exit codes: 0 for a completed run (including unstable verdicts and
 non-converged solves), 1 for parameter or input validation failures, for
 an output or golden file that cannot be read or written, and for running
-out of memory (say, a vortex grid too large to allocate), 2 for
-formula-integrity or selftest failures and golden mismatches.
+out of memory (say, a vortex grid too large to allocate, or one whose
+estimated peak exceeds physical memory, refused before it allocates), 2
+for formula-integrity or selftest failures and golden mismatches.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -317,6 +319,14 @@ def _run_stability(args: argparse.Namespace) -> _Outcome:
     return report, pretty, 0
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _check_seed(seed: int) -> None:
     # numpy's own error for a negative seed does not name the flag.
     if seed < 0:
@@ -341,6 +351,15 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
     _check_seed(args.seed)
     p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
+    # Refuse a grid that cannot fit before anything is allocated: with
+    # overcommit, a grid too large would meet the OOM killer, not a
+    # MemoryError.
+    need, have = vortex.solve_bytes(args.grid, args.rank1, args.rank2), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"--grid {args.grid} needs about {need:.3g} bytes, "
+            f"more than the {have:.3g} bytes of physical memory"
+        )
     # vortex.solve holds psi at zero, so the psi branch is solved as the phi
     # branch of the exchanged bundles, whose coupling is tau', and its
     # answer is exchanged back.
@@ -391,12 +410,23 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
     }
     # The solved section has coupling solved.tau (tau, or tau' on the
     # mirror); a degree-0 bundle carries it only when that is > 0.
+    name = "tau'" if mirror else "tau"
     if not result.converged and solved.tau <= 0:
-        name = "tau'" if mirror else "tau"
         floor = solved.tau * solved.tau * args.vol / 8.0
         report["note"] = (
             "no solution expected: a nonzero section on a degree-0 bundle "
             f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
+        )
+    elif result.stalled and np.max(np.abs(results[-1].state.phi)) < 1e-6 * math.sqrt(solved.tau):
+        # A start whose section is mostly noise (amplitude above its
+        # sqrt(coupling)) can collapse onto the section's zero, where
+        # W1 = -tau/2 and W2 = -tau'/2 are constant and the flow stops.
+        floor = args.vol * (args.rank1 * p.tau**2 + args.rank2 * p.tau_prime**2) / 4.0
+        section = "psi" if mirror else "phi"
+        report["note"] = (
+            f"stalled at the critical point {section} = 0, whose residual is "
+            f"vol*(rank1*tau^2 + rank2*tau'^2)/4 = {floor!r}; an --amplitude "
+            f"below sqrt({name}) = {math.sqrt(solved.tau)!r} starts in the solution's basin"
         )
     if args.dump_fields:
         _dump_fields(args.dump_fields, result.state, args.vol)

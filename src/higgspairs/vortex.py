@@ -65,14 +65,21 @@ on the data alone; ``residual_gradient`` still returns every block as an
 array.  Commutators of 1x1 blocks are zero, since scalars commute, and
 ``_comm`` returns them as _ZERO without forming a product.
 
-Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: a
-workspace with a site plane for every entry of the FLOWS blocks and the
+Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: the
+packed layout, a site plane for every entry of the FLOWS blocks, and the
 kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the Fourier
 symbol of the Gauss-Newton Hessian J*J at the constant vacuum of the
-solved problem (VACUUM_SYMBOL, derived in the class docstring).  Each
-iteration packs the gradient blocks into that workspace and transforms
-them together in place, one forward and one inverse 1-D transform per site
-axis, in the order fft2 and ifft2 take.
+solved problem (VACUUM_SYMBOL, derived in the class docstring).  The
+solver's loop runs on packed vectors in that layout, one complex array
+each for the flowed blocks of the state, the gradient, the preconditioned
+gradient and the direction, so an inner product, the conjugate-gradient
+update or a step is one array operation, and the states along the way
+are views of the packed state.  Each iteration packs the gradient blocks
+and transforms them together, one forward and one inverse 1-D transform
+per site axis, in the order fft2 and ifft2 take.  The line step flattens
+the residual fields of the start and of its two probes once each, forms
+each coefficient of the quartic with one reduction, and takes the real
+roots of its cubic derivative in closed form.
 """
 
 from __future__ import annotations
@@ -252,7 +259,9 @@ def _block(m: np.ndarray):
 def _adj(m: np.ndarray) -> np.ndarray:
     if m is _ZERO:
         return _ZERO
-    return np.conj(np.swapaxes(m, -1, -2))
+    # The array methods, not np.swapaxes and np.conj: the same values
+    # without numpy's Python-level dispatch, on a hot path.
+    return m.swapaxes(-1, -2).conj()
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -289,18 +298,14 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
 
-    d1 and d2 differentiate along the two leading site axes; the shifted
-    differences are sliced straight into fresh buffers, the wrap-around
-    rows and columns one slice each.
+    d1 and d2 differentiate along the two leading site axes; each takes its
+    differences from one copy of the field wrapped by a row (column) at
+    either end, in one subtraction.
     """
-    d1 = np.empty_like(m)
-    np.subtract(m[2:], m[:-2], out=d1[1:-1])
-    np.subtract(m[1:2], m[-1:], out=d1[:1])
-    np.subtract(m[:1], m[-2:-1], out=d1[-1:])
-    d2 = np.empty_like(n)
-    np.subtract(n[:, 2:], n[:, :-2], out=d2[:, 1:-1])
-    np.subtract(n[:, 1:2], n[:, -1:], out=d2[:, :1])
-    np.subtract(n[:, :1], n[:, -2:-1], out=d2[:, -1:])
+    wrapped = np.concatenate((m[-1:], m, m[:1]))
+    d1 = wrapped[2:] - wrapped[:-2]
+    wrapped = np.concatenate((n[:, -1:], n, n[:, :1]), axis=1)
+    d2 = wrapped[:, 2:] - wrapped[:, :-2]
     d2 *= sign * 1j
     d1 += d2
     d1 *= 0.25 / a
@@ -327,11 +332,6 @@ def _frob2(m: np.ndarray) -> float:
 def _site_frob2(m: np.ndarray) -> np.ndarray:
     """Per-site squared Frobenius norm (a scalar 0.0 for _ZERO)."""
     return 0.0 if m is _ZERO else np.sum(np.abs(m) ** 2, axis=(-1, -2))
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Re sum conj(x) y."""
-    return 0.0 if x is _ZERO or y is _ZERO else float(np.vdot(x, y).real)
 
 
 class _Fields:
@@ -562,7 +562,7 @@ def _gradient(
     w2h, w2a = w2 + w2d, w2 - w2d
 
     def potential(g_z: np.ndarray) -> np.ndarray:
-        return 0.5 * np.stack([_antiherm(g_z), _antiherm(1j * g_z)])
+        return 0.5 * _antiherm(np.stack([g_z, 1j * g_z]))
 
     blocks = {
         "A1": lambda: potential(_connection_gradient(f, w1h, w1a, w3, w5)),
@@ -575,14 +575,23 @@ def _gradient(
     return {name: blocks[name]() for name in BLOCKS if name in flows}
 
 
-def _inner(x: dict[str, np.ndarray], y: dict[str, np.ndarray]) -> float:
-    """The real metric 2 Re sum tr(x^H y) of the gradient convention."""
-    return 2.0 * sum(_dot(x[k], y[k]) for k in x)
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """The real metric 2 Re sum tr(x^H y) of the gradient convention, on two
+    packed vectors."""
+    return 2.0 * np.vdot(x, y).real
 
 
-def _apply_step(s: LatticeState, grad: dict[str, np.ndarray], eta: float) -> LatticeState:
-    """s - eta grad on the blocks grad holds; the others are kept."""
-    return replace(s, **{name: getattr(s, name) - eta * g for name, g in grad.items()})
+def _derived(s: LatticeState, blocks: dict[str, np.ndarray]) -> LatticeState:
+    """s with some blocks replaced, built without LatticeState's checks.
+
+    Only for the solver's own states, whose blocks are views of packed
+    vectors laid out from a checked state, so every shape and dtype holds
+    by construction.
+    """
+    out = object.__new__(LatticeState)
+    vars(out).update(vars(s))
+    vars(out).update(blocks)
+    return out
 
 
 # The Fourier symbol of J*J at the vacuum per FLOWS block, as (mass,
@@ -629,97 +638,206 @@ class _Preconditioner:
     real symmetric convolution: it preserves anti-Hermiticity of the A
     blocks and commutes with constant gauge rotations.
 
-    ``solve`` builds one per solve.  It holds one complex workspace of
-    shape (planes, N, N), a site plane for every matrix entry (and
-    direction) of the FLOWS blocks, each block in its own fixed slot, and
-    the kernel of every plane.  It is called on gradients of those blocks.
-    A call copies the blocks into their slots and transforms all planes in
-    place with one 1-D transform pair per site axis, the last axis first,
-    which is the order fft2 and ifft2 use, so the result equals theirs bit
-    for bit.  Each block is then copied out into a fresh array: nothing
-    returned is a view of the workspace, which the next call overwrites.  A
-    _ZERO block (one with no nonzero term) maps to _ZERO and its slot is
-    zeroed.
+    ``solve`` builds one per solve, and it fixes the solver's packed
+    layout: a packed vector is one complex array of shape (planes, N, N),
+    a site plane for every matrix entry (and direction) of the FLOWS
+    blocks, each block in its own fixed slot.  ``pack`` copies blocks into
+    a fresh packed vector (a _ZERO block, one with no nonzero term, fills
+    its slot with zeros) and ``unpack`` views a packed vector as blocks.
+    A call transforms all planes of a packed gradient with one 1-D
+    transform pair per site axis, the last axis first, which is the order
+    fft2 and ifft2 use, so every block equals theirs bit for bit.  The
+    first transform writes a fresh array and the others work in it in
+    place, so what a call returns is new and is not touched again.
     """
 
     def __init__(self, s: LatticeState, p: VortexParams) -> None:
         sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
         omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
         t = max(abs(p.tau), MASS_FLOOR)
-        sites = s.N * s.N
-        self.slots: dict[str, slice] = {}
+        # Per block: its name, its slot, the shape of its planes (leading
+        # axes, matrix axes, site axes) and the axes that view them as the
+        # block (leading axes, site axes, matrix axes).
+        self.layout: list[tuple[str, slice, tuple[int, ...], tuple[int, ...]]] = []
         kernels = []
         used = 0
         for name in FLOWS:
-            n = getattr(s, name).size // sites
+            shape = getattr(s, name).shape
+            lead = len(shape) - 4
+            planes = shape[:lead] + shape[-2:] + shape[lead : lead + 2]
+            n = math.prod(planes[:-2])
+            axes = tuple(range(lead)) + (lead + 2, lead + 3, lead, lead + 1)
+            self.layout.append((name, slice(used, used + n), planes, axes))
             mass, stiffness = VACUUM_SYMBOL[name]
             kernels.append(np.broadcast_to(1.0 / (mass * t + stiffness * omega2), (n, s.N, s.N)))
-            self.slots[name] = slice(used, used + n)
             used += n
         self.kernel = np.concatenate(kernels)
-        self.work = np.zeros(self.kernel.shape, dtype=np.complex128)
 
-    def __call__(self, grad: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        packed = {}
-        for name, g in grad.items():
-            planes = self.work[self.slots[name]]
-            if g is _ZERO:
-                planes[...] = 0.0
-                continue
-            # The block with its two site axes moved last, one plane per entry.
-            moved = np.moveaxis(g, (-4, -3), (-2, -1))
-            packed[name] = planes.reshape(moved.shape)
-            packed[name][...] = moved
-        w = self.work
-        np.fft.fft(w, axis=-1, out=w)
+    def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """The FLOWS blocks of the packed vector x, as views of it."""
+        return {
+            name: x[slot].reshape(planes).transpose(axes)
+            for name, slot, planes, axes in self.layout
+        }
+
+    def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
+        """A fresh packed vector holding the FLOWS blocks of blocks."""
+        x = np.empty(self.kernel.shape, dtype=np.complex128)
+        for name, view in self.unpack(x).items():
+            g = blocks[name]
+            view[...] = 0.0 if g is _ZERO else g
+        return x
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        w = np.fft.fft(g, axis=-1)
         np.fft.fft(w, axis=-2, out=w)
         w *= self.kernel
         np.fft.ifft(w, axis=-1, out=w)
         np.fft.ifft(w, axis=-2, out=w)
-        return {
-            name: np.moveaxis(packed[name], (-2, -1), (-4, -3)).copy() if name in packed else g
-            for name, g in grad.items()
-        }
+        return w
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
+    """The real roots of a t^2 + b t + c, without cancellation."""
+    if a == 0.0:
+        return [] if b == 0.0 else [-c / b]
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+def _cubic_closed_form(a: float, b: float, c: float, d: float) -> list[float]:
+    """Real roots of a t^3 + b t^2 + c t + d, a and d nonzero, in closed form.
+
+    The monic cubic is scaled so its largest root is O(1) and shifted to
+    y^3 + P y + Q.  With three real roots the trigonometric form gives
+    them, and the largest deflates the cubic to a quadratic (backward,
+    which is stable for the largest root) for the other two, so a small
+    root does not cancel against the shift.  With one, it is Cardano's
+    u - P/(3u), u the cube root of the larger magnitude; it is accurate
+    when it is the largest root.
+    """
+    A, B, C = b / a, c / a, d / a
+    if not (math.isfinite(A) and math.isfinite(B) and math.isfinite(C)):
+        # So small a leading coefficient leaves its huge root beyond a
+        # float: the others are the quadratic's.
+        return _quadratic_roots(b, c, d)
+    scale = max(abs(A), math.sqrt(abs(B)), math.cbrt(abs(C)))
+    if scale == 0.0:
+        return [0.0]
+    A, B, C = A / scale, B / scale / scale, C / scale / scale / scale
+    P = B - A * A / 3.0
+    Q = A * (2.0 * A * A - 9.0 * B) / 27.0 + C
+    disc = 0.25 * Q * Q + P * P * P / 27.0
+    if disc >= 0.0:
+        u = math.cbrt(-0.5 * Q - math.copysign(math.sqrt(disc), Q))
+        y = u - P / (3.0 * u) if u != 0.0 else 0.0
+        return [scale * (y - A / 3.0)]
+    m = 2.0 * math.sqrt(-P / 3.0)
+    angle = math.acos(max(-1.0, min(1.0, 3.0 * Q / (P * m)))) / 3.0
+    big = max((m * math.cos(angle - 2.0 * math.pi * k / 3.0) - A / 3.0 for k in range(3)), key=abs)
+    rest = -C / big
+    return [scale * y for y in [big] + _quadratic_roots(1.0, (rest - B) / big, rest)]
+
+
+def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
+    """The real roots of a t^3 + b t^2 + c t + d, each polished by one
+    Newton step; a double root may be missing, and a root may appear twice.
+
+    When the closed form finds one real root it also takes it from the
+    reversed cubic d s^3 + c s^2 + b s + a, whose roots are 1/t: the one
+    of the two in which the root is the largest gets it to full precision.
+    """
+    if a == 0.0:
+        roots = _quadratic_roots(b, c, d)
+    elif d == 0.0:
+        roots = [0.0] + _quadratic_roots(a, b, c)
+    else:
+        roots = _cubic_closed_form(a, b, c, d)
+        if len(roots) == 1:
+            roots += [1.0 / s for s in _cubic_closed_form(d, c, b, a) if s != 0.0]
+    polished = []
+    for t in roots:
+        f = ((a * t + b) * t + c) * t + d
+        slope = (3.0 * a * t + 2.0 * b) * t + c
+        if slope != 0.0:
+            u = t - f / slope
+            if abs(((a * u + b) * u + c) * u + d) < abs(f):
+                t = u
+        polished.append(t)
+    return polished
+
+
+def _line_minimum(c1: float, c2: float, c3: float, c4: float) -> float:
+    """The t > 0 where c1 t + c2 t^2 + c3 t^3 + c4 t^4 is lowest among the
+    real roots of its derivative, or 0.0 when none is below 0."""
+    best, drop = 0.0, 0.0
+    for t in _cubic_roots(4.0 * c4, 3.0 * c3, 2.0 * c2, c1):
+        if t > 0.0:
+            d = t * (c1 + t * (c2 + t * (c3 + t * c4)))
+            if d < drop:
+                best, drop = t, d
+    return best
+
+
+def _flat(w: dict[str, np.ndarray], sizes: dict[str, int]) -> np.ndarray:
+    """The residual fields named in sizes end to end, _ZERO ones as zeros."""
+    return np.concatenate(
+        [np.zeros(n, dtype=np.complex128) if w[k] is _ZERO else w[k] for k, n in sizes.items()],
+        axis=None,
+    )
 
 
 def _exact_step(
-    s: LatticeState,
-    p: VortexParams,
-    dirn: dict[str, np.ndarray],
+    fields_at: Callable[[float], dict[str, np.ndarray]],
     w0: dict[str, np.ndarray],
     h: float,
 ) -> float:
-    """The step eta > 0 minimizing residual_energy(s - eta dirn).
+    """The step eta > 0 minimizing the residual energy along a line, from
+    its residual fields w0 at eta = 0 and fields_at(eta) elsewhere.
 
     Every residual field is at most quadratic in the fields, so along the
     line W(eta) = W0 - eta B + eta^2 C exactly and the energy is a quartic
-    in eta.  The fields at s -/+ h dirn give hB and h^2 C, so the quartic
+    in eta.  The fields at eta = -/+ h give hB and h^2 C, so the quartic
     is written in t = eta/h: with h near the step, the linear term stays
-    clear of the rounding of the probes.  The quartic is evaluated at the
-    real part of every root of its cubic derivative (a double real root
-    may come back as a nearly real pair) and the lowest value wins.
-    Returns 0.0 when no candidate lowers the energy and nan when a
+    clear of the rounding of the probes.  The fields of the start and of
+    each probe are flattened once, into one vector each, so each quartic
+    coefficient is one reduction; only fields that are _ZERO at all three
+    points are left out, and they add nothing.  The quartic is evaluated at
+    every real root of its cubic derivative (_cubic_roots) and the lowest
+    value wins.  Returns 0.0 when no root lowers the energy and nan when a
     coefficient is not finite.
     """
-    c = np.zeros(5)
-    wp = _residual_fields(_Fields(_apply_step(s, dirn, -h)), p)
-    wm = _residual_fields(_Fields(_apply_step(s, dirn, h)), p)
-    for name, v0 in w0.items():
-        hb = 0.5 * (wp[name] - wm[name])
-        h2c = 0.5 * (wp.pop(name) + wm.pop(name)) - v0
-        c[1] -= 2.0 * _dot(v0, hb)
-        c[2] += _frob2(hb) + 2.0 * _dot(v0, h2c)
-        c[3] -= 2.0 * _dot(hb, h2c)
-        c[4] += _frob2(h2c)
-    if not np.all(np.isfinite(c)):
+    wp, wm = fields_at(-h), fields_at(h)
+    sizes = {}
+    for k, v0 in w0.items():
+        live = [v for v in (v0, wp[k], wm[k]) if v is not _ZERO]
+        if live:
+            sizes[k] = live[0].size
+    # Each probe's dict goes as soon as its flat copy exists, and vm once
+    # it is used: the solve's peak memory is measurably lower.
+    v0 = _flat(w0, sizes)
+    vp = _flat(wp, sizes)
+    del wp
+    vm = _flat(wm, sizes)
+    del wm
+    # hb = (vp - vm) / 2, and h2c = (vp + vm) / 2 - v0 in vp's place.
+    hb = vp - vm
+    hb *= 0.5
+    h2c = vp
+    h2c += vm
+    del vm
+    h2c *= 0.5
+    h2c -= v0
+    c1 = -2.0 * np.vdot(v0, hb).real
+    c2 = np.vdot(hb, hb).real + 2.0 * np.vdot(v0, h2c).real
+    c3 = -2.0 * np.vdot(hb, h2c).real
+    c4 = np.vdot(h2c, h2c).real
+    if not math.isfinite(c1 + c2 + c3 + c4):
         return math.nan
-    roots = np.roots([4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]]).real
-    best, drop = 0.0, 0.0
-    for t in roots[roots > 0]:
-        d = t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
-        if d < drop:
-            best, drop = float(t), d
-    return h * best
+    return h * _line_minimum(float(c1), float(c2), float(c3), float(c4))
 
 
 _ZERO_GRAD = 1e-30
@@ -780,6 +898,13 @@ def solve(
     evaluations of the residual fields: two probes along the line and the
     new state, whose _Fields and residual fields give both its energy and
     its gradient.
+    The loop runs on packed vectors in the _Preconditioner's layout: the
+    flowed blocks of the state, the gradient, the preconditioned gradient
+    and the direction are one complex array each, so every inner product,
+    the Polak-Ribiere+ update and each step along the line is one array
+    operation.  The states along the way are views of the packed state,
+    derived without re-validation; energies stay the per-block sums of
+    residual_energy.
     The solve starts from s0 with theta2 and psi set to zero and flows the
     FLOWS blocks (see "One problem" above).  Converged means
     residual_energy <= tol.  stop_reason names why the solve ended:
@@ -798,16 +923,26 @@ def solve(
     step = 1.0
     stop_reason = "max_iter"
     iterations = 0
-    prev: Optional[tuple[dict[str, np.ndarray], float, dict[str, np.ndarray]]] = None
-    precondition = _Preconditioner(s, p)
+    prev: Optional[tuple[np.ndarray, float, np.ndarray]] = None
+    packing = _Preconditioner(s, p)
+    x = packing.pack({name: getattr(s, name) for name in FLOWS})
+    # The probes along the line share one buffer and the state that views it.
+    probe = np.empty_like(x)
+    probe_state = _derived(s, packing.unpack(probe))
+
+    def fields_at(eta: float) -> dict[str, np.ndarray]:
+        """The residual fields at x - eta dirn."""
+        np.multiply(dirn, -eta, out=probe)
+        np.add(probe, x, out=probe)
+        return _residual_fields(_Fields(probe_state), p)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
         if not math.isfinite(energy):
             stop_reason = "non_finite"
             break
-        grad = _gradient(f, w, FLOWS)
-        pgrad = precondition(grad)
+        grad = packing.pack(_gradient(f, w, FLOWS))
+        pgrad = packing(grad)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
             stop_reason = "zero_gradient"
@@ -817,23 +952,24 @@ def solve(
             pgrad_prev, gz_prev, dirn_prev = prev
             beta = (gz - _inner(grad, pgrad_prev)) / gz_prev
             if beta > 0:
-                cg = {k: pgrad[k] + beta * dirn_prev[k] for k in pgrad}
+                cg = pgrad + beta * dirn_prev
                 if _inner(grad, cg) > 0:
                     dirn = cg
         prev = (pgrad, gz, dirn)
         del grad
-        step = _exact_step(s, p, dirn, w, step)
+        step = _exact_step(fields_at, w, step)
         if not step > 0.0:
             stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
-        cand = _apply_step(s, dirn, step)
+        x_new = x - step * dirn
+        cand = _derived(s, packing.unpack(x_new))
         f_new = _Fields(cand)
         w_new = _residual_fields(f_new, p)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
             stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
             break
-        s, f, w, energy = cand, f_new, w_new, e_new
+        s, x, f, w, energy = cand, x_new, f_new, w_new, e_new
         history.append(energy)
         iterations += 1
 
@@ -1075,6 +1211,22 @@ def random_smooth_state(
         N=N, a=_spacing(N, vol), A1=A1, A2=A2,
         theta1=theta1, theta2=theta2, phi=phi, psi=psi,
     )
+
+
+# Peak bytes a cold solve holds besides its start, in units of the start
+# state's bytes: the measured peak RSS growth was 7.3 to 10.1 states (rank
+# 1 at N = 64, 128, 256; (2, 2) at N = 64; (2, 1) at N = 128).
+SOLVE_WORKING_STATES = 11
+
+
+def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
+    """An upper estimate of the bytes a cold solve on the N-grid holds at
+    its peak, counted without allocating anything: the start state, and
+    the larger of random_smooth_state's wave table (one complex site field
+    per mode) and the solver's working set."""
+    site = 16 * N * N
+    state = site * (3 * r1 * r1 + 3 * r2 * r2 + 2 * r1 * r2)
+    return state + max(site * len(_SMOOTH_MODES), SOLVE_WORKING_STATES * state)
 
 
 def prolong_state(s: LatticeState) -> LatticeState:

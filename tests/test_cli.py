@@ -442,6 +442,37 @@ def test_vortex_psi_branch_note_follows_tau_prime(capsys, tau: str, noted: bool)
         assert "note" not in report
 
 
+@pytest.mark.parametrize("branch, tau", [("phi", "0.01"), ("psi", "-0.01")])
+def test_vortex_small_tau_notes_the_zero_section_critical_point(
+    capsys, branch: str, tau: str
+) -> None:
+    # At coupling 0.01 an amplitude-0.1 start is mostly noise, and the
+    # descent collapses the section onto its zero, a critical point where
+    # W1 = -tau/2 and W2 = -tau'/2; an amplitude below sqrt(0.01) solves.
+    base = {"--grid": "16", "--seed": "7", "--tol": "1e-13", "--max-iter": "10000",
+            "--tau": tau, "--branch": branch}
+    code, out, _ = run(capsys, vortex_args(**base, **{"--amplitude": "0.1"}))
+    assert code == 0
+    report = json.loads(out)
+    assert report["stop_reason"] == "no_decrease"
+    assert report["stalled"] is True
+    t, t_prime = float(tau), -float(tau)
+    floor = 1.0 * (1 * t * t + 1 * t_prime * t_prime) / 4.0
+    assert report["residual"] == pytest.approx(floor, rel=1e-9)
+    note = report["note"]
+    section, coupling = ("phi", "tau") if branch == "phi" else ("psi", "tau'")
+    assert f"critical point {section} = 0" in note
+    assert f"vol*(rank1*tau^2 + rank2*tau'^2)/4 = {floor!r}" in note
+    assert f"--amplitude below sqrt({coupling}) = 0.1 " in note
+    assert "no solution expected" not in note
+
+    code, out, _ = run(capsys, vortex_args(**base, **{"--amplitude": "0.01"}))
+    assert code == 0
+    report = json.loads(out)
+    assert report["converged"] is True
+    assert "note" not in report
+
+
 @pytest.mark.parametrize("branch, tau", [("phi", "1.0"), ("psi", "-1.0")])
 def test_vortex_grid_32_solves_coarse_to_fine(capsys, branch: str, tau: str) -> None:
     # tau' = -tau, so each branch's section has a positive coupling.
@@ -612,6 +643,33 @@ def test_vortex_out_of_memory_exits_1(capsys, monkeypatch, fmt: str) -> None:
         assert payload["message"].startswith("out of memory: Unable to allocate")
     else:
         assert err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
+    capsys, monkeypatch, fmt: str
+) -> None:
+    # A grid of 10^12 sites needs far more than any physical memory; the
+    # refusal must come from the estimate, so the sampler and numpy's
+    # allocators fail the test if they are reached.
+    def allocates(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(higgspairs.vortex, "random_smooth_state", allocates)
+    for name in ("empty", "zeros", "empty_like", "zeros_like"):
+        monkeypatch.setattr(np, name, allocates)
+    code, out, err = run(capsys, vortex_args(**{"--grid": "1000000", "--format": fmt}))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    message = f"--grid 1000000 needs about 1.54e+15 bytes, more than the {physical:.3g} bytes"
+    if fmt == "json":
+        payload = json.loads(err)
+        assert payload["error"] == "MemoryError"
+        assert message in payload["message"]
+    else:
+        assert err.startswith("error: out of memory: " + message)
 
 
 def test_vortex_dump_fields(capsys, tmp_path) -> None:

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import higgspairs.vortex as vx
 
@@ -176,14 +179,101 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
         f = vx._Fields(s)
         w = vx._residual_fields(f, p)
-        dirn = vx._Preconditioner(s, p)(vx._gradient(f, w, vx.FLOWS))
-        eta = vx._exact_step(s, p, dirn, w, 1.0)
+        packing = vx._Preconditioner(s, p)
+        dirn = packing.unpack(packing(packing.pack(vx._gradient(f, w, vx.FLOWS))))
+
+        def along(t: float) -> vx.LatticeState:
+            return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
+
+        eta = vx._exact_step(lambda t: vx._residual_fields(vx._Fields(along(t)), p), w, 1.0)
         assert eta > 0.0
-        best = vx.residual_energy(vx._apply_step(s, dirn, eta), p)
+        best = vx.residual_energy(along(eta), p)
         assert best < vx.residual_energy(s, p)
         grid = np.concatenate(
             [np.linspace(0.0, 4.0 * eta, 401), eta * np.geomspace(4.0, 1e3, 50)]
         )
         for t in grid:
-            e = vx.residual_energy(vx._apply_step(s, dirn, float(t)), p)
+            e = vx.residual_energy(along(float(t)), p)
             assert best <= e * (1.0 + 1e-12), (r1, r2, t)
+
+
+# -- the closed-form line minimum ------------------------------------------
+
+
+def quartic_drop(c: tuple[float, float, float, float], t: float) -> float:
+    c1, c2, c3, c4 = c
+    return t * (c1 + t * (c2 + t * (c3 + t * c4)))
+
+
+def quartic_size(c: tuple[float, float, float, float], t: float) -> float:
+    """The sum of the magnitudes of the quartic's terms at t: the scale of
+    its rounding."""
+    return sum(abs(ck) * abs(t) ** (k + 1) for k, ck in enumerate(c))
+
+
+def roots_oracle(c: tuple[float, float, float, float]) -> float:
+    """The positive real root of the quartic's derivative with the lowest
+    value below zero, from np.roots (a companion-matrix eigensolve), or 0.0."""
+    c1, c2, c3, c4 = c
+    roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1])
+    best, drop = 0.0, 0.0
+    for t in roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]:
+        d = quartic_drop(c, float(t))
+        if d < drop:
+            best, drop = float(t), d
+    return best
+
+
+# Zero, or between 1e-6 and 1e3 in size: a spread of 1e9 between two
+# coefficients.  Far wider, np.roots (the oracle) overflows in its
+# companion matrix and the quartic's value at the far roots overflows a
+# float; test_line_minimum_of_a_nearly_quadratic_quartic covers that range.
+magnitude = st.floats(1e-6, 1e3)
+coefficient = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+leading = st.one_of(st.just(0.0), magnitude)
+root = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def double_root(draw) -> tuple[float, float, float, float]:
+    # E' = 4 c4 (t - r)^2 (t - u): the double root r is no minimum.
+    c4, r, u = draw(st.floats(1e-3, 1e3)), draw(root), draw(root)
+    return (-4.0 * c4 * r * r * u, 2.0 * c4 * (r * r + 2.0 * r * u), -4.0 * c4 * (2.0 * r + u) / 3.0, c4)
+
+
+@st.composite
+def triple_root(draw) -> tuple[float, float, float, float]:
+    # E' = 4 c4 (t - r)^3: the triple root r is the minimum.
+    c4, r = draw(st.floats(1e-3, 1e3)), draw(root)
+    return (-4.0 * c4 * r ** 3, 6.0 * c4 * r * r, -4.0 * c4 * r, c4)
+
+
+quartics = st.one_of(
+    st.tuples(coefficient, coefficient, coefficient, leading),
+    st.tuples(coefficient, coefficient, coefficient, st.just(0.0)),
+    st.tuples(coefficient, coefficient, st.just(0.0), st.just(0.0)),
+    double_root(),
+    triple_root(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quartics)
+def test_line_minimum_lowers_the_quartic_as_far_as_np_roots(c) -> None:
+    # The closed form replaces np.roots in the solver's line step; it must
+    # find a step at least as low as np.roots's best real root, to 1e-12
+    # of the size of the quartic's terms.
+    got = vx._line_minimum(*c)
+    want = roots_oracle(c)
+    assert got >= 0.0
+    drop = quartic_drop(c, got)
+    assert drop <= 0.0
+    slack = 1e-12 * max(quartic_size(c, got), quartic_size(c, want))
+    assert drop <= quartic_drop(c, want) + slack, (got, want)
+
+
+@pytest.mark.parametrize("c4", [1e-12, 1e-100, 1e-200, 1e-300, 5e-324])
+def test_line_minimum_of_a_nearly_quadratic_quartic(c4: float) -> None:
+    # -2 t + t^2 + c4 t^4 is lowest at t = 1 - 2 c4 + O(c4^2), however far
+    # a vanishing leading coefficient pushes the derivative's complex roots.
+    assert vx._line_minimum(-2.0, 1.0, 0.0, c4) == pytest.approx(1.0 - 2.0 * c4, rel=1e-15)

@@ -214,10 +214,10 @@ def fft2_precondition(
 
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
-    # The packed in-place transforms take the same 1-D passes in the same
-    # order as fft2 and ifft2, and each plane is multiplied by its block's
-    # kernel, so the blocks agree bit for bit; also when a block the solver
-    # flows is _ZERO and its slot is skipped.
+    # The packed transforms take the same 1-D passes in the same order as
+    # fft2 and ifft2, and each plane is multiplied by its block's kernel,
+    # so the unpacked blocks agree bit for bit; also when a block the
+    # solver flows is _ZERO and its slot is packed as zeros.
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
@@ -225,13 +225,15 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
     assert list(grad) == list(vx.FLOWS)
     precondition = vx._Preconditioner(s, p)
+    for name, block in precondition.unpack(precondition.pack(grad)).items():
+        assert np.array_equal(block, grad[name]), name
     for g in (grad, dict(grad, theta1=vx._ZERO)):
-        got = precondition(g)
+        got = precondition.unpack(precondition(precondition.pack(g)))
         want = fft2_precondition(g, s, p)
         assert list(got) == list(want)
         for name, ref in want.items():
             if ref is vx._ZERO:
-                assert got[name] is vx._ZERO, name
+                assert not got[name].any(), name
             else:
                 assert np.array_equal(got[name], ref), name
 
@@ -300,20 +302,23 @@ def test_vacuum_symbol_matches_rayleigh_quotients(r: int, tau: float) -> None:
 
 
 def test_preconditioner_results_outlive_the_next_call() -> None:
-    # The workspace is reused by every call; what a call returns must not
-    # be a view of it.
+    # One preconditioner serves a whole solve; what a call returns must be
+    # a new packed vector, left alone by the next call, and the packed
+    # gradient it was given must be left alone too.
     p = vx.VortexParams(r1=2, tau=0.8, r2=1)
     rng = np.random.default_rng(83)
     s = branch_state(2, 1, "phi", rng)
     f = vx._Fields(s)
     grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
     precondition = vx._Preconditioner(s, p)
-    first = precondition(grad)
-    kept = {name: g.copy() for name, g in first.items()}
-    precondition({name: 2.0 * g + 1.0 for name, g in grad.items()})
-    for name, g in first.items():
-        assert np.array_equal(g, kept[name]), name
-        assert not np.shares_memory(g, precondition.work), name
+    packed = precondition.pack(grad)
+    first = precondition(packed)
+    kept = first.copy()
+    second = precondition(precondition.pack({name: 2.0 * g + 1.0 for name, g in grad.items()}))
+    assert np.array_equal(first, kept)
+    assert np.array_equal(packed, precondition.pack(grad))
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, packed)
 
 
 # Exchanging the bundles swaps W1, W3, W4 with W2, W5, W6 and each block

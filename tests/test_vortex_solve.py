@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,25 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
         return len(calls)
 
     assert total(4) - total(2) == 2 * 4
+
+
+@pytest.mark.parametrize("N, r1, r2, max_iter", [(32, 1, 1, 100), (16, 2, 2, 30)])
+def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: int) -> None:
+    # The CLI refuses a grid on this estimate before it allocates, so it
+    # must bound what sampling and solving hold.  A first short solve
+    # leaves numpy's one-time allocations (FFT plans, lazy imports), which
+    # do not grow with the grid, outside the count.
+    p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
+    vx.solve(vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0), p, max_iter=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s0 = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0)
+        vx.solve(s0, p, tol=1e-12, max_iter=max_iter)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= vx.solve_bytes(N, r1, r2), (peak, vx.solve_bytes(N, r1, r2))
 
 
 NON_FINITE_SCALES = [1e50, 1e100, np.nan]
