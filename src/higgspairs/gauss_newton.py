@@ -1,0 +1,297 @@
+"""The exact Gauss-Newton symbol of a vortex solve at its constant vacuum.
+
+``vortex._Preconditioner`` builds a ``GaussNewtonSymbol`` once per solve of
+a problem with a constant vacuum and applies it in place of its per-block
+kernel; its docstring says when and why.  The symbol is built from the
+residual kernel itself (``vortex._residual_fields``), probed at the vacuum
+on a small grid: no formula for J is written down here.  Only solves with
+a vacuum import this module.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Optional
+
+import numpy as np
+
+from higgspairs import vortex as vx
+
+# The site offsets a residual field reads: the central differences of
+# vortex._stencil reach one neighbour along each axis, and every product
+# stays on its site.
+STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _real_units(r: int, hermitian: bool) -> np.ndarray:
+    """An orthonormal basis, in the metric Re tr(x^H y), of the
+    anti-Hermitian r x r matrices, followed by one of the Hermitian ones
+    (i times the first) when hermitian is set; shape (units, r, r).  Each
+    unit lives on one diagonal entry or on one pair (i, j), (j, i), and
+    each of its entries is real or imaginary."""
+    c = math.sqrt(0.5)
+    units = []
+    for i in range(r):
+        u = np.zeros((r, r), dtype=np.complex128)
+        u[i, i] = 1j
+        units.append(u)
+        for j in range(i + 1, r):
+            u = np.zeros((r, r), dtype=np.complex128)
+            u[i, j], u[j, i] = c, -c
+            v = np.zeros((r, r), dtype=np.complex128)
+            v[i, j] = v[j, i] = 1j * c
+            units += [u, v]
+    anti = np.array(units)
+    return np.concatenate([anti, 1j * anti]) if hermitian else anti
+
+
+class GaussNewtonSymbol:
+    """The inverse of the Gauss-Newton Hessian a^2 J*J at the constant
+    vacuum, one matrix per Fourier mode and coupling group.
+
+    J is real-linear (the residuals hold adjoints), so it acts on real
+    coordinates: a packed tangent vector is sum_c u_c e_c over units e_c
+    orthonormal in Re tr(x^H y) (_real_units: anti-Hermitian ones for the
+    potentials, all of gl(r) for theta1 and phi), and the residual fields
+    are read in the units of gl(r).  At the vacuum A = theta = 0, phi0 =
+    sqrt(tau) I, J is a convolution over STENCIL_OFFSETS, so a real-FFT
+    mode xi of u maps to the same mode of the residuals by the matrix
+    Jh(xi) = sum_o J(o) exp(-2 pi i xi.o/N).
+
+    J(o) is probed, not derived (_probe).  Units that share a residual
+    coordinate at some offset form a coupling group, and J*J is block
+    diagonal in the groups, so each is built and applied on its own.  The
+    probes find 2r^2 groups: each anti-Hermitian unit of A1 and A2 (both
+    directions) with the same unit and i times it in phi, six coordinates,
+    and the same unit and i times it in theta1, two.  At tau = 0 phi
+    decouples and every group has two.  When the probes show J odd in the
+    neighbour offsets, as central differences make it, Jh reads a mode
+    only through sin(2 pi k/N) along each axis, which k and N/2 - k share
+    at even N: each class of such modes is built once.
+
+    Per mode and group the operator is ((J*J)^+ + P0 K P0) / a^2
+    (_pseudo_inverse_with_kernel): the exact inverse on the directions J
+    sees, and on the null space of Jh, projected by P0, the diagonal K of
+    the solve's per-block kernel (VACUUM_SYMBOL floored by MASS_FLOOR).
+    The null space holds the gauge directions at every mode, and at
+    tau = 0 everything the mass alone would see.  Each mode's matrix is
+    Hermitian positive definite, so the operator is symmetric positive
+    definite in the solver's metric, and it maps real coordinates to real
+    coordinates, so the potentials of a direction stay anti-Hermitian.
+
+    A call reads the coordinates off a packed gradient, transforms them
+    with rfft along the last site axis and fft along the first, gathers
+    the modes by class, multiplies each group by its matrices, and goes
+    back the same way.
+    """
+
+    def __init__(self, packing: vx._Preconditioner, s: vx.LatticeState, p: vx.VortexParams) -> None:
+        r, N = s.r1, s.N
+        # One row per real coordinate: its unit over the packed planes, and
+        # the name of its block.
+        rows, names = [], []
+        for name, slot, _, _ in packing.layout:
+            units = _real_units(r, hermitian=name not in ("A1", "A2")).reshape(-1, r * r)
+            for start in range(slot.start, slot.stop, r * r):
+                for u in units:
+                    row = np.zeros(packing.shape[0], dtype=np.complex128)
+                    row[start : start + r * r] = u
+                    rows.append(row)
+                    names.append(name)
+        basis = np.array(rows)
+        jac = _probe(packing, s, basis, p)
+        odd = np.array_equal(jac[1], -jac[2]) and np.array_equal(jac[3], -jac[4])
+        reps1, members1 = _sine_classes(N, N, odd)
+        reps2, members2 = _sine_classes(N, N // 2 + 1, odd)
+        angle1 = 2.0 * np.pi * reps1[:, None] / N
+        angle2 = 2.0 * np.pi * reps2[None, :] / N
+        phases = np.array([np.exp(-1j * (o1 * angle1 + o2 * angle2)).ravel()
+                           for o1, o2 in STENCIL_OFFSETS])
+        omega2 = ((np.sin(angle1) ** 2 + np.sin(angle2) ** 2) / (s.a * s.a)).ravel()
+        kernel = np.array([vx._block_kernel(name, p.tau, omega2) for name in names])
+        # The flat spectrum positions of each class's modes, one row per
+        # member; a class with fewer members repeats one.
+        self.members = (
+            members1[:, None, :, None] * (N // 2 + 1) + members2[None, :, None, :]
+        ).reshape(len(members1) * len(members2), -1)
+        self.groups: list[tuple[slice, np.ndarray]] = []
+        order: list[int] = []
+        for cols, touched in _groups(jac):
+            jh = np.einsum("om,orc->rcm", phases, jac[:, touched][:, :, cols])
+            inverse = _pseudo_inverse_with_kernel(jh, kernel[cols])
+            inverse /= s.a * s.a
+            self.groups.append((slice(len(order), len(order) + len(cols)), inverse))
+            order.extend(cols)
+        # Coordinates in group order, so that every group is one slice.
+        # Over the real components (plane, part) of a packed vector each
+        # coordinate reads at most two, and each component sums at most two
+        # coordinates.
+        parts = np.stack([basis[order].real, basis[order].imag])
+        self.reads = _sparse_rows(parts.transpose(1, 2, 0).reshape(len(order), -1))
+        self.writes = [_sparse_rows(part.T) for part in parts]
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        # Each intermediate goes as soon as the next one exists: at its
+        # peak this call adds about 2.3 states, its result included, and
+        # 3.2 when every intermediate lived to the end (rank 1, N = 64).
+        parts = g.view(np.float64).reshape(g.shape + (2,))
+        w = np.fft.rfft(_combine(*self.reads, lambda j: parts[j // 2, :, :, j % 2]), axis=-1)
+        np.fft.fft(w, axis=-2, out=w)
+        flat = w.reshape(len(w), -1)
+        spec = flat[:, self.members]
+        for cols, inverse in self.groups:
+            spec[cols] = np.einsum("ije,jqe->iqe", inverse, spec[cols])
+        flat[:, self.members] = spec
+        del spec
+        np.fft.ifft(w, axis=-2, out=w)
+        u = np.fft.irfft(w, n=g.shape[-1], axis=-1)
+        del w
+        d = np.empty(g.shape + (2,))
+        for part, writes in enumerate(self.writes):
+            _combine(*writes, lambda j: u[j], out=d[..., part])
+        return d.view(np.complex128).reshape(g.shape)
+
+
+def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, p: vx.VortexParams) -> np.ndarray:
+    """J(o) for o in STENCIL_OFFSETS, shape (offsets, residual coordinates,
+    coordinates), from one evaluation of the residual fields.
+
+    Every unit e_c goes to two sites of the vacuum on a small grid with
+    the solve's spacing, +e_c at one and -e_c at the other, all at sites
+    (i, j) with i + 2j = 0 mod 5, whose five-site stencils tile the grid.
+    The residuals are at most quadratic and their products stay on a
+    site, so half the difference of the two responses is J e_c exactly:
+    the quadratic part, even in e_c, and the vacuum's own residual drop
+    out.
+    """
+    r = p.r1
+    count = len(basis)
+    n = 5 * math.ceil(math.sqrt(2 * count / 5))
+    sites = [(i, j) for j in range(n) for i in range(n) if (i + 2 * j) % 5 == 0]
+    at = np.array(sites[: 2 * count]).T.reshape(2, 2, count)
+    x = np.zeros((len(basis[0]), n, n), dtype=np.complex128)
+    packing.unpack(x)["phi"][...] = math.sqrt(p.tau) * vx._identity(r)
+    x[:, at[0, 0], at[1, 0]] += basis.T
+    x[:, at[0, 1], at[1, 1]] -= basis.T
+    held = np.zeros((n, n, r, r), dtype=np.complex128)
+    probe = vx._derived(s, dict(packing.unpack(x), theta2=held, psi=held, N=n))
+    w = vx._residual_fields(vx._Fields(probe, held=vx.HELD), p)
+    response = np.array([v for v in w.values() if v is not vx._ZERO])
+    offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
+    near = response[:, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n]
+    readout = _real_units(r, hermitian=True).conj()
+    jac = np.einsum("uij,fopcij->opfuc", readout, near).real
+    return 0.5 * (jac[:, 0] - jac[:, 1]).reshape(len(offsets), -1, count)
+
+
+def _groups(jac: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The coupling groups: (coordinates, residual coordinates they touch)
+    of each connected set of coordinates that share a residual coordinate."""
+    touch = (jac != 0).any(axis=0).astype(np.int64)
+    reach = (touch.T @ touch + np.eye(touch.shape[1], dtype=np.int64)) > 0
+    while True:
+        wider = (reach.astype(np.int64) @ reach) > 0
+        if (wider == reach).all():
+            break
+        reach = wider
+    groups, seen = [], np.zeros(len(reach), dtype=bool)
+    for members in reach:
+        if not seen[members].any():
+            seen |= members
+            groups.append((np.flatnonzero(members), np.flatnonzero(touch[:, members].any(axis=1))))
+    return groups
+
+
+def _sine_classes(N: int, count: int, reflect: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier indices 0..count-1 of an N-grid axis in classes of equal
+    sin(2 pi k/N): the class representatives k (a range of integers) and
+    the first and the last index of each class (one row when no class has
+    two).  With reflect, k and N/2 - k share a class at even N; otherwise
+    every index is its own class."""
+    k = np.arange(count)
+    k = np.where(2 * k > N, k - N, k)
+    if reflect and N % 2 == 0:
+        k = np.where(4 * k > N, N // 2 - k, np.where(4 * k < -N, -(N // 2) - k, k))
+    reps = np.arange(k.min(), k.max() + 1)
+    of = k - k.min()
+    first = np.empty(len(reps), dtype=np.intp)
+    last = np.empty(len(reps), dtype=np.intp)
+    first[of[::-1]] = np.arange(count)[::-1]
+    last[of] = np.arange(count)
+    members = first[None] if np.array_equal(first, last) else np.array([first, last])
+    return reps, members
+
+
+def _sparse_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of each row of m, as (columns, weights) of shape (most
+    nonzeros in a row, rows); short rows are padded with weight 0."""
+    width = max(1, int((m != 0).sum(axis=1).max()))
+    columns = np.zeros((width, len(m)), dtype=np.intp)
+    weights = np.zeros((width, len(m)))
+    for i, row in enumerate(m):
+        nz = np.flatnonzero(row)
+        columns[: len(nz), i] = nz
+        weights[: len(nz), i] = row[nz]
+    return columns, weights
+
+
+def _combine(
+    columns: np.ndarray, weights: np.ndarray, planes: Callable, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """sum_k weights[k] planes(columns[k]), into out when given: the sparse
+    matrix of _sparse_rows applied to site planes, planes(j) giving a fresh
+    array of the planes j."""
+    first = planes(columns[0])
+    first *= weights[0][:, None, None]
+    if out is None:
+        out = first
+    else:
+        out[...] = first
+    for j, w in zip(columns[1:], weights[1:]):
+        term = planes(j)
+        term *= w[:, None, None]
+        out += term
+    return out
+
+
+def _pseudo_inverse_with_kernel(jh: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(Jh^H Jh)^+ + P0 diag(kernel) P0 per mode, shape (g, g, modes), for
+    jh of shape (rows, g, modes) and kernel of shape (g, modes); P0
+    projects on the null space of Jh.  Modes run along the last axis, so
+    every step is one array operation over all of them.
+
+    Gram-Schmidt runs over the rows of Jh, conjugated, in the metric of
+    Jh^H Jh, and carries each vector's images under Jh and Jh^H Jh: z_k
+    with Jh z_k orthonormal, so the pseudo-inverse is sum z_k z_k^H and
+    the projector on the row space is sum z_k (Jh^H Jh z_k)^H.  A row
+    whose image, after the earlier ones are taken out, is within
+    max(rows, g) eps of the largest entry of Jh Jh^H adds nothing: the
+    rounding rule of np.linalg.matrix_rank, on the Gram matrix.
+    """
+    count, g, modes = jh.shape
+    # Each vector: x, a conjugated row, then Jh x, then Jh^H Jh x.  The
+    # process runs in place, and the sums of outer products below take one
+    # term at a time into one buffer: the build's temporaries stay a few
+    # times the size of its result.
+    vectors = np.empty((count, 2 * g + count, modes), dtype=np.complex128)
+    image = slice(g, g + count)
+    np.conjugate(jh, out=vectors[:, :g])
+    np.einsum("rcm,kcm->krm", jh, vectors[:, :g], out=vectors[:, image])
+    np.einsum("rcm,krm->kcm", vectors[:, :g], vectors[:, image], out=vectors[:, g + count :])
+    tol = max(count, g) * np.finfo(np.float64).eps * float(np.abs(vectors[:, image]).max())
+    for k, v in enumerate(vectors):
+        for u in vectors[:k]:
+            v -= (u[image].conj() * v[image]).sum(axis=0) * u
+        norm = np.sqrt((np.abs(v[image]) ** 2).sum(axis=0))
+        v *= (norm > tol) / np.maximum(norm, tol)
+    null = np.zeros((g, g, modes), dtype=np.complex128)
+    null[range(g), range(g)] = 1.0
+    out = np.zeros_like(null)
+    term = np.empty_like(null)
+    for v in vectors:
+        null -= np.multiply(v[:g, None], v[None, g + count :].conj(), out=term)
+        out += np.multiply(v[:g, None], v[None, :g].conj(), out=term)
+    for c in range(g):
+        f = null[:, c] * np.sqrt(kernel[c])
+        out += np.multiply(f[:, None], f[None].conj(), out=term)
+    return out

@@ -67,23 +67,32 @@ array.  Commutators of 1x1 blocks are zero, since scalars commute, and
 
 Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: the
 packed layout, a site plane for every entry of the FLOWS blocks, and the
-kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the Fourier
-symbol of the Gauss-Newton Hessian J*J at the constant vacuum of the
-solved problem (VACUUM_SYMBOL, derived in the class docstring).  The
+kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the diagonal
+of the Fourier symbol of the Gauss-Newton Hessian J*J at a constant
+vacuum (VACUUM_SYMBOL, derived in the class docstring).  When the solved
+problem has a constant vacuum, A = theta = 0 and phi = sqrt(tau) I, which
+needs r1 = r2, d1 + d2 = 0 and tau >= 0, J*J there is translation
+invariant, and the preconditioner applies its exact inverse mode by mode
+instead (gauss_newton.GaussNewtonSymbol): built once per solve by probing
+the residual fields at the vacuum, one small matrix per Fourier mode and
+coupling group of real coordinates, with the per-block kernel on its
+null space, the gauge directions.  Without a vacuum there is no constant
+state to linearize at, and the per-block kernel serves alone.  The
 solver's loop runs on packed vectors in that layout, one complex array
 each for the flowed blocks of the state, the gradient, the preconditioned
 gradient and the direction, so an inner product, the conjugate-gradient
 update or a step is one array operation, and the states along the way
 are views of the packed state.  Each iteration packs the gradient blocks
 and transforms them together, one forward and one inverse 1-D transform
-per site axis, in the order fft2 and ifft2 take.  The line step flattens
-the residual fields of the start and of its two probes once each, forms
-each coefficient of the quartic with one reduction, and takes the real
-roots of its cubic derivative in closed form.
+per site axis.  The line step flattens the residual fields of the start
+and of its two probes once each, forms each coefficient of the quartic
+with one reduction, and takes the real roots of its cubic derivative in
+closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -100,8 +109,10 @@ DEVIATION_WEIGHT = 0.25
 MIN_GRID = 4
 
 BLOCKS = ("A1", "A2", "theta1", "theta2", "phi", "psi")
-# The blocks solve flows, in BLOCKS order; it holds theta2 and psi at zero.
+# The blocks solve flows, in BLOCKS order; it holds the others, theta2 and
+# psi, at zero.
 FLOWS = ("A1", "A2", "theta1", "phi")
+HELD = tuple(name for name in BLOCKS if name not in FLOWS)
 
 
 class NotConvergedError(RuntimeError):
@@ -256,6 +267,14 @@ def _block(m: np.ndarray):
     return m if m.any() else _ZERO
 
 
+@functools.cache
+def _identity(r: int) -> np.ndarray:
+    """The r x r identity, one read-only array per rank."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
 def _adj(m: np.ndarray) -> np.ndarray:
     if m is _ZERO:
         return _ZERO
@@ -338,22 +357,27 @@ class _Fields:
     """Shared derived quantities for one state (plain helper, no caching).
 
     theta1, theta2, phi and psi are _ZERO where they vanish at every site;
-    the connections are always arrays.
+    the connections are always arrays.  The blocks named in held are zero
+    by construction (a solve holds theta2 and psi there) and are set to
+    _ZERO without a scan.
     """
 
-    def __init__(self, s: LatticeState) -> None:
+    def __init__(self, s: LatticeState, held: tuple[str, ...] = ()) -> None:
+        def block(name: str):
+            return _ZERO if name in held else _block(getattr(s, name))
+
         self.a = s.a
         self.k = s.a * s.a
         self.Z1 = _zpot(s.A1)
         self.Z2 = _zpot(s.A2)
         self.Z1b = -_adj(self.Z1)
         self.Z2b = -_adj(self.Z2)
-        self.t1 = _block(s.theta1)
-        self.t2 = _block(s.theta2)
+        self.t1 = block("theta1")
+        self.t2 = block("theta2")
         self.t1d = _adj(self.t1)
         self.t2d = _adj(self.t2)
-        self.phi = _block(s.phi)
-        self.psi = _block(s.psi)
+        self.phi = block("phi")
+        self.psi = block("psi")
 
     def exchanged(self) -> _Fields:
         """These fields with the bundles exchanged; every array is shared, none recomputed."""
@@ -422,13 +446,11 @@ def _residual_fields(f: _Fields, p: VortexParams) -> dict[str, np.ndarray]:
     every term has a zero factor is _ZERO.
     """
     e = f.exchanged()
-    eye1 = np.eye(f.Z1.shape[-1])
-    eye2 = np.eye(f.Z2.shape[-1])
     g1 = f.curvature()
     g2 = e.curvature()
     return {
-        "W1": 2.0 * g1 + 0.5 * f.moment1() - 0.5 * p.tau * eye1,
-        "W2": 2.0 * g2 + 0.5 * e.moment1() - 0.5 * p.tau_prime * eye2,
+        "W1": 2.0 * g1 + 0.5 * f.moment1() - 0.5 * p.tau * _identity(f.Z1.shape[-1]),
+        "W2": 2.0 * g2 + 0.5 * e.moment1() - 0.5 * p.tau_prime * _identity(f.Z2.shape[-1]),
         "W3": 2.0 * f.dzbar_phi(),
         "W4": 2.0 * f.x_phi(),
         "W5": 2.0 * e.dzbar_phi(),
@@ -604,16 +626,26 @@ VACUUM_SYMBOL = {"A1": (1.0, 0.5), "A2": (1.0, 0.5), "theta1": (4.0, 2.0), "phi"
 MASS_FLOOR = 0.1
 
 
+def _block_kernel(name: str, tau: float, omega2: np.ndarray) -> np.ndarray:
+    """The kernel 1/(m t + c omega^2) of FLOWS block name, with (m, c) from
+    VACUUM_SYMBOL and t = |tau| floored at MASS_FLOOR."""
+    mass, stiffness = VACUUM_SYMBOL[name]
+    return 1.0 / (mass * max(abs(tau), MASS_FLOOR) + stiffness * omega2)
+
+
 class _Preconditioner:
-    """Fourier-diagonal approximate inverse Hessian, one kernel per FLOWS block.
+    """Approximate inverse Hessian of the solve: the packed layout, one
+    Fourier kernel per FLOWS block, and at a vacuum the exact Gauss-Newton
+    symbol.
 
     Near a solution the Hessian of residual_energy is a^2 J*J, with J the
     linear part of the residual fields.  At the constant vacuum of the
-    solved problem (A = theta = 0, phi phi^H = tau) J*J is diagonal in
-    Fourier space.  The central difference has the symbol i sin(2 pi k/N)/a
-    along each axis, so D_z and D_zbar both have |symbol|^2 = omega^2/4,
-    omega^2 = (sin^2(2 pi k1/N) + sin^2(2 pi k2/N))/a^2.  A plane wave in
-    one matrix entry of a block then gives:
+    solved problem (A = theta = 0, phi phi^H = tau) J*J is translation
+    invariant, so Fourier modes decouple.  The central difference has the
+    symbol i sin(2 pi k/N)/a along each axis, so D_z and D_zbar both have
+    |symbol|^2 = omega^2/4, omega^2 = (sin^2(2 pi k1/N) + sin^2(2 pi
+    k2/N))/a^2.  The diagonal of J*J then gives, for a plane wave in one
+    matrix entry of a block:
 
     * theta1: W4 = 2 theta1 phi gives 4 tau, and the curvature part
       2(D_z theta1^H - D_zbar theta1) of W1 gives 2 omega^2;
@@ -627,74 +659,115 @@ class _Preconditioner:
 
     So block b gets the kernel 1/(m_b t + c_b omega^2), with (m_b, c_b)
     from VACUUM_SYMBOL and t = |tau| (tests/test_vortex_kernels.py checks
-    the symbol against Rayleigh quotients of J).  The factor a^2 and the
-    overall scale drop out of the directions and the exact line step.
-    J reads phi only through these products, so at a constant state with
-    |phi|^2 = x the symbol is the same with t = x.  At tau = 0 the vacuum
-    is phi = 0 and has no mass, and the kernel would be infinite at
-    omega^2 = 0 (the constant mode and the doublers); a solve there carries
-    x from its start down to 0, and t is floored at MASS_FLOOR, an x that
-    such a solve passes through.  Each kernel is real and even, hence a
-    real symmetric convolution: it preserves anti-Hermiticity of the A
-    blocks and commutes with constant gauge rotations.
+    the symbol against Rayleigh quotients of J); ``blockwise`` applies it.
+    The factor a^2 and the overall scale drop out of the directions and
+    the exact line step.  J reads phi only through these products, so at
+    a constant state with |phi|^2 = x the symbol is the same with t = x.
+    At tau = 0 the vacuum is phi = 0 and has no mass, and the kernel would
+    be infinite at omega^2 = 0 (the constant mode and the doublers); a
+    solve there carries x from its start down to 0, and t is floored at
+    MASS_FLOOR, an x that such a solve passes through.  Each kernel is
+    real and even, hence a real symmetric convolution: it preserves
+    anti-Hermiticity of the A blocks and commutes with constant gauge
+    rotations.
+
+    The diagonal misses the off-diagonal terms of J*J (W3 couples A1 - A2
+    with i phi, the moment maps couple phi with the curl of the
+    potentials), so a cold rank-1 solve at N = 16 took 43 iterations.
+    With a constant vacuum (_has_vacuum) a call applies ``symbol``, a
+    gauss_newton.GaussNewtonSymbol, instead: per mode and coupling group,
+    the exact (J*J)^+ at phi0 = sqrt(tau) I on the directions J sees, and
+    this kernel, projected, on its null space (the gauge directions, and
+    at tau = 0 what only the mass would see); that solve takes 5.  There,
+    0.3 tau I stalls every tau = 0 solve, and 0.3 times the kernel took
+    10, 10 and 57 iterations at tau = 0 against 8, 7 and 31 (N = 16, 32,
+    16; seeds 7, 7, 3).  A vacuum needs phi phi^H = tau and phi^H phi =
+    -tau' at one constant phi: r1 = r2 and tau' = -tau (d1 + d2 = 0),
+    with tau >= 0.  Without one there is no constant state to linearize
+    at, and a call is ``blockwise``, bit for bit as before the symbol.
 
     ``solve`` builds one per solve, and it fixes the solver's packed
     layout: a packed vector is one complex array of shape (planes, N, N),
     a site plane for every matrix entry (and direction) of the FLOWS
     blocks, each block in its own fixed slot.  ``pack`` copies blocks into
     a fresh packed vector (a _ZERO block, one with no nonzero term, fills
-    its slot with zeros) and ``unpack`` views a packed vector as blocks.
-    A call transforms all planes of a packed gradient with one 1-D
-    transform pair per site axis, the last axis first, which is the order
-    fft2 and ifft2 use, so every block equals theirs bit for bit.  The
-    first transform writes a fresh array and the others work in it in
-    place, so what a call returns is new and is not touched again.
+    its slot with zeros) and ``unpack`` views a packed vector, on any
+    grid, as blocks.  ``blockwise`` transforms all planes of a packed
+    gradient with one 1-D transform pair per site axis, the last axis
+    first, which is the order fft2 and ifft2 use, so every block equals
+    theirs bit for bit.  The first transform writes a fresh array and the
+    others work in it in place, so what a call returns is new and is not
+    touched again.
     """
 
     def __init__(self, s: LatticeState, p: VortexParams) -> None:
-        sin2 = np.sin(2.0 * np.pi * np.arange(s.N) / s.N) ** 2
-        omega2 = (sin2[:, None] + sin2[None, :]) / (s.a * s.a)
-        t = max(abs(p.tau), MASS_FLOOR)
-        # Per block: its name, its slot, the shape of its planes (leading
-        # axes, matrix axes, site axes) and the axes that view them as the
-        # block (leading axes, site axes, matrix axes).
+        # Per block: its name, its slot, the shape of its entries (leading
+        # axes, matrix axes) and the axes that view its planes as the block
+        # (leading axes, site axes, matrix axes).
         self.layout: list[tuple[str, slice, tuple[int, ...], tuple[int, ...]]] = []
-        kernels = []
         used = 0
         for name in FLOWS:
             shape = getattr(s, name).shape
             lead = len(shape) - 4
-            planes = shape[:lead] + shape[-2:] + shape[lead : lead + 2]
-            n = math.prod(planes[:-2])
+            entries = shape[:lead] + shape[-2:]
+            n = math.prod(entries)
             axes = tuple(range(lead)) + (lead + 2, lead + 3, lead, lead + 1)
-            self.layout.append((name, slice(used, used + n), planes, axes))
-            mass, stiffness = VACUUM_SYMBOL[name]
-            kernels.append(np.broadcast_to(1.0 / (mass * t + stiffness * omega2), (n, s.N, s.N)))
+            self.layout.append((name, slice(used, used + n), entries, axes))
             used += n
-        self.kernel = np.concatenate(kernels)
+        self.shape = (used, s.N, s.N)
+        self.grid = (s.a, p.tau)
+        self.symbol = None
+        if _has_vacuum(p):
+            from higgspairs.gauss_newton import GaussNewtonSymbol
+
+            self.symbol = GaussNewtonSymbol(self, s, p)
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """The kernel of every plane, built on the first ``blockwise``
+        call: a solve with a vacuum never makes one."""
+        N = self.shape[-1]
+        a, tau = self.grid
+        sin2 = np.sin(2.0 * np.pi * np.arange(N) / N) ** 2
+        omega2 = (sin2[:, None] + sin2[None, :]) / (a * a)
+        return np.concatenate([
+            np.broadcast_to(_block_kernel(name, tau, omega2), (slot.stop - slot.start, N, N))
+            for name, slot, _, _ in self.layout
+        ])
 
     def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """The FLOWS blocks of the packed vector x, as views of it."""
         return {
-            name: x[slot].reshape(planes).transpose(axes)
-            for name, slot, planes, axes in self.layout
+            name: x[slot].reshape(entries + x.shape[-2:]).transpose(axes)
+            for name, slot, entries, axes in self.layout
         }
 
     def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
         """A fresh packed vector holding the FLOWS blocks of blocks."""
-        x = np.empty(self.kernel.shape, dtype=np.complex128)
+        x = np.empty(self.shape, dtype=np.complex128)
         for name, view in self.unpack(x).items():
             g = blocks[name]
             view[...] = 0.0 if g is _ZERO else g
         return x
 
-    def __call__(self, g: np.ndarray) -> np.ndarray:
+    def blockwise(self, g: np.ndarray) -> np.ndarray:
+        """g with every plane convolved with its block's kernel."""
         w = np.fft.fft(g, axis=-1)
         np.fft.fft(w, axis=-2, out=w)
         w *= self.kernel
         np.fft.ifft(w, axis=-1, out=w)
         np.fft.ifft(w, axis=-2, out=w)
         return w
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        return self.blockwise(g) if self.symbol is None else self.symbol(g)
+
+
+def _has_vacuum(p: VortexParams) -> bool:
+    """The solved problem has the constant solution A = theta = 0, phi =
+    sqrt(tau) I: phi phi^H = tau and phi^H phi = -tau_prime hold together
+    only for r1 = r2 and tau_prime = -tau (d1 + d2 = 0), with tau >= 0."""
+    return p.r1 == p.r2 and p.d1 + p.d2 == 0 and p.tau >= 0
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -914,9 +987,8 @@ def solve(
     lower the energy; "non_finite" when the energy, a line coefficient or
     the new energy is not finite.  The last three set stalled=True.
     """
-    s = replace(s0, **{name: np.zeros_like(getattr(s0, name))
-                       for name in BLOCKS if name not in FLOWS})
-    f = _Fields(s)
+    s = replace(s0, **{name: np.zeros_like(getattr(s0, name)) for name in HELD})
+    f = _Fields(s, held=HELD)
     w = _residual_fields(f, p)
     energy = _energy(s, w)
     history = [energy]
@@ -934,7 +1006,7 @@ def solve(
         """The residual fields at x - eta dirn."""
         np.multiply(dirn, -eta, out=probe)
         np.add(probe, x, out=probe)
-        return _residual_fields(_Fields(probe_state), p)
+        return _residual_fields(_Fields(probe_state, held=HELD), p)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
@@ -963,7 +1035,7 @@ def solve(
             break
         x_new = x - step * dirn
         cand = _derived(s, packing.unpack(x_new))
-        f_new = _Fields(cand)
+        f_new = _Fields(cand, held=HELD)
         w_new = _residual_fields(f_new, p)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
@@ -984,8 +1056,9 @@ def solve(
 
 
 # The coarsest grid of a ladder.  From N = 8 the (2, 2) solve loses: seed 3
-# needs 338 iterations at N = 8, and its N = 16 ladder took 0.61 s against
-# 0.25 s cold; from 16, (2, 2) at N = 32 went 0.61 -> 0.27 s (best of 3).
+# needs 159 iterations at N = 8, and its N = 16 ladder took 0.20 s against
+# 0.046 s cold; from 16, (2, 2) at N = 64 went 0.43 -> 0.23 s (best of 3,
+# with the Gauss-Newton symbol).
 LADDER_FLOOR = 16
 
 
@@ -1217,16 +1290,30 @@ def random_smooth_state(
 # state's bytes: the measured peak RSS growth was 7.3 to 10.1 states (rank
 # 1 at N = 64, 128, 256; (2, 2) at N = 64; (2, 1) at N = 128).
 SOLVE_WORKING_STATES = 11
+# Complex numbers per class of Fourier modes that the Gauss-Newton symbol
+# of an r1 = r2 = r problem adds, over r^2: it keeps 40 (coupling groups of
+# six and two coordinates per anti-Hermitian unit), bounded here by 48 (six
+# times the 8 coordinates per unit), and its build holds about 180 more for
+# the group of six it works on, whatever r is.
+SYMBOL_PER_CLASS = (48, 180)
 
 
 def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     """An upper estimate of the bytes a cold solve on the N-grid holds at
     its peak, counted without allocating anything: the start state, and
     the larger of random_smooth_state's wave table (one complex site field
-    per mode) and the solver's working set."""
+    per mode) and the solver's working set.  At r1 = r2 a problem can have
+    a vacuum, and then the working set holds its Gauss-Newton symbol: one
+    set of matrices per class of modes with equal sines, the classes that
+    gauss_newton.GaussNewtonSymbol builds (at odd N each mode is its own)."""
     site = 16 * N * N
     state = site * (3 * r1 * r1 + 3 * r2 * r2 + 2 * r1 * r2)
-    return state + max(site * len(_SMOOTH_MODES), SOLVE_WORKING_STATES * state)
+    work = SOLVE_WORKING_STATES * state
+    if r1 == r2:
+        classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else N * (N // 2 + 1)
+        kept, build = SYMBOL_PER_CLASS
+        work += 16 * classes * (kept * r1 * r1 + build)
+    return state + max(site * len(_SMOOTH_MODES), work)
 
 
 def prolong_state(s: LatticeState) -> LatticeState:

@@ -217,7 +217,9 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     # The packed transforms take the same 1-D passes in the same order as
     # fft2 and ifft2, and each plane is multiplied by its block's kernel,
     # so the unpacked blocks agree bit for bit; also when a block the
-    # solver flows is _ZERO and its slot is packed as zeros.
+    # solver flows is _ZERO and its slot is packed as zeros.  At r1 = r2 a
+    # call applies the Gauss-Newton symbol instead, whose null space still
+    # gets this kernel, so the kernel is checked through ``blockwise``.
     p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
@@ -228,7 +230,7 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     for name, block in precondition.unpack(precondition.pack(grad)).items():
         assert np.array_equal(block, grad[name]), name
     for g in (grad, dict(grad, theta1=vx._ZERO)):
-        got = precondition.unpack(precondition(precondition.pack(g)))
+        got = precondition.unpack(precondition.blockwise(precondition.pack(g)))
         want = fft2_precondition(g, s, p)
         assert list(got) == list(want)
         for name, ref in want.items():
@@ -247,15 +249,23 @@ def vacuum_state(N: int, r: int, tau: float) -> vx.LatticeState:
     return replace(s, phi=phi)
 
 
-def rayleigh_quotient(s: vx.LatticeState, p: vx.VortexParams, name: str, d: np.ndarray) -> float:
-    """|J d|^2 / |d|^2 for a perturbation d of one block, with J d the
-    central difference of the residual fields, exact for fields at most
-    quadratic in the state."""
-    plus = vx._residual_fields(vx._Fields(replace(s, **{name: getattr(s, name) + d})), p)
-    minus = vx._residual_fields(vx._Fields(replace(s, **{name: getattr(s, name) - d})), p)
+def shifted(s: vx.LatticeState, d: dict[str, np.ndarray], t: float) -> vx.LatticeState:
+    return replace(s, **{name: getattr(s, name) + t * v for name, v in d.items()})
+
+
+def jd_norm2(s: vx.LatticeState, p: vx.VortexParams, d: dict[str, np.ndarray]) -> float:
+    """|J d|^2 for a perturbation d of some blocks, with J d the central
+    difference of the residual fields, exact for fields at most quadratic
+    in the state."""
+    plus = vx._residual_fields(vx._Fields(shifted(s, d, 1.0)), p)
+    minus = vx._residual_fields(vx._Fields(shifted(s, d, -1.0)), p)
     jd = (0.5 * (plus[k] - minus[k]) for k in plus)
-    jd2 = sum(np.sum(np.abs(v) ** 2) for v in jd if v is not vx._ZERO)
-    return float(jd2 / np.sum(np.abs(d) ** 2))
+    return float(sum(np.sum(np.abs(v) ** 2) for v in jd if v is not vx._ZERO))
+
+
+def rayleigh_quotient(s: vx.LatticeState, p: vx.VortexParams, name: str, d: np.ndarray) -> float:
+    """|J d|^2 / |d|^2 for a perturbation d of one block."""
+    return jd_norm2(s, p, {name: d}) / float(np.sum(np.abs(d) ** 2))
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -319,6 +329,130 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     assert np.array_equal(packed, precondition.pack(grad))
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, packed)
+
+
+def tangent(s: vx.LatticeState, rng: np.random.Generator, modes=None) -> dict[str, np.ndarray]:
+    """A random tangent vector in every FLOWS block, anti-Hermitian in the
+    potentials: rough at every site, or a sum of plane waves at modes with
+    random matrix amplitudes."""
+    j1, j2 = np.meshgrid(np.arange(s.N), np.arange(s.N), indexing="ij")
+    out = {}
+    for name in vx.FLOWS:
+        shape = getattr(s, name).shape
+        if modes is None:
+            d = cfield(rng, *shape)
+        else:
+            lead = len(shape) - 4
+            d = np.zeros(shape, dtype=np.complex128)
+            for k1, k2 in modes:
+                wave = np.exp(2j * np.pi * (k1 * j1 + k2 * j2) / s.N)[:, :, None, None]
+                amp = cfield(rng, *(shape[:lead] + shape[-2:]))
+                d += wave * amp.reshape(shape[:lead] + (1, 1) + shape[-2:])
+        out[name] = 0.5 * (d - adj(d)) if name in ("A1", "A2") else d
+    return out
+
+
+def hessian_action(
+    s: vx.LatticeState, p: vx.VortexParams, packing: vx._Preconditioner, d: dict[str, np.ndarray]
+) -> np.ndarray:
+    """H d, the derivative of the packed gradient along d at s.  Along the
+    line the gradient is a cubic in t, so Richardson's combination of the
+    central differences at t = 1 and t = 1/2 is exact."""
+
+    def central(t: float) -> np.ndarray:
+        plus = packing.pack(vx.residual_gradient(shifted(s, d, t), p))
+        minus = packing.pack(vx.residual_gradient(shifted(s, d, -t), p))
+        return (plus - minus) / (2.0 * t)
+
+    return (4.0 * central(0.5) - central(1.0)) / 3.0
+
+
+@pytest.mark.parametrize("r, tau, N", [(1, 1.0, 8), (1, 0.3, 9), (2, 1.0, 8), (2, 0.5, 9), (1, 0.0, 8)])
+def test_gauss_newton_symbol_inverts_the_hessian_on_waves(r: int, tau: float, N: int) -> None:
+    # At the vacuum the Hessian of residual_energy is H = a^2 J*J, and
+    # along a wave d, <d, H d> = 2 a^2 |J d|^2 in the solver's metric.  The
+    # symbol P inverts H off its null space, which H d does not reach, so
+    # <H d, P H d> = <H d, d>: the quadratic form of P's inverse is the
+    # Rayleigh numerator of J.  The waves span every block and include a
+    # doubler (sin = 0) at even N; odd N builds every mode on its own.
+    p = vx.VortexParams(r1=r, tau=tau, r2=r)
+    s = vacuum_state(N, r, tau)
+    packing = vx._Preconditioner(s, p)
+    assert packing.symbol is not None
+    rng = np.random.default_rng(97 + 10 * r + N)
+    for modes in (((1, 0),), ((2, 3), (0, 1)), ((N // 2, N // 2), (3, 2), (0, 0))):
+        d = tangent(s, rng, modes)
+        hd = hessian_action(s, p, packing, d)
+        want = 2.0 * s.a * s.a * jd_norm2(s, p, d)
+        assert vx._inner(hd, packing.pack(d)) == pytest.approx(want, rel=1e-9), modes
+        assert vx._inner(hd, packing(hd)) == pytest.approx(want, rel=1e-9), modes
+
+
+@pytest.mark.parametrize("r, tau", [(1, 1.0), (2, 0.5), (1, 0.0)])
+def test_gauss_newton_symbol_is_symmetric_positive_definite(r: int, tau: float) -> None:
+    # Each mode's matrix is Hermitian positive definite, so the operator
+    # is symmetric positive definite in the solver's metric.
+    p = vx.VortexParams(r1=r, tau=tau, r2=r)
+    rng = np.random.default_rng(61 + r)
+    s = vx.random_smooth_state(8, r, r, 1.0, rng, amplitude=0.3, tau=tau)
+    packing = vx._Preconditioner(s, p)
+    for _, inverse in packing.symbol.groups:
+        blocks = inverse.transpose(2, 0, 1)
+        assert np.array_equal(blocks, blocks.conj().transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(blocks).min() > 0.0
+    x, y = (packing.pack(tangent(s, rng)) for _ in range(2))
+    px, py = packing(x), packing(y)
+    scale = np.sqrt(vx._inner(x, px) * vx._inner(y, py))
+    assert abs(vx._inner(x, py) - vx._inner(px, y)) <= 1e-12 * scale
+    assert vx._inner(x, px) > 0.0 and vx._inner(y, py) > 0.0
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
+    # The symbol maps real coordinates to real coordinates, so an
+    # anti-Hermitian gradient block gives an anti-Hermitian direction,
+    # exactly: the field dump's oracle checks the potentials to 1e-12.
+    p = vx.VortexParams(r1=r, tau=1.0, r2=r)
+    s = vx.random_smooth_state(16, r, r, 1.0, np.random.default_rng(5 + r), 0.3, 1.0)
+    f = vx._Fields(s)
+    packing = vx._Preconditioner(s, p)
+    out = packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS))))
+    for name in ("A1", "A2"):
+        assert out[name].any()
+        assert np.array_equal(out[name], -adj(out[name])), name
+
+
+@pytest.mark.parametrize(
+    "r1, r2, tau, d1", [(2, 1, 1.0, 0), (1, 2, 1.0, 0), (1, 1, -1.0, 0), (2, 2, 1.0, 1)]
+)
+def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, tau: float, d1: int) -> None:
+    # No constant vacuum (r1 != r2, tau < 0, or d1 + d2 != 0 so that
+    # tau' != -tau): no symbol is built, and a call is the per-block kernel
+    # bit for bit.
+    p = vx.VortexParams(r1=r1, tau=tau, r2=r2, d1=d1)
+    s = branch_state(r1, r2, "phi", np.random.default_rng(13 + r1 + r2))
+    f = vx._Fields(s)
+    packing = vx._Preconditioner(s, p)
+    assert packing.symbol is None
+    g = packing.pack(vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS))
+    assert np.array_equal(packing(g), packing.blockwise(g))
+
+
+@pytest.mark.parametrize("r, tau", [(1, 1.0), (2, 1.0), (3, 0.5), (2, 0.0)])
+def test_gauss_newton_symbol_groups_fit_the_memory_estimate(r: int, tau: float) -> None:
+    # solve_bytes counts at most SYMBOL_PER_CLASS[0] r^2 complex numbers per
+    # class of modes: the probes find coupling groups of at most six of the
+    # 8 r^2 real coordinates, 6 + 2 per anti-Hermitian unit at tau > 0.  At
+    # N = 8 the classes of equal sines are 5 x 3.
+    p = vx.VortexParams(r1=r, tau=tau, r2=r)
+    symbol = vx._Preconditioner(vacuum_state(8, r, tau), p).symbol
+    sizes = [cols.stop - cols.start for cols, _ in symbol.groups]
+    assert sum(sizes) == 8 * r * r
+    assert max(sizes) <= 6
+    assert sum(g * g for g in sizes) <= vx.SYMBOL_PER_CLASS[0] * r * r
+    if tau > 0:
+        assert sorted(sizes) == [2] * r * r + [6] * r * r
+    assert all(inverse.shape[-1] == 15 for _, inverse in symbol.groups)
 
 
 # Exchanging the bundles swaps W1, W3, W4 with W2, W5, W6 and each block

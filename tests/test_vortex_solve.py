@@ -126,6 +126,8 @@ def test_cold_solve_reaches_rounding_level_tolerance() -> None:
     res = vx.solve(s0, p, tol=1e-25, max_iter=2000)
     assert res.converged
     assert not res.stalled
+    # Measured 9 with the Gauss-Newton symbol; the per-block kernel took 170.
+    assert res.iterations <= 20, res.iterations
 
 
 def test_rank_two_solve_leaves_the_saddle() -> None:
@@ -138,11 +140,32 @@ def test_rank_two_solve_leaves_the_saddle() -> None:
     assert res.converged
 
 
-def test_cold_rank_one_solve_takes_at_most_50_iterations() -> None:
-    # The benchmark's smallest solve; measured 43 iterations.
+def test_cold_rank_one_solve_takes_at_most_8_iterations() -> None:
+    # The benchmark's smallest solve; measured 5 iterations with the
+    # Gauss-Newton symbol, 43 with the per-block kernel.
     res = scalar_solve(N=16, tol=1e-13)
     assert res.converged
-    assert res.iterations <= 50, res.iterations
+    assert res.iterations <= 8, res.iterations
+
+
+def test_cold_rank_two_vacuum_solve_takes_at_most_40_iterations() -> None:
+    # (2, 2) has the vacuum phi = sqrt(tau) I; measured 24 iterations, 76
+    # with the per-block kernel.
+    p = vx.VortexParams(r1=2, tau=1.0, r2=2)
+    s0 = vx.random_smooth_state(16, 2, 2, 1.0, np.random.default_rng(3), 0.1, 1.0)
+    res = vx.solve(s0, p, tol=1e-12, max_iter=2000)
+    assert res.converged
+    assert res.iterations <= 40, res.iterations
+
+
+def test_cold_rank_one_solve_at_zero_tau_converges() -> None:
+    # At tau = 0 the vacuum phi = 0 has no mass and the symbol's null space
+    # takes everything the mass would see; measured 8 iterations.
+    p = vx.VortexParams(r1=1, tau=0.0)
+    s0 = vx.random_smooth_state(16, 1, 1, 1.0, np.random.default_rng(7), 0.1, 0.0)
+    res = vx.solve(s0, p, tol=1e-13, max_iter=2000)
+    assert res.converged
+    assert res.iterations <= 20, res.iterations
 
 
 def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
@@ -154,11 +177,18 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
         return fields(f, p)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
-    res = scalar_solve(N=16, tol=1e-13)
-    assert res.converged
-    # Two probes and the accepted state per iteration, plus the start
-    # state and the final breakdown.
-    assert len(calls) == 3 * res.iterations + 2
+    p = vx.VortexParams(r1=1, tau=1.0)
+
+    def total(max_iter: int) -> int:
+        s0 = vx.random_smooth_state(16, 1, 1, 1.0, np.random.default_rng(7), 0.1, 1.0)
+        calls.clear()
+        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        return len(calls)
+
+    # Two probes and the accepted state per iteration.  The start state,
+    # the final breakdown and the Gauss-Newton symbol's impulse probe are a
+    # fixed cost per solve, which the difference of two budgets leaves out.
+    assert total(4) - total(2) == 2 * 3
 
 
 @pytest.mark.parametrize("r1, seed, products", [(1, 7, 23), (2, 3, 37)])
@@ -202,9 +232,13 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
     # The preconditioner transforms all live gradient blocks together: a
     # forward and an inverse transform per site axis, 4 numpy.fft calls per
     # iteration at every rank, where an fft2/ifft2 pair per live block
-    # (A1, A2, theta1, phi on the phi branch) made 8.
+    # (A1, A2, theta1, phi on the phi branch) made 8.  At (1, 1) the
+    # Gauss-Newton symbol transforms real coordinates, rfft and fft forward
+    # and ifft and irfft back, also one pair per axis; the real transforms
+    # and the 2-D ones are counted too.
     calls = []
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                 "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
 
         def counted(*args, _fn=getattr(np.fft, name), **kwargs):
             calls.append(_fn)
@@ -224,10 +258,15 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
     assert total(4) - total(2) == 2 * 4
 
 
-@pytest.mark.parametrize("N, r1, r2, max_iter", [(32, 1, 1, 100), (16, 2, 2, 30)])
+@pytest.mark.parametrize(
+    "N, r1, r2, max_iter",
+    [(32, 1, 1, 100), (64, 1, 1, 100), (17, 1, 1, 100), (16, 2, 2, 30), (32, 2, 2, 30)],
+)
 def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: int) -> None:
     # The CLI refuses a grid on this estimate before it allocates, so it
-    # must bound what sampling and solving hold.  A first short solve
+    # must bound what sampling and solving hold, the Gauss-Newton symbol of
+    # these r1 = r2 problems included (odd N: no mode shares a class).  A
+    # first short solve
     # leaves numpy's one-time allocations (FFT plans, lazy imports), which
     # do not grow with the grid, outside the count.
     p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
@@ -483,7 +522,8 @@ def test_ladder_rank_one_finishes_fine_grids_in_a_few_iterations() -> None:
     results = vx.solve_ladder(smooth_sampler(1, 1, 7, drawn), 64, p, tol=1e-13)
     assert [r.state.N for r in results] == [16, 32, 64]
     assert all(r.converged for r in results)
-    # Measured 43 + 4 + 4; a cold N = 64 solve takes 48.
+    # Measured 5 + 3 + 2 (43 + 4 + 4 with the per-block kernel); a cold
+    # N = 64 solve takes 5.
     assert results[-1].iterations <= 10
     assert results[-1].residual <= 1e-13
     assert drawn == [16]
@@ -492,7 +532,8 @@ def test_ladder_rank_one_finishes_fine_grids_in_a_few_iterations() -> None:
 def test_ladder_converges_at_rank_two() -> None:
     p = vx.VortexParams(r1=2, tau=1.0, r2=2)
     results = vx.solve_ladder(smooth_sampler(2, 2, 3, []), 32, p, tol=1e-12)
-    # Measured 76 + 8; a cold N = 32 solve takes 84.
+    # Measured 24 + 9 (76 + 8 with the per-block kernel); a cold N = 32
+    # solve takes 25.
     assert [r.state.N for r in results] == [16, 32]
     assert all(r.converged for r in results)
 
@@ -524,7 +565,7 @@ def test_ladder_from_an_odd_grid_starts_at_its_prolonged_answer() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     results = vx.solve_ladder(smooth_sampler(1, 1, 7, []), 34, p, tol=1e-13)
     assert [r.state.N for r in results] == [17, 34]
-    # Measured 46 + 4.
+    # Measured 5 + 3 (46 + 4 with the per-block kernel).
     assert all(r.converged for r in results)
     # The fine level's first energy is the refinement jump of the coarse answer.
     jump = vx.residual_energy(vx.prolong_state(results[0].state), p)
