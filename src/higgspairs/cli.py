@@ -369,22 +369,14 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         if mirror else p
     )
 
-    def sample(n: int) -> vortex.LatticeState:
-        # A fresh generator per grid: every grid samples one continuum start.
-        rng = np.random.default_rng(args.seed)
-        return vortex.random_smooth_state(
-            n, solved.r1, solved.r2, args.vol, rng, args.amplitude, args.tau
-        )
-
-    results = vortex.solve_ladder(sample, args.grid, solved, tol=args.tol, max_iter=args.max_iter)
-    result = results[-1]
+    start = vortex.random_smooth_state(
+        args.grid, solved.r1, solved.r2, args.vol, np.random.default_rng(args.seed),
+        args.amplitude, args.tau,
+    )
+    result = solution = vortex.solve(start, solved, tol=args.tol, max_iter=args.max_iter)
     if mirror:
         state = vortex.exchange_bundles(result.state)
         result = replace(result, state=state, breakdown=vortex.residual_breakdown(state, p))
-    levels = [
-        {"grid": r.state.N, "iterations": r.iterations, "stop_reason": r.stop_reason}
-        for r in results
-    ]
     report: dict[str, Any] = {
         "params": {
             "rank1": args.rank1,
@@ -406,7 +398,6 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         "residual": result.residual,
         "breakdown": result.breakdown,
         "moment_map": result.moment_map_value,
-        "levels": levels,
     }
     # The solved section has coupling solved.tau (tau, or tau' on the
     # mirror); a degree-0 bundle carries it only when that is > 0.
@@ -417,7 +408,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
             "no solution expected: a nonzero section on a degree-0 bundle "
             f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
         )
-    elif result.stalled and np.max(np.abs(results[-1].state.phi)) < 1e-6 * math.sqrt(solved.tau):
+    elif result.stalled and np.max(np.abs(solution.state.phi)) < 1e-6 * math.sqrt(solved.tau):
         # A start whose section is mostly noise (amplitude above its
         # sqrt(coupling)) can collapse onto the section's zero, where
         # W1 = -tau/2 and W2 = -tau'/2 are constant and the flow stops.
@@ -442,10 +433,6 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
             f"holomorphicity={bd['holomorphicity']!r} "
             f"theta_s_sup={bd['theta_s_sup']!r}",
             f"moment map |theta|^2: {result.moment_map_value!r}",
-            "levels: " + ", ".join(
-                f"N={lv['grid']} ({lv['iterations']} iterations, {lv['stop_reason']})"
-                for lv in levels
-            ),
         ]
         if "note" in report:
             lines.append(f"note: {report['note']}")

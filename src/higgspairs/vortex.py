@@ -1055,49 +1055,6 @@ def solve(
     )
 
 
-# The coarsest grid of a ladder.  From N = 8 the (2, 2) solve loses: seed 3
-# needs 159 iterations at N = 8, and its N = 16 ladder took 0.20 s against
-# 0.046 s cold; from 16, (2, 2) at N = 64 went 0.43 -> 0.23 s (best of 3,
-# with the Gauss-Newton symbol).
-LADDER_FLOOR = 16
-
-
-def solve_ladder(
-    sample: Callable[[int], LatticeState],
-    N: int,
-    p: VortexParams,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> list[SolveResult]:
-    """Solve coarse to fine: one SolveResult per grid, the last at N.
-
-    The grids are N / 2^j down to LADDER_FLOOR; odd N and N < 2 *
-    LADDER_FLOOR give the one grid N, and then the result is
-    solve(sample(N)).  sample(n) is the start on an n-grid.  The coarsest
-    grid starts from its sample and every finer one from prolong_state of
-    the answer below it; every level gets tol and its own max_iter.  The
-    ladder pays because degree-0 solutions are constant up to gauge, so a
-    coarse answer already holds the fine one.  When a coarse level misses
-    tol, its prolongation could carry a lattice artifact upward, so the
-    ladder is abandoned and N solves cold from sample(N), bit-identical to
-    solve(sample(N)).
-    """
-    grids = [N]
-    while grids[0] % 2 == 0 and grids[0] // 2 >= LADDER_FLOOR:
-        grids.insert(0, grids[0] // 2)
-    results: list[SolveResult] = []
-    start = sample(grids[0])
-    for _ in grids[:-1]:
-        result = solve(start, p, tol=tol, max_iter=max_iter)
-        results.append(result)
-        if not result.converged:
-            start = sample(N)
-            break
-        start = prolong_state(result.state)
-    results.append(solve(start, p, tol=tol, max_iter=max_iter))
-    return results
-
-
 def l4_identity_check(
     s: LatticeState, p: VortexParams, tol: float = 1e-8
 ) -> dict[str, float]:
@@ -1324,9 +1281,9 @@ def prolong_state(s: LatticeState) -> LatticeState:
     between -N/2 and +N/2 (Trefethen, Spectral Methods in MATLAB, ch. 3),
     so the interpolant of a real field is real and anti-Hermiticity of the
     potentials is kept; odd N has no Nyquist mode.  The torus volume is
-    unchanged (the spacing halves).  Used to warm-start a fine-grid solve
-    from a coarse solution so that both grids discretize the same
-    continuum configuration.
+    unchanged (the spacing halves).  Carrying a coarse solution to the
+    fine grid keeps one continuum representative on both, so a
+    convergence study compares grids rather than gauge choices.
     """
     N, N2 = s.N, 2 * s.N
     # The fine-grid index of each coarse mode: k and k mod 2N share a frequency.
