@@ -58,9 +58,6 @@ class SplitHiggsPairModel:
         Whether the Higgs field vanishes identically.
     s_placement:
         Which summand carries the section: "in_L", "in_Lc", or "zero".
-    psi_divisor, s_divisor:
-        Optional opaque divisor payloads attached by callers that build
-        models from vanishing data.
     """
 
     g: int
@@ -69,8 +66,6 @@ class SplitHiggsPairModel:
     psi_nonzero: bool
     theta_zero: bool
     s_placement: str
-    psi_divisor: object = None
-    s_divisor: object = None
 
     def __post_init__(self) -> None:
         # bool is an int subclass and a JSON string is truthy: check types

@@ -147,6 +147,4 @@ def fixed_point_model(pair: DivisorPair, p, d: int) -> SplitHiggsPairModel:
         psi_nonzero=True,
         theta_zero=False,
         s_placement="in_Lc",
-        psi_divisor=pair.D,
-        s_divisor=pair.Dp,
     )

@@ -71,9 +71,10 @@ kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the diagonal
 of the Fourier symbol of the Gauss-Newton Hessian J*J at a constant
 vacuum (VACUUM_SYMBOL, derived in the class docstring).  When the solved
 problem has a constant vacuum, A = theta = 0 and phi = sqrt(tau) I, which
-needs r1 = r2, d1 + d2 = 0 and tau >= 0, J*J there is translation
-invariant, and the preconditioner applies its exact inverse mode by mode
-instead (gauss_newton.GaussNewtonSymbol): built once per solve by probing
+needs r1 = r2 and tau >= 0 (tau_prime = -tau r1 / r2 then equals -tau),
+J*J there is translation invariant, and the preconditioner applies its
+exact inverse mode by mode instead (gauss_newton.GaussNewtonSymbol):
+built once per solve by probing
 the residual fields at the vacuum, one small matrix per Fourier mode and
 coupling group of real coordinates, with the per-block kernel on its
 null space, the gauge directions.  Without a vacuum there is no constant
@@ -99,8 +100,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-FOUR_PI = 4.0 * math.pi
-
 # Weight of the moment-map deviation terms in ymh_energy.  Module-level so
 # the self-test's mutation probe can tamper with it and watch the
 # decomposition identity fail.
@@ -115,23 +114,21 @@ FLOWS = ("A1", "A2", "theta1", "phi")
 HELD = tuple(name for name in BLOCKS if name not in FLOWS)
 
 
-class NotConvergedError(RuntimeError):
-    """An operation that requires a converged state got a non-converged one."""
-
-
 @dataclass(frozen=True)
 class VortexParams:
-    """Ranks, degrees, area and coupling constants.
+    """Ranks, area and coupling constants of a degree-0 problem.
 
-    tau_prime is derived from tau r1 + tau_prime r2 = (4 pi / vol)(d1 + d2)
-    and is not an argument, so dataclasses.replace re-derives it.
+    The trace of the two vortex equations integrates to tau r1 + tau_prime
+    r2 = (4 pi / vol)(d1 + d2).  The lattice holds degree-0 trivial bundles
+    only, whose curvature traces sum to zero on the periodic grid, so
+    tau_prime = -tau r1 / r2; any other value would leave a residual that
+    no state can remove.  tau_prime is derived and is not an argument, so
+    dataclasses.replace re-derives it.
     """
 
     r1: int
     tau: float
     r2: int = 1
-    d1: int = 0
-    d2: int = 0
     vol: float = 1.0
     tau_prime: float = field(init=False)
 
@@ -140,34 +137,8 @@ class VortexParams:
             raise ValueError(f"ranks must be positive, got ({self.r1}, {self.r2})")
         if not self.vol > 0:
             raise ValueError(f"vol must be positive, got {self.vol}")
-        derived = ((FOUR_PI / self.vol) * (self.d1 + self.d2) - self.tau * self.r1) / self.r2
-        object.__setattr__(self, "tau_prime", derived)
-
-
-def sigma_of(p: VortexParams) -> float:
-    """The positive scale sigma = 2 r2 / ((r1+r2) tau / 4pi - (d1+d2)/vol)."""
-    den = (p.r1 + p.r2) * p.tau / FOUR_PI - (p.d1 + p.d2) / p.vol
-    if den <= 0:
-        tau_min = FOUR_PI * (p.d1 + p.d2) / (p.vol * (p.r1 + p.r2))
-        raise ValueError(
-            f"sigma undefined: need tau > {tau_min} "
-            f"(got tau = {p.tau} with denominator {den})"
-        )
-    return 2.0 * p.r2 / den
-
-
-def hym_constant(p: VortexParams) -> float:
-    """The slope constant of the reduced equation.
-
-    Computed from the degree bookkeeping 2 pi (sigma (d1+d2) + 2 r2 vol) /
-    ((r1+r2) vol sigma); equals tau/2 identically, and c - 4 pi / sigma
-    equals tau_prime / 2.
-    """
-    sigma = sigma_of(p)
-    return (
-        2.0 * math.pi * (sigma * (p.d1 + p.d2) + 2.0 * p.r2 * p.vol)
-        / ((p.r1 + p.r2) * p.vol * sigma)
-    )
+        # 0.0 - tau r1 rather than -tau r1: tau = 0 gives +0.0, not -0.0.
+        object.__setattr__(self, "tau_prime", (0.0 - self.tau * self.r1) / self.r2)
 
 
 def _block_shapes(N: int, r1: int, r2: int) -> dict[str, tuple[int, ...]]:
@@ -682,8 +653,8 @@ class _Preconditioner:
     0.3 tau I stalls every tau = 0 solve, and 0.3 times the kernel took
     10, 10 and 57 iterations at tau = 0 against 8, 7 and 31 (N = 16, 32,
     16; seeds 7, 7, 3).  A vacuum needs phi phi^H = tau and phi^H phi =
-    -tau' at one constant phi: r1 = r2 and tau' = -tau (d1 + d2 = 0),
-    with tau >= 0.  Without one there is no constant state to linearize
+    -tau' at one constant phi, and tau' = -tau r1 / r2, so r1 = r2 with
+    tau >= 0.  Without one there is no constant state to linearize
     at, and a call is ``blockwise``, bit for bit as before the symbol.
 
     ``solve`` builds one per solve, and it fixes the solver's packed
@@ -765,9 +736,9 @@ class _Preconditioner:
 
 def _has_vacuum(p: VortexParams) -> bool:
     """The solved problem has the constant solution A = theta = 0, phi =
-    sqrt(tau) I: phi phi^H = tau and phi^H phi = -tau_prime hold together
-    only for r1 = r2 and tau_prime = -tau (d1 + d2 = 0), with tau >= 0."""
-    return p.r1 == p.r2 and p.d1 + p.d2 == 0 and p.tau >= 0
+    sqrt(tau) I: phi phi^H = tau and phi^H phi = -tau_prime = tau r1 / r2
+    hold together only for r1 = r2, with tau >= 0."""
+    return p.r1 == p.r2 and p.tau >= 0
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -1055,58 +1026,6 @@ def solve(
     )
 
 
-def l4_identity_check(
-    s: LatticeState, p: VortexParams, tol: float = 1e-8
-) -> dict[str, float]:
-    """Integrated identities satisfied by solutions, as discrete residuals.
-
-    res1 integrates the section identity: at a solution of the coupled
-    system the combination 4|D_z s|^2 + 4|theta1^H s|^2 + 2|s|^4
-    + (tau' - tau)|s|^2 integrates to zero (the Laplacian term drops on the
-    closed torus; the |s|^4 doubling and the tau' shift come from the
-    second bundle's curvature, which is part of the coupled system here).
-    res2 integrates the Higgs-field identity, a sum of nonnegative terms
-    (the Ricci term vanishes on the flat torus).
-
-    On this lattice's degree-0 trivial bundles, with r1 = r2 = 1 on the phi
-    branch, every solution is flat with a covariantly constant section s.
-    At a discrete solution W4 = 0 forces theta1 s = 0, tau' = -tau, and
-    the curvature terms are central differences that sum to zero on the
-    periodic grid, so
-    res1 = a^2 sum(4|D_z s|^2 + 2(|s|^2 - tau)^2) >= 0.  Both squared
-    quantities are O(a^2) truncation defects, so res1 is O(a^4).  res2
-    vanishes, because theta1 = 0 there.  At residual E, res1 carries an
-    extra term 4 tau a^2 sum(W1) of size at most 4|tau| sqrt(vol E), so
-    the default tol=1e-8 admits about 4e-4 of tolerance error (tau = 1,
-    vol = 1).
-    """
-    res = residual_energy(s, p)
-    if res > tol:
-        raise NotConvergedError(
-            f"identity check needs residual_energy <= {tol}, got {res}"
-        )
-    f = _Fields(s)
-    k = f.k
-    s2 = np.einsum("xyab,xyab->xy", np.conj(s.phi), s.phi).real
-    res1 = k * float(
-        np.sum(
-            4.0 * _site_frob2(f.dz_phi())
-            + 4.0 * _site_frob2(_prod(f.t1d, f.phi))
-            + 2.0 * s2 * s2
-            + (p.tau_prime - p.tau) * s2
-        )
-    )
-    grad_t1 = _dz(f.t1, f.a) + _comm(f.Z1, f.t1)
-    res2 = k * float(
-        np.sum(
-            8.0 * _site_frob2(grad_t1)
-            + 8.0 * _site_frob2(_comm(f.t1, f.t1d))
-            + 4.0 * _site_frob2(_prod(_adj(f.phi), f.t1))
-        )
-    )
-    return {"res1": abs(res1), "res2": abs(res2)}
-
-
 # -- state constructors -------------------------------------------------
 
 
@@ -1118,16 +1037,6 @@ def zero_state(N: int, r1: int, r2: int = 1, vol: float = 1.0) -> LatticeState:
     blocks = {name: np.zeros(shape, dtype=np.complex128)
               for name, shape in _block_shapes(N, r1, r2).items()}
     return LatticeState(N=N, a=_spacing(N, vol), **blocks)
-
-
-def constant_solution_state(N: int, p: VortexParams) -> LatticeState:
-    """The exact flat solution for r1 = 1, degree 0, tau > 0: |s|^2 = tau."""
-    if p.r1 != 1 or p.r2 != 1 or p.tau <= 0:
-        raise ValueError("constant solution needs r1 = r2 = 1 and tau > 0")
-    s = zero_state(N, 1, 1, p.vol)
-    phi = s.phi.copy()
-    phi[...] = math.sqrt(p.tau)
-    return replace(s, phi=phi)
 
 
 def random_state(
@@ -1307,41 +1216,9 @@ def prolong_state(s: LatticeState) -> LatticeState:
     return LatticeState(N=N2, a=s.a / 2, **fine)
 
 
-def gauge_transform(s: LatticeState, u1: np.ndarray, u2: np.ndarray) -> LatticeState:
-    """Apply the same unitary pair at every site.
-
-    A constant transformation is an exact symmetry of the discrete
-    energies; site-dependent transformations are not symmetries of a
-    finite-difference discretization and are not offered.
-    """
-    u1d, u2d = u1.conj().T, u2.conj().T
-    return replace(
-        s,
-        A1=u1 @ s.A1 @ u1d,
-        A2=u2 @ s.A2 @ u2d,
-        theta1=u1 @ s.theta1 @ u1d,
-        theta2=u2 @ s.theta2 @ u2d,
-        phi=u1 @ s.phi @ u2d,
-        psi=u2 @ s.psi @ u1d,
-    )
-
-
 def exchange_bundles(s: LatticeState) -> LatticeState:
     """The state with its two bundles exchanged, sharing its arrays.  Under
     VortexParams(r1=r2, tau=tau_prime, r2=r1) its residual fields are the
     swapped ones, so a state with theta1 and phi zero becomes one of the
     problem ``solve`` solves."""
     return replace(s, A1=s.A2, A2=s.A1, theta1=s.theta2, theta2=s.theta1, phi=s.psi, psi=s.phi)
-
-
-def check_invariants(s: LatticeState, atol: float = 1e-12) -> list[str]:
-    """Report violated state invariants (anti-Hermiticity, phi-psi products)."""
-    out = []
-    for name, arr in (("A1", s.A1), ("A2", s.A2)):
-        if float(np.max(np.abs(arr + _adj(arr)))) > atol:
-            out.append(f"{name} is not anti-Hermitian")
-    if float(np.max(np.abs(s.phi @ s.psi))) > atol:
-        out.append("phi psi != 0")
-    if float(np.max(np.abs(s.psi @ s.phi))) > atol:
-        out.append("psi phi != 0")
-    return out

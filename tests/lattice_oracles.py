@@ -1,0 +1,139 @@
+"""Lattice oracles for the vortex tests, written on plain numpy.
+
+The derivatives here are ``np.roll`` central differences and the per-site
+products ``einsum`` contractions, so an oracle shares no kernel with the
+solver it checks; it reads only public names of ``higgspairs.vortex``
+(tests/test_vortex_identity.py scans for private ones).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+import higgspairs.vortex as vx
+
+
+class NotConvergedError(RuntimeError):
+    """An oracle that needs a converged state got one that is not."""
+
+
+def adj(m: np.ndarray) -> np.ndarray:
+    """The per-site conjugate transpose."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The per-site matrix product x @ y."""
+    return np.einsum("...ij,...jk->...ik", x, y)
+
+
+def dz(m: np.ndarray, a: float) -> np.ndarray:
+    """(d1 - i d2) m / 2, each d the central difference along a site axis."""
+    d1 = np.roll(m, -1, axis=-4) - np.roll(m, 1, axis=-4)
+    d2 = np.roll(m, -1, axis=-3) - np.roll(m, 1, axis=-3)
+    return (d1 - 1j * d2) * (0.25 / a)
+
+
+def site_frob2(m: np.ndarray) -> np.ndarray:
+    """The per-site squared Frobenius norm."""
+    return np.sum(np.abs(m) ** 2, axis=(-1, -2))
+
+
+def l4_identity_check(
+    s: vx.LatticeState, p: vx.VortexParams, tol: float = 1e-8
+) -> dict[str, float]:
+    """Integrated identities satisfied by solutions, as discrete residuals.
+
+    res1 integrates the section identity: at a solution of the coupled
+    system the combination 4|D_z s|^2 + 4|theta1^H s|^2 + 2|s|^4
+    + (tau' - tau)|s|^2 integrates to zero (the Laplacian term drops on the
+    closed torus; the |s|^4 doubling and the tau' shift come from the
+    second bundle's curvature, which is part of the coupled system here).
+    res2 integrates the Higgs-field identity, a sum of nonnegative terms
+    (the Ricci term vanishes on the flat torus).
+
+    On the lattice's degree-0 trivial bundles, with r1 = r2 = 1 on the phi
+    branch, every solution is flat with a covariantly constant section s.
+    At a discrete solution W4 = 0 forces theta1 s = 0, tau' = -tau, and
+    the curvature terms are central differences that sum to zero on the
+    periodic grid, so
+    res1 = a^2 sum(4|D_z s|^2 + 2(|s|^2 - tau)^2) >= 0.  Both squared
+    quantities are O(a^2) truncation defects, so res1 is O(a^4).  res2
+    vanishes, because theta1 = 0 there.  At residual E, res1 carries an
+    extra term 4 tau a^2 sum(W1) of size at most 4|tau| sqrt(vol E), so
+    the default tol=1e-8 admits about 4e-4 of tolerance error (tau = 1,
+    vol = 1).
+    """
+    res = vx.residual_energy(s, p)
+    if res > tol:
+        raise NotConvergedError(f"identity check needs residual_energy <= {tol}, got {res}")
+    k = s.a * s.a
+    z1 = 0.5 * (s.A1[0] - 1j * s.A1[1])
+    z2 = 0.5 * (s.A2[0] - 1j * s.A2[1])
+    dz_phi = dz(s.phi, s.a) + mm(z1, s.phi) - mm(s.phi, z2)
+    s2 = np.einsum("xyab,xyab->xy", np.conj(s.phi), s.phi).real
+    res1 = k * float(
+        np.sum(
+            4.0 * site_frob2(dz_phi)
+            + 4.0 * site_frob2(mm(adj(s.theta1), s.phi))
+            + 2.0 * s2 * s2
+            + (p.tau_prime - p.tau) * s2
+        )
+    )
+    t1, t1d = s.theta1, adj(s.theta1)
+    grad_t1 = dz(t1, s.a) + mm(z1, t1) - mm(t1, z1)
+    res2 = k * float(
+        np.sum(
+            8.0 * site_frob2(grad_t1)
+            + 8.0 * site_frob2(mm(t1, t1d) - mm(t1d, t1))
+            + 4.0 * site_frob2(mm(adj(s.phi), t1))
+        )
+    )
+    return {"res1": abs(res1), "res2": abs(res2)}
+
+
+def constant_solution_state(N: int, p: vx.VortexParams) -> vx.LatticeState:
+    """The exact flat solution for r1 = r2 = 1, tau > 0: |s|^2 = tau."""
+    if p.r1 != 1 or p.r2 != 1 or p.tau <= 0:
+        raise ValueError("constant solution needs r1 = r2 = 1 and tau > 0")
+    s = vx.zero_state(N, 1, 1, p.vol)
+    return replace(s, phi=np.full_like(s.phi, math.sqrt(p.tau)))
+
+
+def gauge_transform(s: vx.LatticeState, u1: np.ndarray, u2: np.ndarray) -> vx.LatticeState:
+    """Apply the same unitary pair at every site.
+
+    A constant transformation is an exact symmetry of the discrete
+    energies; site-dependent ones are not symmetries of a finite-difference
+    discretization.
+    """
+
+    def act(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,...jk,lk->...il", u, m, np.conj(v))
+
+    return replace(
+        s,
+        A1=act(u1, s.A1, u1),
+        A2=act(u2, s.A2, u2),
+        theta1=act(u1, s.theta1, u1),
+        theta2=act(u2, s.theta2, u2),
+        phi=act(u1, s.phi, u2),
+        psi=act(u2, s.psi, u1),
+    )
+
+
+def check_invariants(s: vx.LatticeState, atol: float = 1e-12) -> list[str]:
+    """The violated state invariants: anti-Hermitian potentials and
+    phi psi = psi phi = 0."""
+    out = []
+    for name, arr in (("A1", s.A1), ("A2", s.A2)):
+        if float(np.max(np.abs(arr + adj(arr)))) > atol:
+            out.append(f"{name} is not anti-Hermitian")
+    if float(np.max(np.abs(mm(s.phi, s.psi)))) > atol:
+        out.append("phi psi != 0")
+    if float(np.max(np.abs(mm(s.psi, s.phi)))) > atol:
+        out.append("psi phi != 0")
+    return out

@@ -205,4 +205,3 @@ def test_fixed_point_model_fields():
     assert (model.g, model.k, model.dL) == (2, 5, 3)
     assert model.psi_nonzero and not model.theta_zero
     assert model.s_placement == "in_Lc"
-    assert model.psi_divisor == pair.D and model.s_divisor == pair.Dp

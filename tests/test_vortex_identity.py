@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import higgspairs.vortex as vx
 
-FOUR_PI = 4.0 * math.pi
+import lattice_oracles as lo
 
 
 def test_tau_prime_derived_from_coupling_identity() -> None:
@@ -22,19 +24,40 @@ def test_tau_prime_derived_from_coupling_identity() -> None:
     assert p.tau_prime == pytest.approx(-1.5)
 
 
-def test_tau_prime_with_nonzero_degrees() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0, d1=1, vol=2.0)
-    assert p.tau * p.r1 + p.tau_prime * p.r2 == pytest.approx(
-        (FOUR_PI / p.vol) * (p.d1 + p.d2)
-    )
-    assert p.tau_prime == pytest.approx(FOUR_PI / 2.0 - 1.0)
+def test_tau_prime_at_zero_tau_is_positive_zero() -> None:
+    # tau_prime goes into the psi branch's tau and into reports, so its
+    # sign bit at tau = 0 is part of their bytes.
+    for r1, r2 in ((1, 1), (2, 1), (1, 3)):
+        tau_prime = vx.VortexParams(r1=r1, tau=0.0, r2=r2).tau_prime
+        assert tau_prime == 0.0 and math.copysign(1.0, tau_prime) == 1.0
+
+
+def test_params_take_no_degrees() -> None:
+    settable = [f.name for f in fields(vx.VortexParams) if f.init]
+    assert settable == ["r1", "tau", "r2", "vol"]
+    with pytest.raises(TypeError):
+        vx.VortexParams(r1=1, tau=1.0, d1=1)
+
+
+@pytest.mark.parametrize("r1, r2, tau", [(1, 1, 1.0), (2, 1, 0.7), (1, 2, -1.5), (2, 3, 2.0)])
+def test_trace_of_the_residuals_sums_to_zero(r1: int, r2: int, tau: float) -> None:
+    # Degree 0: the curvature traces are central differences and
+    # commutators, which sum to zero on the periodic grid, and the moment
+    # maps' traces cancel between W1 and W2, so a^2 sum tr(W1 + W2) =
+    # -(vol/2)(tau r1 + tau' r2) = 0 at every state.  A nonzero sum would
+    # bound residual_energy away from zero.
+    s = vx.random_state(6, r1, r2, vol=2.0, rng=np.random.default_rng(r1 + 3 * r2))
+    p = vx.VortexParams(r1=r1, tau=tau, r2=r2, vol=2.0)
+    w = vx._residual_fields(vx._Fields(s), p)
+    total = s.a * s.a * complex(np.trace(w["W1"], axis1=-2, axis2=-1).sum()
+                                + np.trace(w["W2"], axis1=-2, axis2=-1).sum())
+    assert abs(total) <= 1e-12
 
 
 def test_replace_rederives_tau_prime() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     assert replace(p, tau=2.0).tau_prime == pytest.approx(-2.0)
     assert replace(p, r2=2).tau_prime == pytest.approx(-0.5)
-    assert replace(p, d1=1, vol=2.0).tau_prime == pytest.approx(FOUR_PI / 2.0 - 1.0)
     with pytest.raises(TypeError):
         vx.VortexParams(r1=1, tau=1.0, tau_prime=-1.0)
 
@@ -48,36 +71,6 @@ def test_params_validation() -> None:
         vx.VortexParams(r1=1, tau=1.0, vol=0.0)
     with pytest.raises(ValueError):
         vx.VortexParams(r1=1, tau=1.0, vol=-2.0)
-
-
-def test_sigma_value_and_positivity() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    assert vx.sigma_of(p) == pytest.approx(FOUR_PI)
-    p = vx.VortexParams(r1=2, tau=2.0, r2=3, vol=2.0)
-    den = (p.r1 + p.r2) * p.tau / FOUR_PI - (p.d1 + p.d2) / p.vol
-    assert vx.sigma_of(p) == pytest.approx(2.0 * p.r2 / den)
-    with pytest.raises(ValueError):
-        vx.sigma_of(vx.VortexParams(r1=1, tau=-1.0))
-    with pytest.raises(ValueError):
-        vx.sigma_of(vx.VortexParams(r1=1, tau=0.0))
-
-
-def test_hym_constant_is_half_tau() -> None:
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        r1 = int(rng.integers(1, 4))
-        r2 = int(rng.integers(1, 4))
-        d1 = int(rng.integers(0, 3))
-        d2 = int(rng.integers(0, 3))
-        vol = float(rng.uniform(0.5, 4.0))
-        lo = FOUR_PI * (d1 + d2) / (vol * (r1 + r2))
-        tau = lo + float(rng.uniform(0.1, 3.0))
-        p = vx.VortexParams(r1=r1, tau=tau, r2=r2, d1=d1, d2=d2, vol=vol)
-        c = vx.hym_constant(p)
-        assert c == pytest.approx(tau / 2.0, rel=1e-12)
-        assert c - FOUR_PI / vx.sigma_of(p) == pytest.approx(
-            p.tau_prime / 2.0, rel=1e-12, abs=1e-12
-        )
 
 
 def test_lattice_state_validation() -> None:
@@ -122,10 +115,10 @@ def test_zero_state_energies() -> None:
 
 def test_constant_solution_is_exact() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
-    s = vx.constant_solution_state(8, p)
+    s = lo.constant_solution_state(8, p)
     assert vx.residual_energy(s, p) <= 1e-28
     assert vx.ymh_energy(s, p) <= 1e-28
-    out = vx.l4_identity_check(s, p)
+    out = lo.l4_identity_check(s, p)
     assert out["res1"] <= 1e-13
     assert out["res2"] <= 1e-13
     res = vx.solve(s, p)
@@ -136,9 +129,9 @@ def test_constant_solution_is_exact() -> None:
 
 def test_constant_solution_requires_scalar_positive_tau() -> None:
     with pytest.raises(ValueError):
-        vx.constant_solution_state(8, vx.VortexParams(r1=2, tau=1.0))
+        lo.constant_solution_state(8, vx.VortexParams(r1=2, tau=1.0))
     with pytest.raises(ValueError):
-        vx.constant_solution_state(8, vx.VortexParams(r1=1, tau=-1.0))
+        lo.constant_solution_state(8, vx.VortexParams(r1=1, tau=-1.0))
 
 
 def test_decomposition_identity_on_random_states() -> None:
@@ -147,7 +140,7 @@ def test_decomposition_identity_on_random_states() -> None:
         p = vx.VortexParams(r1=r1, tau=1.25, r2=r2)
         for _ in range(25):
             s = vx.random_state(8, r1, r2, rng=rng)
-            assert not vx.check_invariants(s)
+            assert not lo.check_invariants(s)
             assert vx.decomposition_check(s, p) <= 1e-10
 
 
@@ -207,8 +200,8 @@ def test_constant_gauge_invariance() -> None:
         s = vx.random_state(8, r1, r2, rng=rng)
         u1 = random_unitary(rng, r1)
         u2 = random_unitary(rng, r2)
-        t = vx.gauge_transform(s, u1, u2)
-        assert not vx.check_invariants(t, atol=1e-10)
+        t = lo.gauge_transform(s, u1, u2)
+        assert not lo.check_invariants(t, atol=1e-10)
         for fn in (vx.ymh_energy, vx.residual_energy):
             assert fn(t, p) == pytest.approx(fn(s, p), rel=1e-9)
         assert vx.moment_map_value(t) == pytest.approx(
@@ -218,10 +211,10 @@ def test_constant_gauge_invariance() -> None:
 
 def test_check_invariants_reports_defects() -> None:
     s = vx.zero_state(4, 2, 2)
-    assert vx.check_invariants(s) == []
+    assert lo.check_invariants(s) == []
     bad_a = s.A1.copy()
     bad_a[0, 0, 0] = np.eye(2)
-    assert "A1 is not anti-Hermitian" in vx.check_invariants(
+    assert "A1 is not anti-Hermitian" in lo.check_invariants(
         vx.LatticeState(
             N=4, a=s.a, A1=bad_a, A2=s.A2, theta1=s.theta1,
             theta2=s.theta2, phi=s.phi, psi=s.psi,
@@ -232,12 +225,40 @@ def test_check_invariants_reports_defects() -> None:
         phi=np.ones((4, 4, 2, 2), dtype=np.complex128),
         psi=np.ones((4, 4, 2, 2), dtype=np.complex128),
     )
-    out = vx.check_invariants(dense)
+    out = lo.check_invariants(dense)
     assert "phi psi != 0" in out and "psi phi != 0" in out
 
 
 def test_l4_identity_requires_convergence() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.zero_state(8, 1)
-    with pytest.raises(vx.NotConvergedError):
-        vx.l4_identity_check(s, p)
+    with pytest.raises(lo.NotConvergedError):
+        lo.l4_identity_check(s, p)
+
+
+def test_oracles_read_no_private_library_names() -> None:
+    # The oracles must not compute with the kernels they check, so the
+    # helper module reads public names of higgspairs only.
+    tree = ast.parse(Path(lo.__file__).read_text(encoding="utf-8"))
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
+        else:
+            continue
+        for dotted, name in imported:
+            if dotted.split(".")[0] == "higgspairs":
+                bound.add(name)
+                if any(part.startswith("_") for part in dotted.split(".")):
+                    private.append(f"line {node.lineno}: import {dotted}")
+    assert bound, "the scan found no import of higgspairs"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                private.append(f"line {node.lineno}: {base.id}...{node.attr}")
+    assert private == []

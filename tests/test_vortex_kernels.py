@@ -422,14 +422,11 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
         assert np.array_equal(out[name], -adj(out[name])), name
 
 
-@pytest.mark.parametrize(
-    "r1, r2, tau, d1", [(2, 1, 1.0, 0), (1, 2, 1.0, 0), (1, 1, -1.0, 0), (2, 2, 1.0, 1)]
-)
-def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, tau: float, d1: int) -> None:
-    # No constant vacuum (r1 != r2, tau < 0, or d1 + d2 != 0 so that
-    # tau' != -tau): no symbol is built, and a call is the per-block kernel
-    # bit for bit.
-    p = vx.VortexParams(r1=r1, tau=tau, r2=r2, d1=d1)
+@pytest.mark.parametrize("r1, r2, tau", [(2, 1, 1.0), (1, 2, 1.0), (1, 1, -1.0)])
+def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, tau: float) -> None:
+    # No constant vacuum (r1 != r2, or tau < 0): no symbol is built, and a
+    # call is the per-block kernel bit for bit.
+    p = vx.VortexParams(r1=r1, tau=tau, r2=r2)
     s = branch_state(r1, r2, "phi", np.random.default_rng(13 + r1 + r2))
     f = vx._Fields(s)
     packing = vx._Preconditioner(s, p)

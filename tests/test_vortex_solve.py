@@ -10,6 +10,8 @@ import pytest
 
 import higgspairs.vortex as vx
 
+import lattice_oracles as lo
+
 
 def scalar_solve(seed: int = 7, N: int = 8, tol: float = 1e-12) -> vx.SolveResult:
     rng = np.random.default_rng(seed)
@@ -67,7 +69,7 @@ def test_solution_trace_identity() -> None:
 
 def test_l4_identities_at_solution() -> None:
     res = scalar_solve(tol=1e-13)
-    out = vx.l4_identity_check(res.state, vx.VortexParams(r1=1, tau=1.0))
+    out = lo.l4_identity_check(res.state, vx.VortexParams(r1=1, tau=1.0))
     assert out["res2"] <= 1e-10
     assert out["res1"] <= 1e-5
 
@@ -376,7 +378,7 @@ def test_prolong_reproduces_coarse_sites() -> None:
     assert np.allclose(fine.phi[::2, ::2], s.phi, atol=1e-11)
     assert np.allclose(fine.A1[:, ::2, ::2], s.A1, atol=1e-11)
     assert np.allclose(fine.theta1[::2, ::2], s.theta1, atol=1e-11)
-    assert not vx.check_invariants(fine, atol=1e-11)
+    assert not lo.check_invariants(fine, atol=1e-11)
 
 
 def test_prolong_band_limited_is_spectrally_exact() -> None:
@@ -415,12 +417,12 @@ def test_prolong_at_odd_grid_is_the_real_band_limited_interpolant(
         coarse = getattr(s, name)
         sites = getattr(fine, name)[..., ::2, ::2, :, :]
         assert float(np.max(np.abs(sites - coarse))) <= 1e-13, name
-    assert not vx.check_invariants(fine, atol=1e-13)
+    assert not lo.check_invariants(fine, atol=1e-13)
 
 
 def test_prolonged_constant_solution_stays_exact() -> None:
     p = vx.VortexParams(r1=1, tau=1.0)
-    s = vx.constant_solution_state(8, p)
+    s = lo.constant_solution_state(8, p)
     fine = vx.prolong_state(s)
     assert vx.residual_energy(fine, p) <= 1e-24
 
