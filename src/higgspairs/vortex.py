@@ -74,21 +74,22 @@ problem has a constant vacuum, A = theta = 0 and phi = sqrt(tau) I, which
 needs r1 = r2 and tau >= 0 (tau_prime = -tau r1 / r2 then equals -tau),
 J*J there is translation invariant, and the preconditioner applies its
 exact inverse mode by mode instead (gauss_newton.GaussNewtonSymbol):
-built once per solve by probing
-the residual fields at the vacuum, one small matrix per Fourier mode and
-coupling group of real coordinates, with the per-block kernel on its
-null space, the gauge directions.  Without a vacuum there is no constant
-state to linearize at, and the per-block kernel serves alone.  The
-solver's loop runs on packed vectors in that layout, one complex array
-each for the flowed blocks of the state, the gradient, the preconditioned
-gradient and the direction, so an inner product, the conjugate-gradient
-update or a step is one array operation, and the states along the way
-are views of the packed state.  Each iteration packs the gradient blocks
-and transforms them together, one forward and one inverse 1-D transform
-per site axis.  The line step flattens the residual fields of the start
-and of its two probes once each, forms each coefficient of the quartic
-with one reduction, and takes the real roots of its cubic derivative in
-closed form.
+built once per solve by probing the residual fields at the vacuum, one
+small matrix per Fourier mode and coupling group of real coordinates,
+with the per-block kernel on its null space, the gauge directions.
+Without a vacuum there is no constant state to linearize at, and the
+per-block kernel serves alone.  The solver's loop runs on packed vectors
+in that layout, one complex array each for the flowed blocks of the
+state, the gradient, the preconditioned gradient and the direction, so
+an inner product, the conjugate-gradient update or a step is one array
+operation, and the states along the way are views of the packed state.
+Each iteration packs the gradient blocks and transforms them together,
+one forward and one inverse 1-D transform per site axis.  The line step
+flattens the residual fields of the start and of its two probes once
+each, forms each coefficient of the quartic with one reduction, and
+takes the real roots of its cubic derivative in closed form.  Every such
+reduction is ``_real_dot``, which does not call BLAS, so a solve is the
+same at every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -568,10 +569,21 @@ def _gradient(
     return {name: blocks[name]() for name in BLOCKS if name in flows}
 
 
+def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Re sum conj(x) y over two complex arrays of one size, as the real dot
+    product of their float64 views.
+
+    einsum sums without BLAS, whose threaded reductions (np.vdot) split a
+    long vector by the thread count and so move the last digits with it;
+    this sum, and every solve built on it, is the same at any thread count.
+    """
+    return np.einsum("i,i", x.reshape(-1).view(np.float64), y.reshape(-1).view(np.float64))
+
+
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
     """The real metric 2 Re sum tr(x^H y) of the gradient convention, on two
     packed vectors."""
-    return 2.0 * np.vdot(x, y).real
+    return 2.0 * _real_dot(x, y)
 
 
 def _derived(s: LatticeState, blocks: dict[str, np.ndarray]) -> LatticeState:
@@ -654,8 +666,8 @@ class _Preconditioner:
     10, 10 and 57 iterations at tau = 0 against 8, 7 and 31 (N = 16, 32,
     16; seeds 7, 7, 3).  A vacuum needs phi phi^H = tau and phi^H phi =
     -tau' at one constant phi, and tau' = -tau r1 / r2, so r1 = r2 with
-    tau >= 0.  Without one there is no constant state to linearize
-    at, and a call is ``blockwise``, bit for bit as before the symbol.
+    tau >= 0.  Without one there is no constant state to linearize at,
+    and a call is ``blockwise``, bit for bit as before the symbol.
 
     ``solve`` builds one per solve, and it fixes the solver's packed
     layout: a packed vector is one complex array of shape (planes, N, N),
@@ -875,10 +887,10 @@ def _exact_step(
     del vm
     h2c *= 0.5
     h2c -= v0
-    c1 = -2.0 * np.vdot(v0, hb).real
-    c2 = np.vdot(hb, hb).real + 2.0 * np.vdot(v0, h2c).real
-    c3 = -2.0 * np.vdot(hb, h2c).real
-    c4 = np.vdot(h2c, h2c).real
+    c1 = -2.0 * _real_dot(v0, hb)
+    c2 = _real_dot(hb, hb) + 2.0 * _real_dot(v0, h2c)
+    c3 = -2.0 * _real_dot(hb, h2c)
+    c4 = _real_dot(h2c, h2c)
     if not math.isfinite(c1 + c2 + c3 + c4):
         return math.nan
     return h * _line_minimum(float(c1), float(c2), float(c3), float(c4))

@@ -551,6 +551,26 @@ def test_vortex_report_and_dump_are_the_cold_solve(
         assert np.array_equal(blocks[name], getattr(cold.state, name)), name
 
 
+def test_vortex_report_does_not_depend_on_the_blas_thread_count() -> None:
+    # A BLAS reduction such as np.vdot splits a long vector by the thread
+    # count, which moves its last digits; on this rank-1 N = 64 solve that
+    # changed the reported residual.  The report must be the same bytes at
+    # one thread and at two.
+    src = Path(higgspairs.__file__).parents[1]
+    argv = [sys.executable, "-m", "higgspairs"] + vortex_args(**{
+        "--rank1": "1", "--grid": "64", "--seed": "7", "--tol": "1e-13",
+    })
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert json.loads(reports[0])["converged"] is True
+    assert reports[0] == reports[1]
+
+
 def test_vortex_rejects_bad_grid(capsys) -> None:
     code, out, err = run(capsys, vortex_args(**{"--grid": "2"}))
     assert code == 1

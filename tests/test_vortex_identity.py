@@ -260,5 +260,5 @@ def test_oracles_read_no_private_library_names() -> None:
             while isinstance(base, ast.Attribute):
                 base = base.value
             if isinstance(base, ast.Name) and base.id in bound:
-                private.append(f"line {node.lineno}: {base.id}...{node.attr}")
+                private.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert private == []
