@@ -340,6 +340,9 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
 
     if args.grid < vortex.MIN_GRID:
         raise InvalidParamsError(f"--grid must be at least {vortex.MIN_GRID}, got {args.grid}")
+    for name in ("rank1", "rank2"):
+        if getattr(args, name) < 1:
+            raise InvalidParamsError(f"--{name} must be at least 1, got {getattr(args, name)}")
     for name in ("tau", "vol", "amplitude", "tol"):
         if not math.isfinite(getattr(args, name)):
             raise InvalidParamsError(f"--{name} must be finite, got {getattr(args, name)!r}")
@@ -350,7 +353,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
     if args.max_iter < 0:
         raise InvalidParamsError(f"--max-iter must be non-negative, got {args.max_iter}")
     _check_seed(args.seed)
-    p = vortex.VortexParams(r1=args.rank1, tau=args.tau, r2=args.rank2, vol=args.vol)
+    tau_p = vortex.tau_prime(args.tau, args.rank1, args.rank2)
     # Refuse a grid that cannot fit before anything is allocated: with
     # overcommit, a grid too large would meet the OOM killer, not a
     # MemoryError.
@@ -364,19 +367,15 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
     # branch of the exchanged bundles, whose coupling is tau', and its
     # answer is exchanged back.
     mirror = args.branch == "psi"
-    solved = (
-        vortex.VortexParams(r1=args.rank2, tau=p.tau_prime, r2=args.rank1, vol=args.vol)
-        if mirror else p
-    )
+    r1, r2, tau = (args.rank2, args.rank1, tau_p) if mirror else (args.rank1, args.rank2, args.tau)
 
     start = vortex.random_smooth_state(
-        args.grid, solved.r1, solved.r2, args.vol, np.random.default_rng(args.seed),
-        args.amplitude, args.tau,
+        args.grid, r1, r2, args.vol, np.random.default_rng(args.seed), args.amplitude, args.tau,
     )
-    result = solution = vortex.solve(start, solved, tol=args.tol, max_iter=args.max_iter)
+    result = solution = vortex.solve(start, tau, tol=args.tol, max_iter=args.max_iter)
     if mirror:
         state = vortex.exchange_bundles(result.state)
-        result = replace(result, state=state, breakdown=vortex.residual_breakdown(state, p))
+        result = replace(result, state=state, breakdown=vortex.residual_breakdown(state, args.tau))
     report: dict[str, Any] = {
         "params": {
             "rank1": args.rank1,
@@ -384,7 +383,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
             "grid": args.grid,
             "vol": float(args.vol),
             "tau": float(args.tau),
-            "tau_prime": float(p.tau_prime),
+            "tau_prime": float(tau_p),
             "tol": float(args.tol),
             "max_iter": args.max_iter,
             "seed": args.seed,
@@ -399,25 +398,25 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         "breakdown": result.breakdown,
         "moment_map": result.moment_map_value,
     }
-    # The solved section has coupling solved.tau (tau, or tau' on the
-    # mirror); a degree-0 bundle carries it only when that is > 0.
+    # The solved section has coupling tau (tau, or tau' on the mirror); a
+    # degree-0 bundle carries it only when that is > 0.
     name = "tau'" if mirror else "tau"
-    if not result.converged and solved.tau <= 0:
-        floor = solved.tau * solved.tau * args.vol / 8.0
+    if not result.converged and tau <= 0:
+        floor = tau * tau * args.vol / 8.0
         report["note"] = (
             "no solution expected: a nonzero section on a degree-0 bundle "
             f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
         )
-    elif result.stalled and np.max(np.abs(solution.state.phi)) < 1e-6 * math.sqrt(solved.tau):
+    elif result.stalled and np.max(np.abs(solution.state.phi)) < 1e-6 * math.sqrt(tau):
         # A start whose section is mostly noise (amplitude above its
         # sqrt(coupling)) can collapse onto the section's zero, where
         # W1 = -tau/2 and W2 = -tau'/2 are constant and the flow stops.
-        floor = args.vol * (args.rank1 * p.tau**2 + args.rank2 * p.tau_prime**2) / 4.0
+        floor = args.vol * (args.rank1 * args.tau**2 + args.rank2 * tau_p**2) / 4.0
         section = "psi" if mirror else "phi"
         report["note"] = (
             f"stalled at the critical point {section} = 0, whose residual is "
             f"vol*(rank1*tau^2 + rank2*tau'^2)/4 = {floor!r}; an --amplitude "
-            f"below sqrt({name}) = {math.sqrt(solved.tau)!r} starts in the solution's basin"
+            f"below sqrt({name}) = {math.sqrt(tau)!r} starts in the solution's basin"
         )
     if args.dump_fields:
         _dump_fields(args.dump_fields, result.state, args.vol)
@@ -426,7 +425,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         bd = result.breakdown
         lines = [
             f"params: r1={args.rank1} r2={args.rank2} N={args.grid} vol={args.vol} "
-            f"tau={args.tau} tau'={p.tau_prime} branch={args.branch} seed={args.seed}",
+            f"tau={args.tau} tau'={tau_p} branch={args.branch} seed={args.seed}",
             f"converged: {result.converged} (iterations {result.iterations}, "
             f"residual {result.residual!r}, stop reason {result.stop_reason})",
             f"breakdown: eq1={bd['eq1']!r} eq2={bd['eq2']!r} "
@@ -526,10 +525,9 @@ def _selftest_decomposition(rng: np.random.Generator) -> tuple[bool, str]:
 
     worst = 0.0
     for r1, r2 in ((1, 1), (2, 1)):
-        p = vortex.VortexParams(r1=r1, tau=0.7, r2=r2)
         for _ in range(10):
             s = vortex.random_state(6, r1, r2, 1.0, rng, amplitude=1.0)
-            worst = max(worst, vortex.decomposition_check(s, p))
+            worst = max(worst, vortex.decomposition_check(s, 0.7))
     ok = worst <= 1e-10
     return ok, f"worst relative gap {worst:.3e}"
 
@@ -539,20 +537,19 @@ def _selftest_gradient(rng: np.random.Generator) -> tuple[bool, str]:
 
     from . import vortex
 
-    h = 1e-6
+    h, tau = 1e-6, 0.9
     worst = 0.0
     for r1, r2 in ((1, 1), (2, 1)):
-        p = vortex.VortexParams(r1=r1, tau=0.9, r2=r2)
         s = vortex.random_state(5, r1, r2, 1.0, rng, amplitude=0.7)
-        grad = vortex.residual_gradient(s, p)
+        grad = vortex.residual_gradient(s, tau)
         for name in vortex.BLOCKS:
             block = getattr(s, name)
             v = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
             if name in ("A1", "A2"):
                 v = 0.5 * (v - np.conj(np.swapaxes(v, -1, -2)))
             analytic = 2.0 * float(np.real(np.sum(np.conj(grad[name]) * v)))
-            e_plus = vortex.residual_energy(replace(s, **{name: block + h * v}), p)
-            e_minus = vortex.residual_energy(replace(s, **{name: block - h * v}), p)
+            e_plus = vortex.residual_energy(replace(s, **{name: block + h * v}), tau)
+            e_minus = vortex.residual_energy(replace(s, **{name: block - h * v}), tau)
             fd = (e_plus - e_minus) / (2.0 * h)
             scale = max(abs(analytic), abs(fd), 1e-12)
             worst = max(worst, abs(analytic - fd) / scale)

@@ -85,7 +85,7 @@ class GaussNewtonSymbol:
     back the same way.
     """
 
-    def __init__(self, packing: vx._Preconditioner, s: vx.LatticeState, p: vx.VortexParams) -> None:
+    def __init__(self, packing: vx._Preconditioner, s: vx.LatticeState, tau: float) -> None:
         r, N = s.r1, s.N
         # One row per real coordinate: its unit over the packed planes, and
         # the name of its block.
@@ -99,7 +99,7 @@ class GaussNewtonSymbol:
                     rows.append(row)
                     names.append(name)
         basis = np.array(rows)
-        jac = _probe(packing, s, basis, p)
+        jac = _probe(packing, s, basis, tau)
         odd = np.array_equal(jac[1], -jac[2]) and np.array_equal(jac[3], -jac[4])
         reps1, members1 = _sine_classes(N, N, odd)
         reps2, members2 = _sine_classes(N, N // 2 + 1, odd)
@@ -108,7 +108,7 @@ class GaussNewtonSymbol:
         phases = np.array([np.exp(-1j * (o1 * angle1 + o2 * angle2)).ravel()
                            for o1, o2 in STENCIL_OFFSETS])
         omega2 = ((np.sin(angle1) ** 2 + np.sin(angle2) ** 2) / (s.a * s.a)).ravel()
-        kernel = np.array([vx._block_kernel(name, p.tau, omega2) for name in names])
+        kernel = np.array([vx._block_kernel(name, tau, omega2) for name in names])
         # The flat spectrum positions of each class's modes, one row per
         # member; a class with fewer members repeats one.
         self.members = (
@@ -152,7 +152,7 @@ class GaussNewtonSymbol:
         return d.view(np.complex128).reshape(g.shape)
 
 
-def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, p: vx.VortexParams) -> np.ndarray:
+def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, tau: float) -> np.ndarray:
     """J(o) for o in STENCIL_OFFSETS, shape (offsets, residual coordinates,
     coordinates), from one evaluation of the residual fields.
 
@@ -164,18 +164,18 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, p
     the quadratic part, even in e_c, and the vacuum's own residual drop
     out.
     """
-    r = p.r1
+    r = s.r1
     count = len(basis)
     n = 5 * math.ceil(math.sqrt(2 * count / 5))
     sites = [(i, j) for j in range(n) for i in range(n) if (i + 2 * j) % 5 == 0]
     at = np.array(sites[: 2 * count]).T.reshape(2, 2, count)
     x = np.zeros((len(basis[0]), n, n), dtype=np.complex128)
-    packing.unpack(x)["phi"][...] = math.sqrt(p.tau) * vx._identity(r)
+    packing.unpack(x)["phi"][...] = math.sqrt(tau) * vx._identity(r)
     x[:, at[0, 0], at[1, 0]] += basis.T
     x[:, at[0, 1], at[1, 1]] -= basis.T
     held = np.zeros((n, n, r, r), dtype=np.complex128)
     probe = vx._derived(s, dict(packing.unpack(x), theta2=held, psi=held, N=n))
-    w = vx._residual_fields(vx._Fields(probe, held=vx.HELD), p)
+    w = vx._residual_fields(vx._Fields(probe, held=vx.HELD), tau)
     response = np.array([v for v in w.values() if v is not vx._ZERO])
     offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
     near = response[:, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n]

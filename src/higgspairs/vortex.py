@@ -7,6 +7,11 @@ and the morphisms phi (r1 x r2) and psi (r2 x r1).  Degree-0 trivial
 bundles only, so potentials are global matrix fields; derivatives are
 second-order central differences and curvature is F = dA + A ^ A.
 
+One coupling.  A problem is a ``LatticeState``, which carries the ranks
+(phi's matrix axes) and the volume, and the coupling tau of E1: the
+degree-0 condition fixes the coupling of E2 as ``tau_prime(tau, r1, r2)``.
+Every entry point takes (state, tau).
+
 Norm conventions (fixed so the energy decomposition closes exactly):
 |dz|^2 = 2 and |dz ^ dzbar|^2 = 4, i.e. a (1,0)+(0,1) derivative
 contributes 2(|D_z .|^2 + |D_zbar .|^2) per site and a curvature 2-form
@@ -46,12 +51,13 @@ conjugate-gradient directions.
 Bundle exchange.  Swapping the quiver's two vertices, (A1, theta1, phi,
 tau) with (A2, theta2, psi, tau_prime), swaps W1, W3, W4 with W2, W5, W6,
 so the E2 half of each energy, residual and gradient runs the E1 formulas
-on ``_Fields.exchanged()``; ``exchange_bundles`` swaps a state.
+on ``_Fields.exchanged()`` (the residual fields of E1 are written once, in
+``_bundle_fields``); ``exchange_bundles`` swaps a state.
 
 One problem.  ``solve`` solves the section branch: it holds theta2 and psi
 at zero and flows the FLOWS blocks A1, A2, theta1 and phi.  The mirror
 branch, with theta1 and phi at zero, is the same problem on the exchanged
-bundles, so it is solved there and exchanged back.
+bundles at coupling tau_prime, so it is solved there and exchanged back.
 
 Zero blocks.  The solver's kernels never form a term with a factor that is
 zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
@@ -96,7 +102,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,31 +121,18 @@ FLOWS = ("A1", "A2", "theta1", "phi")
 HELD = tuple(name for name in BLOCKS if name not in FLOWS)
 
 
-@dataclass(frozen=True)
-class VortexParams:
-    """Ranks, area and coupling constants of a degree-0 problem.
+def tau_prime(tau: float, r1: int, r2: int) -> float:
+    """The coupling of E2 that the degree-0 lattice leaves for coupling tau
+    of E1 and ranks (r1, r2).
 
-    The trace of the two vortex equations integrates to tau r1 + tau_prime
-    r2 = (4 pi / vol)(d1 + d2).  The lattice holds degree-0 trivial bundles
+    The trace of the two vortex equations integrates to tau r1 + tau' r2 =
+    (4 pi / vol)(d1 + d2).  The lattice holds degree-0 trivial bundles
     only, whose curvature traces sum to zero on the periodic grid, so
-    tau_prime = -tau r1 / r2; any other value would leave a residual that
-    no state can remove.  tau_prime is derived and is not an argument, so
-    dataclasses.replace re-derives it.
+    tau' = -tau r1 / r2; any other value would leave a residual that no
+    state can remove.
     """
-
-    r1: int
-    tau: float
-    r2: int = 1
-    vol: float = 1.0
-    tau_prime: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.r1 < 1 or self.r2 < 1:
-            raise ValueError(f"ranks must be positive, got ({self.r1}, {self.r2})")
-        if not self.vol > 0:
-            raise ValueError(f"vol must be positive, got {self.vol}")
-        # 0.0 - tau r1 rather than -tau r1: tau = 0 gives +0.0, not -0.0.
-        object.__setattr__(self, "tau_prime", (0.0 - self.tau * self.r1) / self.r2)
+    # 0.0 - tau r1 rather than -tau r1: tau = 0 gives +0.0, not -0.0.
+    return (0.0 - tau * r1) / r2
 
 
 def _block_shapes(N: int, r1: int, r2: int) -> dict[str, tuple[int, ...]]:
@@ -181,6 +174,8 @@ class LatticeState:
             # The ranks are read off phi's last two axes.
             want = f"({self.N}, {self.N}, r1, r2)"
             raise ValueError(f"phi has shape {self.phi.shape}, expected {want}")
+        if self.r1 < 1 or self.r2 < 1:
+            raise ValueError(f"ranks must be positive, got ({self.r1}, {self.r2})")
         for name, want in _block_shapes(self.N, self.r1, self.r2).items():
             arr = getattr(self, name)
             if arr.shape != want:
@@ -381,7 +376,7 @@ class _Fields:
         return _prod(self.phi, _adj(self.phi)) - _prod(_adj(self.psi), self.psi)
 
 
-def ymh_energy(s: LatticeState, p: VortexParams) -> float:
+def ymh_energy(s: LatticeState, tau: float) -> float:
     """Yang-Mills-Higgs energy: curvature, kinetic and deviation terms.
 
     Uses the Higgs-coupled connections A + theta + theta^dagger per bundle;
@@ -402,50 +397,52 @@ def ymh_energy(s: LatticeState, p: VortexParams) -> float:
         2.0 * (_frob2(g.dz_phi() + g.x_phi()) + _frob2(g.dzbar_phi() + g.y_phi())) for g in (f, e)
     )
 
-    dev1 = _frob2(f.moment1() - p.tau * eye1)
-    dev2 = _frob2(e.moment1() - p.tau_prime * eye2)
+    dev1 = _frob2(f.moment1() - tau * eye1)
+    dev2 = _frob2(e.moment1() - tau_prime(tau, s.r1, s.r2) * eye2)
 
     return f.k * (curv + kin_phi + kin_psi + DEVIATION_WEIGHT * (dev1 + dev2))
 
 
-def _residual_fields(f: _Fields, p: VortexParams) -> dict[str, np.ndarray]:
+def _bundle_fields(f: _Fields, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The residual fields of E1 at coupling tau: its vortex equation (2
+    F_z_zbar of the Higgs-coupled connection appears as i Lambda R), and
+    twice the holomorphicity and intertwining defects of phi."""
+    return (
+        2.0 * f.curvature() + 0.5 * f.moment1() - 0.5 * tau * _identity(f.Z1.shape[-1]),
+        2.0 * f.dzbar_phi(),
+        2.0 * f.x_phi(),
+    )
+
+
+def _residual_fields(f: _Fields, tau: float) -> dict[str, np.ndarray]:
     """The six residual fields of the state f was built from; their squared
     norms sum to residual_energy.
 
-    W1, W2 are the two vortex-equation residuals (2 F_z_zbar of the
-    Higgs-coupled connection appears as i Lambda R); W3..W6 are twice the
-    holomorphicity and intertwining defects of phi and psi.  A field whose
-    every term has a zero factor is _ZERO.
+    W1, W3, W4 are E1's (_bundle_fields at tau); W2, W5, W6 are the same
+    fields of the exchanged bundles at tau_prime.  A field whose every term
+    has a zero factor is _ZERO.
     """
-    e = f.exchanged()
-    g1 = f.curvature()
-    g2 = e.curvature()
-    return {
-        "W1": 2.0 * g1 + 0.5 * f.moment1() - 0.5 * p.tau * _identity(f.Z1.shape[-1]),
-        "W2": 2.0 * g2 + 0.5 * e.moment1() - 0.5 * p.tau_prime * _identity(f.Z2.shape[-1]),
-        "W3": 2.0 * f.dzbar_phi(),
-        "W4": 2.0 * f.x_phi(),
-        "W5": 2.0 * e.dzbar_phi(),
-        "W6": 2.0 * e.x_phi(),
-    }
+    w1, w3, w4 = _bundle_fields(f, tau)
+    w2, w5, w6 = _bundle_fields(f.exchanged(), tau_prime(tau, f.Z1.shape[-1], f.Z2.shape[-1]))
+    return {"W1": w1, "W2": w2, "W3": w3, "W4": w4, "W5": w5, "W6": w6}
 
 
 def _energy(s: LatticeState, w: dict[str, np.ndarray]) -> float:
     return s.a * s.a * sum(_frob2(v) for v in w.values())
 
 
-def residual_energy(s: LatticeState, p: VortexParams) -> float:
+def residual_energy(s: LatticeState, tau: float) -> float:
     """Squared residual of the two vortex equations plus holomorphicity terms.
 
     Zero exactly at discrete solutions of the coupled equations together
     with D_zbar phi = 0, theta-intertwining of phi, and the psi mirrors.
     """
-    return _energy(s, _residual_fields(_Fields(s), p))
+    return _energy(s, _residual_fields(_Fields(s), tau))
 
 
-def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
+def residual_breakdown(s: LatticeState, tau: float) -> dict[str, float]:
     """Named parts of residual_energy plus pointwise diagnostics."""
-    w = _residual_fields(_Fields(s), p)
+    w = _residual_fields(_Fields(s), tau)
     k = s.a * s.a
 
     def site_max(m: np.ndarray) -> float:
@@ -464,11 +461,11 @@ def residual_breakdown(s: LatticeState, p: VortexParams) -> dict[str, float]:
     }
 
 
-def decomposition_check(s: LatticeState, p: VortexParams) -> float:
+def decomposition_check(s: LatticeState, tau: float) -> float:
     """Relative gap |ymh - residual| / (1 + ymh); topological terms are zero
     for degree-0 trivial bundles, so this must vanish to rounding."""
-    y = ymh_energy(s, p)
-    r = residual_energy(s, p)
+    y = ymh_energy(s, tau)
+    r = residual_energy(s, tau)
     return abs(y - r) / (1.0 + y)
 
 
@@ -484,7 +481,7 @@ def _antiherm(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - _adj(m))
 
 
-def residual_gradient(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]:
+def residual_gradient(s: LatticeState, tau: float) -> dict[str, np.ndarray]:
     """Gradient of residual_energy in the convention dE = 2 Re sum tr(g^H dq).
 
     Every block is returned as an array.  A-blocks are anti-Hermitian
@@ -492,7 +489,7 @@ def residual_gradient(s: LatticeState, p: VortexParams) -> dict[str, np.ndarray]
     the constraint manifold).
     """
     f = _Fields(s)
-    grad = _gradient(f, _residual_fields(f, p), BLOCKS)
+    grad = _gradient(f, _residual_fields(f, tau), BLOCKS)
     return {
         name: np.zeros_like(getattr(s, name)) if g is _ZERO else g
         for name, g in grad.items()
@@ -683,7 +680,7 @@ class _Preconditioner:
     touched again.
     """
 
-    def __init__(self, s: LatticeState, p: VortexParams) -> None:
+    def __init__(self, s: LatticeState, tau: float) -> None:
         # Per block: its name, its slot, the shape of its entries (leading
         # axes, matrix axes) and the axes that view its planes as the block
         # (leading axes, site axes, matrix axes).
@@ -698,12 +695,12 @@ class _Preconditioner:
             self.layout.append((name, slice(used, used + n), entries, axes))
             used += n
         self.shape = (used, s.N, s.N)
-        self.grid = (s.a, p.tau)
+        self.grid = (s.a, tau)
         self.symbol = None
-        if _has_vacuum(p):
+        if _has_vacuum(s, tau):
             from higgspairs.gauss_newton import GaussNewtonSymbol
 
-            self.symbol = GaussNewtonSymbol(self, s, p)
+            self.symbol = GaussNewtonSymbol(self, s, tau)
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -746,11 +743,11 @@ class _Preconditioner:
         return self.blockwise(g) if self.symbol is None else self.symbol(g)
 
 
-def _has_vacuum(p: VortexParams) -> bool:
-    """The solved problem has the constant solution A = theta = 0, phi =
-    sqrt(tau) I: phi phi^H = tau and phi^H phi = -tau_prime = tau r1 / r2
-    hold together only for r1 = r2, with tau >= 0."""
-    return p.r1 == p.r2 and p.tau >= 0
+def _has_vacuum(s: LatticeState, tau: float) -> bool:
+    """The problem of s at coupling tau has the constant solution A = theta
+    = 0, phi = sqrt(tau) I: phi phi^H = tau and phi^H phi = -tau_prime =
+    tau r1 / r2 hold together only for s's ranks equal, with tau >= 0."""
+    return s.r1 == s.r2 and tau >= 0
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -938,7 +935,7 @@ class SolveResult:
 
 def solve(
     s0: LatticeState,
-    p: VortexParams,
+    tau: float,
     tol: float = 1e-12,
     max_iter: int = 10000,
 ) -> SolveResult:
@@ -972,14 +969,14 @@ def solve(
     """
     s = replace(s0, **{name: np.zeros_like(getattr(s0, name)) for name in HELD})
     f = _Fields(s, held=HELD)
-    w = _residual_fields(f, p)
+    w = _residual_fields(f, tau)
     energy = _energy(s, w)
     history = [energy]
     step = 1.0
     stop_reason = "max_iter"
     iterations = 0
     prev: Optional[tuple[np.ndarray, float, np.ndarray]] = None
-    packing = _Preconditioner(s, p)
+    packing = _Preconditioner(s, tau)
     x = packing.pack({name: getattr(s, name) for name in FLOWS})
     # The probes along the line share one buffer and the state that views it.
     probe = np.empty_like(x)
@@ -989,7 +986,7 @@ def solve(
         """The residual fields at x - eta dirn."""
         np.multiply(dirn, -eta, out=probe)
         np.add(probe, x, out=probe)
-        return _residual_fields(_Fields(probe_state, held=HELD), p)
+        return _residual_fields(_Fields(probe_state, held=HELD), tau)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
@@ -1019,7 +1016,7 @@ def solve(
         x_new = x - step * dirn
         cand = _derived(s, packing.unpack(x_new))
         f_new = _Fields(cand, held=HELD)
-        w_new = _residual_fields(f_new, p)
+        w_new = _residual_fields(f_new, tau)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
             stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
@@ -1034,7 +1031,7 @@ def solve(
         state=s,
         energy_history=history,
         stop_reason=stop_reason,
-        breakdown=residual_breakdown(s, p),
+        breakdown=residual_breakdown(s, tau),
     )
 
 
@@ -1185,7 +1182,7 @@ def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     set of matrices per class of modes with equal sines, the classes that
     gauss_newton.GaussNewtonSymbol builds (at odd N each mode is its own)."""
     site = 16 * N * N
-    state = site * (3 * r1 * r1 + 3 * r2 * r2 + 2 * r1 * r2)
+    state = 16 * sum(math.prod(shape) for shape in _block_shapes(N, r1, r2).values())
     work = SOLVE_WORKING_STATES * state
     if r1 == r2:
         classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else N * (N // 2 + 1)
@@ -1229,8 +1226,8 @@ def prolong_state(s: LatticeState) -> LatticeState:
 
 
 def exchange_bundles(s: LatticeState) -> LatticeState:
-    """The state with its two bundles exchanged, sharing its arrays.  Under
-    VortexParams(r1=r2, tau=tau_prime, r2=r1) its residual fields are the
-    swapped ones, so a state with theta1 and phi zero becomes one of the
+    """The state with its two bundles exchanged, sharing its arrays.  At
+    coupling tau_prime(tau, r1, r2) its residual fields are the swapped ones
+    of s at tau, so a state with theta1 and phi zero becomes one of the
     problem ``solve`` solves."""
     return replace(s, A1=s.A2, A2=s.A1, theta1=s.theta2, theta2=s.theta1, phi=s.psi, psi=s.phi)

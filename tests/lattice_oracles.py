@@ -42,9 +42,7 @@ def site_frob2(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(m) ** 2, axis=(-1, -2))
 
 
-def l4_identity_check(
-    s: vx.LatticeState, p: vx.VortexParams, tol: float = 1e-8
-) -> dict[str, float]:
+def l4_identity_check(s: vx.LatticeState, tau: float, tol: float = 1e-8) -> dict[str, float]:
     """Integrated identities satisfied by solutions, as discrete residuals.
 
     res1 integrates the section identity: at a solution of the coupled
@@ -67,10 +65,13 @@ def l4_identity_check(
     the default tol=1e-8 admits about 4e-4 of tolerance error (tau = 1,
     vol = 1).
     """
-    res = vx.residual_energy(s, p)
+    res = vx.residual_energy(s, tau)
     if res > tol:
         raise NotConvergedError(f"identity check needs residual_energy <= {tol}, got {res}")
     k = s.a * s.a
+    # The degree-0 coupling of E2, written here rather than read from the
+    # library: tau r1 + tau' r2 = 0.
+    tau_prime = -tau * s.r1 / s.r2
     z1 = 0.5 * (s.A1[0] - 1j * s.A1[1])
     z2 = 0.5 * (s.A2[0] - 1j * s.A2[1])
     dz_phi = dz(s.phi, s.a) + mm(z1, s.phi) - mm(s.phi, z2)
@@ -80,7 +81,7 @@ def l4_identity_check(
             4.0 * site_frob2(dz_phi)
             + 4.0 * site_frob2(mm(adj(s.theta1), s.phi))
             + 2.0 * s2 * s2
-            + (p.tau_prime - p.tau) * s2
+            + (tau_prime - tau) * s2
         )
     )
     t1, t1d = s.theta1, adj(s.theta1)
@@ -95,12 +96,12 @@ def l4_identity_check(
     return {"res1": abs(res1), "res2": abs(res2)}
 
 
-def constant_solution_state(N: int, p: vx.VortexParams) -> vx.LatticeState:
+def constant_solution_state(N: int, tau: float, r1: int = 1, r2: int = 1) -> vx.LatticeState:
     """The exact flat solution for r1 = r2 = 1, tau > 0: |s|^2 = tau."""
-    if p.r1 != 1 or p.r2 != 1 or p.tau <= 0:
+    if r1 != 1 or r2 != 1 or tau <= 0:
         raise ValueError("constant solution needs r1 = r2 = 1 and tau > 0")
-    s = vx.zero_state(N, 1, 1, p.vol)
-    return replace(s, phi=np.full_like(s.phi, math.sqrt(p.tau)))
+    s = vx.zero_state(N, 1, 1)
+    return replace(s, phi=np.full_like(s.phi, math.sqrt(tau)))
 
 
 def gauge_transform(s: vx.LatticeState, u1: np.ndarray, u2: np.ndarray) -> vx.LatticeState:

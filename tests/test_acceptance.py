@@ -214,10 +214,9 @@ def test_fixed_point_models_stable_exactly_on_stratum_range() -> None:
 def test_energy_decomposition_identity_on_random_states() -> None:
     rng = np.random.default_rng(2026)
     for r1, r2 in ((1, 1), (2, 1)):
-        p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
         for _ in range(100):
             s = vx.random_state(8, r1, r2, rng=rng)
-            assert vx.decomposition_check(s, p) <= 1e-10
+            assert vx.decomposition_check(s, 1.0) <= 1e-10
 
 
 # -- 7: scalar vortex convergence and the negative-coupling obstruction
@@ -225,28 +224,28 @@ def test_energy_decomposition_identity_on_random_states() -> None:
 
 def test_scalar_vortex_solution_quality() -> None:
     start = time.monotonic()
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     rng = np.random.default_rng(7)
-    s0 = vx.random_smooth_state(16, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    res = vx.solve(s0, p, tol=1e-14, max_iter=20000)
+    s0 = vx.random_smooth_state(16, 1, 1, 1.0, rng, amplitude=0.1, tau=tau)
+    res = vx.solve(s0, tau, tol=1e-14, max_iter=20000)
     assert res.converged
 
     s = res.state
     density = np.sum(np.abs(s.phi) ** 2, axis=(-1, -2))
-    assert float(np.max(np.abs(density - p.tau))) <= 1e-5
+    assert float(np.max(np.abs(density - tau))) <= 1e-5
     assert math.sqrt(res.moment_map_value) <= 1e-6
     half_mass = 0.5 * s.a * s.a * float(np.sum(density))
-    assert abs(half_mass - 0.5 * p.tau * s.vol) <= 1e-4 * s.vol
+    assert abs(half_mass - 0.5 * tau * s.vol) <= 1e-4 * s.vol
     hist = res.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
-    p_neg = vx.VortexParams(r1=1, tau=-1.0)
+    tau_neg = -1.0
     s0 = vx.random_smooth_state(
-        16, 1, 1, 1.0, np.random.default_rng(7), amplitude=0.1, tau=-1.0
+        16, 1, 1, 1.0, np.random.default_rng(7), amplitude=0.1, tau=tau_neg
     )
-    res_neg = vx.solve(s0, p_neg, tol=1e-12, max_iter=2000)
+    res_neg = vx.solve(s0, tau_neg, tol=1e-12, max_iter=2000)
     assert not res_neg.converged
-    floor = p_neg.tau**2 * s0.vol / 8.0
+    floor = tau_neg**2 * s0.vol / 8.0
     assert res_neg.residual > floor
     assert time.monotonic() - start < 30.0
 
@@ -274,18 +273,18 @@ def test_section_identity_residual_halving_ratio() -> None:
     # prolong_state warm-starts each finer grid from the coarser solution,
     # so every grid discretizes the same continuum solution, not a
     # different gauge representative reached from a cold start.
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     rng = np.random.default_rng(11)
-    state = vx.random_smooth_state(16, 1, 1, 1.0, rng, amplitude=0.3, tau=1.0)
+    state = vx.random_smooth_state(16, 1, 1, 1.0, rng, amplitude=0.3, tau=tau)
     res1 = []
     for N in (16, 32, 64):
         if N > 16:
             state = vx.prolong_state(state)
-        res = vx.solve(state, p, tol=1e-25, max_iter=60000)
+        res = vx.solve(state, tau, tol=1e-25, max_iter=60000)
         assert res.converged, N
         state = res.state
-        r = lo.l4_identity_check(state, p, tol=1e-8)["res1"]
-        tolerance_term = 4.0 * abs(p.tau) * math.sqrt(state.vol * res.residual)
+        r = lo.l4_identity_check(state, tau, tol=1e-8)["res1"]
+        tolerance_term = 4.0 * abs(tau) * math.sqrt(state.vol * res.residual)
         assert tolerance_term <= 0.1 * r, (N, tolerance_term, r)
         res1.append(r)
 
@@ -325,17 +324,17 @@ def test_gradient_matches_central_differences_on_every_block() -> None:
     h = 1e-6
     for i in range(20):
         r1, r2 = rank_pairs[i % len(rank_pairs)]
-        p = vx.VortexParams(r1=r1, tau=1.1, r2=r2)
+        tau = 1.1
         s = generic_state(5, r1, r2, rng)
-        grad = vx.residual_gradient(s, p)
+        grad = vx.residual_gradient(s, tau)
         for name in ("A1", "A2", "theta1", "theta2", "phi", "psi"):
             block = getattr(s, name)
             v = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
             if name in ("A1", "A2"):
                 v = 0.5 * (v - np.conj(np.swapaxes(v, -1, -2)))
             analytic = 2.0 * float(np.real(np.sum(np.conj(grad[name]) * v)))
-            e_plus = vx.residual_energy(replace(s, **{name: block + h * v}), p)
-            e_minus = vx.residual_energy(replace(s, **{name: block - h * v}), p)
+            e_plus = vx.residual_energy(replace(s, **{name: block + h * v}), tau)
+            e_minus = vx.residual_energy(replace(s, **{name: block - h * v}), tau)
             fd = (e_plus - e_minus) / (2.0 * h)
             scale = max(abs(analytic), abs(fd), 1e-12)
             assert abs(analytic - fd) / scale <= 1e-6, (i, name)

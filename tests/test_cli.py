@@ -531,11 +531,10 @@ def test_vortex_report_and_dump_are_the_cold_solve(
     code, out, _ = run(capsys, argv)
     assert code == 0
     report = json.loads(out)
-    p = higgspairs.vortex.VortexParams(r1=rank1, tau=1.0)
     s0 = higgspairs.vortex.random_smooth_state(
         grid, rank1, 1, 1.0, np.random.default_rng(3), 0.1, 1.0
     )
-    cold = higgspairs.vortex.solve(s0, p, tol=float(tol), max_iter=30)
+    cold = higgspairs.vortex.solve(s0, 1.0, tol=float(tol), max_iter=30)
     del report["params"]
     assert report == {
         "converged": cold.converged,
@@ -592,6 +591,9 @@ def test_vortex_rejects_bad_grid(capsys) -> None:
         ("--tol", "nan"),
         ("--tol", "-0.5"),
         ("--max-iter", "-5"),
+        ("--rank1", "0"),
+        ("--rank1", "-2"),
+        ("--rank2", "0"),
     ],
 )
 def test_vortex_rejects_bad_number(capsys, flag: str, value: str) -> None:

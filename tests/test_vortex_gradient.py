@@ -64,55 +64,55 @@ def analytic_slope(grad: dict[str, np.ndarray], v: dict[str, np.ndarray]) -> flo
 
 
 def fd_slope(
-    s: vx.LatticeState, p: vx.VortexParams, v: dict[str, np.ndarray], h: float = 1e-6
+    s: vx.LatticeState, tau: float, v: dict[str, np.ndarray], h: float = 1e-6
 ) -> float:
-    plus = vx.residual_energy(shifted(s, v, h), p)
-    minus = vx.residual_energy(shifted(s, v, -h), p)
+    plus = vx.residual_energy(shifted(s, v, h), tau)
+    minus = vx.residual_energy(shifted(s, v, -h), tau)
     return (plus - minus) / (2.0 * h)
 
 
 def test_gradient_matches_finite_difference() -> None:
     rng = np.random.default_rng(23)
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
-        p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
+        tau = 1.0
         s = dense_state(6, r1, r2, rng)
-        grad = vx.residual_gradient(s, p)
+        grad = vx.residual_gradient(s, tau)
         for _ in range(4):
             v = direction(s, rng)
             an = analytic_slope(grad, v)
-            fd = fd_slope(s, p, v)
+            fd = fd_slope(s, tau, v)
             assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
 
 def test_gradient_matches_fd_with_volume() -> None:
     rng = np.random.default_rng(29)
-    p = vx.VortexParams(r1=2, tau=3.0, r2=1, vol=2.0)
+    tau = 3.0
     s = replace(dense_state(6, 2, 1, rng, amplitude=0.8), a=np.sqrt(2.0) / 6)
-    grad = vx.residual_gradient(s, p)
+    grad = vx.residual_gradient(s, tau)
     for _ in range(4):
         v = direction(s, rng)
         an = analytic_slope(grad, v)
-        fd = fd_slope(s, p, v)
+        fd = fd_slope(s, tau, v)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
 
 
 def test_single_block_directions() -> None:
     rng = np.random.default_rng(31)
-    p = vx.VortexParams(r1=2, tau=1.5, r2=2)
+    tau = 1.5
     s = dense_state(6, 2, 2, rng)
-    grad = vx.residual_gradient(s, p)
+    grad = vx.residual_gradient(s, tau)
     for name in BLOCKS:
         full = direction(s, rng)
         v = {k: b if k == name else np.zeros_like(b) for k, b in full.items()}
         an = analytic_slope(grad, v)
-        fd = fd_slope(s, p, v)
+        fd = fd_slope(s, tau, v)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)), name
 
 
 def test_a_gradient_blocks_are_anti_hermitian() -> None:
     rng = np.random.default_rng(37)
     s = dense_state(6, 2, 1, rng)
-    grad = vx.residual_gradient(s, vx.VortexParams(r1=2, tau=1.0))
+    grad = vx.residual_gradient(s, 1.0)
     for name in ("A1", "A2"):
         g = grad[name]
         assert float(np.max(np.abs(g + np.conj(np.swapaxes(g, -1, -2))))) <= 1e-14
@@ -123,37 +123,37 @@ def test_branch_freezes_blocks() -> None:
     # each equal to the full gradient's block; theta2 and psi are not built.
     rng = np.random.default_rng(41)
     s = dense_state(6, 2, 2, rng)
-    p = vx.VortexParams(r1=2, tau=1.0, r2=2)
-    full = vx.residual_gradient(s, p)
+    tau = 1.0
+    full = vx.residual_gradient(s, tau)
     f = vx._Fields(s)
-    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
+    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     assert list(grad) == ["A1", "A2", "theta1", "phi"]
     for name, g in grad.items():
         assert np.array_equal(g, full[name]), name
 
 
 def test_gradient_vanishes_at_exact_solution() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    s = lo.constant_solution_state(8, p)
-    grad = vx.residual_gradient(s, p)
+    tau = 1.0
+    s = lo.constant_solution_state(8, tau)
+    grad = vx.residual_gradient(s, tau)
     for name in BLOCKS:
         assert float(np.max(np.abs(grad[name]))) <= 1e-14, name
 
 
 def test_solve_decreases_energy_every_iteration() -> None:
     rng = np.random.default_rng(43)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s = vx.random_state(8, 1, rng=rng, amplitude=0.5)
-    res = vx.solve(s, p, tol=0.0, max_iter=5)
+    res = vx.solve(s, tau, tol=0.0, max_iter=5)
     hist = res.energy_history
     assert res.iterations == 5 and len(hist) == 6
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
 def test_solve_at_fixed_point_returns_same_object() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    s = lo.constant_solution_state(8, p)
-    res = vx.solve(s, p, tol=0.0)
+    tau = 1.0
+    s = lo.constant_solution_state(8, tau)
+    res = vx.solve(s, tau, tol=0.0)
     # solve rebuilds the state to zero theta2 and psi, so "the same object"
     # is the same arrays: the start comes back without a step.
     assert res.iterations == 0
@@ -164,9 +164,9 @@ def test_solve_at_fixed_point_returns_same_object() -> None:
 
 def test_solve_branch_keeps_frozen_blocks() -> None:
     rng = np.random.default_rng(47)
-    p = vx.VortexParams(r1=2, tau=1.0, r2=2)
+    tau = 1.0
     s = dense_state(6, 2, 2, rng)
-    out = vx.solve(s, p, tol=0.0, max_iter=1).state
+    out = vx.solve(s, tau, tol=0.0, max_iter=1).state
     assert not out.psi.any()
     assert not out.theta2.any()
     assert not np.array_equal(out.phi, s.phi)
@@ -177,25 +177,25 @@ def test_exact_step_beats_brute_force_line_search() -> None:
     # be at least as good as every point of a dense grid over the line.
     rng = np.random.default_rng(53)
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
-        p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
+        tau = 1.0
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
         f = vx._Fields(s)
-        w = vx._residual_fields(f, p)
-        packing = vx._Preconditioner(s, p)
+        w = vx._residual_fields(f, tau)
+        packing = vx._Preconditioner(s, tau)
         dirn = packing.unpack(packing(packing.pack(vx._gradient(f, w, vx.FLOWS))))
 
         def along(t: float) -> vx.LatticeState:
             return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
 
-        eta = vx._exact_step(lambda t: vx._residual_fields(vx._Fields(along(t)), p), w, 1.0)
+        eta = vx._exact_step(lambda t: vx._residual_fields(vx._Fields(along(t)), tau), w, 1.0)
         assert eta > 0.0
-        best = vx.residual_energy(along(eta), p)
-        assert best < vx.residual_energy(s, p)
+        best = vx.residual_energy(along(eta), tau)
+        assert best < vx.residual_energy(s, tau)
         grid = np.concatenate(
             [np.linspace(0.0, 4.0 * eta, 401), eta * np.geomspace(4.0, 1e3, 50)]
         )
         for t in grid:
-            e = vx.residual_energy(along(float(t)), p)
+            e = vx.residual_energy(along(float(t)), tau)
             assert best <= e * (1.0 + 1e-12), (r1, r2, t)
 
 

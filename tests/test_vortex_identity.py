@@ -1,10 +1,11 @@
-"""Vortex parameters, energies and the energy decomposition identity."""
+"""The vortex coupling, energies and the energy decomposition identity."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,27 +17,29 @@ import lattice_oracles as lo
 
 
 def test_tau_prime_derived_from_coupling_identity() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    assert p.tau_prime == pytest.approx(-1.0)
-    p = vx.VortexParams(r1=2, tau=1.0)
-    assert p.tau_prime == pytest.approx(-2.0)
-    p = vx.VortexParams(r1=1, tau=3.0, r2=2)
-    assert p.tau_prime == pytest.approx(-1.5)
+    assert vx.tau_prime(1.0, 1, 1) == pytest.approx(-1.0)
+    assert vx.tau_prime(1.0, 2, 1) == pytest.approx(-2.0)
+    assert vx.tau_prime(3.0, 1, 2) == pytest.approx(-1.5)
 
 
 def test_tau_prime_at_zero_tau_is_positive_zero() -> None:
     # tau_prime goes into the psi branch's tau and into reports, so its
     # sign bit at tau = 0 is part of their bytes.
     for r1, r2 in ((1, 1), (2, 1), (1, 3)):
-        tau_prime = vx.VortexParams(r1=r1, tau=0.0, r2=r2).tau_prime
+        tau_prime = vx.tau_prime(0.0, r1, r2)
         assert tau_prime == 0.0 and math.copysign(1.0, tau_prime) == 1.0
 
 
 def test_params_take_no_degrees() -> None:
-    settable = [f.name for f in fields(vx.VortexParams) if f.init]
-    assert settable == ["r1", "tau", "r2", "vol"]
+    # A problem is a state and one coupling: tau' follows from tau and the
+    # ranks, and nothing takes a degree.
+    assert list(inspect.signature(vx.tau_prime).parameters) == ["tau", "r1", "r2"]
     with pytest.raises(TypeError):
-        vx.VortexParams(r1=1, tau=1.0, d1=1)
+        vx.tau_prime(1.0, 1, 1, d1=1)
+    for fn in (vx.ymh_energy, vx.residual_energy, vx.residual_breakdown,
+               vx.decomposition_check, vx.residual_gradient):
+        assert list(inspect.signature(fn).parameters) == ["s", "tau"], fn.__name__
+    assert list(inspect.signature(vx.solve).parameters) == ["s0", "tau", "tol", "max_iter"]
 
 
 @pytest.mark.parametrize("r1, r2, tau", [(1, 1, 1.0), (2, 1, 0.7), (1, 2, -1.5), (2, 3, 2.0)])
@@ -47,30 +50,37 @@ def test_trace_of_the_residuals_sums_to_zero(r1: int, r2: int, tau: float) -> No
     # -(vol/2)(tau r1 + tau' r2) = 0 at every state.  A nonzero sum would
     # bound residual_energy away from zero.
     s = vx.random_state(6, r1, r2, vol=2.0, rng=np.random.default_rng(r1 + 3 * r2))
-    p = vx.VortexParams(r1=r1, tau=tau, r2=r2, vol=2.0)
-    w = vx._residual_fields(vx._Fields(s), p)
+    w = vx._residual_fields(vx._Fields(s), tau)
     total = s.a * s.a * complex(np.trace(w["W1"], axis1=-2, axis2=-1).sum()
                                 + np.trace(w["W2"], axis1=-2, axis2=-1).sum())
     assert abs(total) <= 1e-12
 
 
 def test_replace_rederives_tau_prime() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    assert replace(p, tau=2.0).tau_prime == pytest.approx(-2.0)
-    assert replace(p, r2=2).tau_prime == pytest.approx(-0.5)
+    # tau' is read off the state's ranks at every call, so a state that
+    # replace gives other ranks is solved at its own tau'.  At the zero
+    # state eq2 is (vol/4) r2 tau'^2, with tau' = -tau r1 / r2.
+    s = vx.zero_state(8, 1, 1)
+    assert vx.residual_breakdown(s, 2.0)["eq2"] == pytest.approx(0.25 * 4.0)
+    wide = vx.zero_state(8, 1, 2)
+    t = replace(s, A2=wide.A2, theta2=wide.theta2, phi=wide.phi, psi=wide.psi)
+    assert (t.r1, t.r2) == (1, 2)
+    assert vx.residual_breakdown(t, 1.0)["eq2"] == pytest.approx(0.25 * 2 * 0.25)
     with pytest.raises(TypeError):
-        vx.VortexParams(r1=1, tau=1.0, tau_prime=-1.0)
+        vx.residual_energy(s, 1.0, tau_prime=-1.0)
 
 
 def test_params_validation() -> None:
+    # The ranks and the volume of a problem are its state's, and the state
+    # refuses a zero rank and a volume that is not positive.
+    with pytest.raises(ValueError, match=r"^ranks must be positive, got \(0, 1\)$"):
+        vx.zero_state(8, 0)
+    with pytest.raises(ValueError, match=r"^ranks must be positive, got \(1, 0\)$"):
+        vx.zero_state(8, 1, 0)
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        vx.zero_state(8, 1, vol=0.0)
     with pytest.raises(ValueError):
-        vx.VortexParams(r1=0, tau=1.0)
-    with pytest.raises(ValueError):
-        vx.VortexParams(r1=1, tau=1.0, r2=0)
-    with pytest.raises(ValueError):
-        vx.VortexParams(r1=1, tau=1.0, vol=0.0)
-    with pytest.raises(ValueError):
-        vx.VortexParams(r1=1, tau=1.0, vol=-2.0)
+        vx.zero_state(8, 1, vol=-2.0)
 
 
 def test_lattice_state_validation() -> None:
@@ -93,35 +103,41 @@ def test_lattice_state_validation() -> None:
         )
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), ()])
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), (), (4, 4, 0, 1), (4, 4, 1, 0)])
 def test_lattice_state_rejects_phi_without_rank_axes(shape: tuple[int, ...]) -> None:
     # The ranks are read off phi's last two axes, so a phi with fewer than
-    # four axes must be refused before they are read.
+    # four axes must be refused before they are read, and a zero axis is no
+    # rank.
     phi = np.zeros(shape, dtype=np.complex128)
-    with pytest.raises(ValueError, match=r"^phi has shape .*, expected \(4, 4, r1, r2\)$"):
+    if len(shape) < 4:
+        match = r"^phi has shape .*, expected \(4, 4, r1, r2\)$"
+    else:
+        match = rf"^ranks must be positive, got \({shape[2]}, {shape[3]}\)$"
+        with pytest.raises(ValueError, match=match):
+            vx.zero_state(8, shape[2], shape[3])
+    with pytest.raises(ValueError, match=match):
         replace(vx.zero_state(4, 1), phi=phi)
 
 
 def test_zero_state_energies() -> None:
     for r1, r2, tau, vol in ((1, 1, 1.0, 1.0), (2, 1, 1.5, 2.0), (1, 2, 2.0, 1.0)):
-        p = vx.VortexParams(r1=r1, tau=tau, r2=r2, vol=vol)
         s = vx.zero_state(8, r1, r2, vol)
-        want = 0.25 * vol * (r1 * tau**2 + r2 * p.tau_prime**2)
-        assert vx.ymh_energy(s, p) == pytest.approx(want, rel=1e-12)
-        assert vx.residual_energy(s, p) == pytest.approx(want, rel=1e-12)
-        assert vx.decomposition_check(s, p) <= 1e-14
+        tau_prime = -tau * r1 / r2
+        want = 0.25 * vol * (r1 * tau**2 + r2 * tau_prime**2)
+        assert vx.ymh_energy(s, tau) == pytest.approx(want, rel=1e-12)
+        assert vx.residual_energy(s, tau) == pytest.approx(want, rel=1e-12)
+        assert vx.decomposition_check(s, tau) <= 1e-14
         assert vx.moment_map_value(s) == 0.0
 
 
 def test_constant_solution_is_exact() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    s = lo.constant_solution_state(8, p)
-    assert vx.residual_energy(s, p) <= 1e-28
-    assert vx.ymh_energy(s, p) <= 1e-28
-    out = lo.l4_identity_check(s, p)
+    s = lo.constant_solution_state(8, 1.0)
+    assert vx.residual_energy(s, 1.0) <= 1e-28
+    assert vx.ymh_energy(s, 1.0) <= 1e-28
+    out = lo.l4_identity_check(s, 1.0)
     assert out["res1"] <= 1e-13
     assert out["res2"] <= 1e-13
-    res = vx.solve(s, p)
+    res = vx.solve(s, 1.0)
     assert res.converged
     assert res.iterations == 0
     assert res.energy_history == [res.residual]
@@ -129,52 +145,50 @@ def test_constant_solution_is_exact() -> None:
 
 def test_constant_solution_requires_scalar_positive_tau() -> None:
     with pytest.raises(ValueError):
-        lo.constant_solution_state(8, vx.VortexParams(r1=2, tau=1.0))
+        lo.constant_solution_state(8, 1.0, r1=2)
     with pytest.raises(ValueError):
-        lo.constant_solution_state(8, vx.VortexParams(r1=1, tau=-1.0))
+        lo.constant_solution_state(8, -1.0)
 
 
 def test_decomposition_identity_on_random_states() -> None:
     rng = np.random.default_rng(11)
     for r1, r2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        p = vx.VortexParams(r1=r1, tau=1.25, r2=r2)
         for _ in range(25):
             s = vx.random_state(8, r1, r2, rng=rng)
             assert not lo.check_invariants(s)
-            assert vx.decomposition_check(s, p) <= 1e-10
+            assert vx.decomposition_check(s, 1.25) <= 1e-10
 
 
 def test_decomposition_identity_other_grids_and_couplings() -> None:
     rng = np.random.default_rng(12)
     for N in (4, 6):
         for tau in (-1.0, 0.5, 2.0):
-            p = vx.VortexParams(r1=2, tau=tau, vol=3.0)
             for _ in range(10):
                 s = vx.random_state(N, 2, 1, vol=3.0, rng=rng, amplitude=0.7)
-                assert vx.decomposition_check(s, p) <= 1e-10
+                assert vx.decomposition_check(s, tau) <= 1e-10
 
 
 def test_residual_breakdown_sums_to_energy() -> None:
     rng = np.random.default_rng(5)
-    p = vx.VortexParams(r1=2, tau=1.0)
     for _ in range(10):
         s = vx.random_state(6, 2, 1, rng=rng)
-        br = vx.residual_breakdown(s, p)
+        br = vx.residual_breakdown(s, 1.0)
         total = br["eq1"] + br["eq2"] + br["holomorphicity"] + br["intertwining"]
-        assert total == pytest.approx(vx.residual_energy(s, p), rel=1e-12)
+        assert total == pytest.approx(vx.residual_energy(s, 1.0), rel=1e-12)
         assert br["eq1_max"] >= 0.0 and br["eq2_max"] >= 0.0
         assert br["theta_s_sup"] >= 0.0
 
 
 def test_residual_breakdown_zero_state_values() -> None:
-    p = vx.VortexParams(r1=1, tau=2.0, vol=4.0)
+    tau = 2.0
     s = vx.zero_state(8, 1, vol=4.0)
-    br = vx.residual_breakdown(s, p)
-    assert br["eq1"] == pytest.approx(0.25 * p.tau**2 * p.vol)
-    assert br["eq2"] == pytest.approx(0.25 * p.tau_prime**2 * p.vol)
+    br = vx.residual_breakdown(s, tau)
+    tau_prime = -tau * s.r1 / s.r2
+    assert br["eq1"] == pytest.approx(0.25 * tau**2 * s.vol)
+    assert br["eq2"] == pytest.approx(0.25 * tau_prime**2 * s.vol)
     assert br["holomorphicity"] == 0.0
     assert br["intertwining"] == 0.0
-    assert br["eq1_max"] == pytest.approx(0.5 * abs(p.tau))
+    assert br["eq1_max"] == pytest.approx(0.5 * abs(tau))
     assert br["theta_s_sup"] == 0.0
 
 
@@ -196,14 +210,13 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def test_constant_gauge_invariance() -> None:
     rng = np.random.default_rng(17)
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
-        p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
         s = vx.random_state(8, r1, r2, rng=rng)
         u1 = random_unitary(rng, r1)
         u2 = random_unitary(rng, r2)
         t = lo.gauge_transform(s, u1, u2)
         assert not lo.check_invariants(t, atol=1e-10)
         for fn in (vx.ymh_energy, vx.residual_energy):
-            assert fn(t, p) == pytest.approx(fn(s, p), rel=1e-9)
+            assert fn(t, 1.0) == pytest.approx(fn(s, 1.0), rel=1e-9)
         assert vx.moment_map_value(t) == pytest.approx(
             vx.moment_map_value(s), rel=1e-9
         )
@@ -230,10 +243,9 @@ def test_check_invariants_reports_defects() -> None:
 
 
 def test_l4_identity_requires_convergence() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
     s = vx.zero_state(8, 1)
     with pytest.raises(lo.NotConvergedError):
-        lo.l4_identity_check(s, p)
+        lo.l4_identity_check(s, 1.0)
 
 
 def test_oracles_read_no_private_library_names() -> None:

@@ -65,7 +65,7 @@ def test_stencil_matches_roll_central_difference(N: int, shape: tuple[int, int])
     assert np.allclose(vx._dzbar(m, a), dzbar, rtol=1e-13, atol=1e-13)
 
 
-def split_residual_fields(s: vx.LatticeState, p: vx.VortexParams) -> dict[str, np.ndarray]:
+def split_residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
     """The residual fields in the split form: the curvature of each
     connection, its mixed A-theta part and [theta, theta^dagger] summed
     separately, with np.roll derivatives and matmul products."""
@@ -93,9 +93,11 @@ def split_residual_fields(s: vx.LatticeState, p: vx.VortexParams) -> dict[str, n
     phi, psi, t1, t2 = s.phi, s.psi, s.theta1, s.theta2
     moment1 = phi @ adj(phi) - adj(psi) @ psi
     moment2 = psi @ adj(psi) - adj(phi) @ phi
+    # The degree-0 coupling of E2: tau r1 + tau' r2 = 0.
+    tau_prime = -tau * s.r1 / s.r2
     return {
-        "W1": 2.0 * g1 + 0.5 * moment1 - 0.5 * p.tau * np.eye(s.r1),
-        "W2": 2.0 * g2 + 0.5 * moment2 - 0.5 * p.tau_prime * np.eye(s.r2),
+        "W1": 2.0 * g1 + 0.5 * moment1 - 0.5 * tau * np.eye(s.r1),
+        "W2": 2.0 * g2 + 0.5 * moment2 - 0.5 * tau_prime * np.eye(s.r2),
         "W3": 2.0 * (dzbar(phi) + Z1b @ phi - phi @ Z2b),
         "W4": 2.0 * (t1 @ phi - phi @ t2),
         "W5": 2.0 * (dzbar(psi) + Z2b @ psi - psi @ Z1b),
@@ -119,31 +121,31 @@ def branch_state(r1: int, r2: int, branch, rng: np.random.Generator) -> vx.Latti
     return replace(s, **{name: np.zeros_like(getattr(s, name)) for name in ZERO_BLOCKS[branch]})
 
 
-def split_energy(s: vx.LatticeState, p: vx.VortexParams) -> float:
-    fields = split_residual_fields(s, p)
+def split_energy(s: vx.LatticeState, tau: float) -> float:
+    fields = split_residual_fields(s, tau)
     return s.a * s.a * sum(float(np.sum(np.abs(w) ** 2)) for w in fields.values())
 
 
 def split_slope(
-    s: vx.LatticeState, p: vx.VortexParams, name: str, v: np.ndarray, h: float = 0.05
+    s: vx.LatticeState, tau: float, name: str, v: np.ndarray, h: float = 0.05
 ) -> float:
     """d/dt split_energy(s + t v) at t = 0, v in block name.  The energy is
     a quartic in t, on which the five-point central difference is exact."""
 
     def energy(t: float) -> float:
-        return split_energy(replace(s, **{name: getattr(s, name) + t * v}), p)
+        return split_energy(replace(s, **{name: getattr(s, name) + t * v}), tau)
 
     return (8.0 * (energy(h) - energy(-h)) - (energy(2 * h) - energy(-2 * h))) / (12.0 * h)
 
 
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
-    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    tau = 0.8
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(29 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        got = vx._residual_fields(vx._Fields(s), p)
-        want = split_residual_fields(s, p)
+        got = vx._residual_fields(vx._Fields(s), tau)
+        want = split_residual_fields(s, tau)
         assert got.keys() == want.keys()
         for name, ref in want.items():
             scale = np.linalg.norm(ref)
@@ -161,12 +163,12 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     # against exact slopes of the split-form energy along a random
     # direction in that block.  A block the solver leaves out must have a
     # vanishing slope.
-    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    tau = 0.8
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(59 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
         f = vx._Fields(s)
-        grad = vx._gradient(f, vx._residual_fields(f, p), vx.BLOCKS)
+        grad = vx._gradient(f, vx._residual_fields(f, tau), vx.BLOCKS)
         norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
         for name in BLOCKS:
             v = cfield(rng, *getattr(s, name).shape)
@@ -177,7 +179,7 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
             got = 0.0 if g is vx._ZERO else 2.0 * float(np.vdot(g, v).real)
             if g is vx._ZERO:
                 assert name in zero_blocks, (branch, name)
-            want = split_slope(s, p, name, v)
+            want = split_slope(s, tau, name, v)
             assert abs(got - want) <= 1e-12 * 2.0 * norm, (branch, name)
 
 
@@ -194,7 +196,7 @@ def omega2(N: int, a: float) -> np.ndarray:
 
 
 def fft2_precondition(
-    grad: dict[str, np.ndarray], s: vx.LatticeState, p: vx.VortexParams
+    grad: dict[str, np.ndarray], s: vx.LatticeState, tau: float
 ) -> dict[str, np.ndarray]:
     """The preconditioner as one fft2/ifft2 pair per block with that block's
     kernel 1/(mass |tau| + stiffness omega^2), zero blocks passed through."""
@@ -205,7 +207,7 @@ def fft2_precondition(
             out[name] = g
             continue
         mass, stiffness = SYMBOL[name]
-        kernel = 1.0 / (mass * abs(p.tau) + stiffness * om2)
+        kernel = 1.0 / (mass * abs(tau) + stiffness * om2)
         axes = (1, 2) if name in ("A1", "A2") else (0, 1)
         shape = (1, s.N, s.N, 1, 1) if name in ("A1", "A2") else (s.N, s.N, 1, 1)
         out[name] = np.fft.ifft2(np.fft.fft2(g, axes=axes) * kernel.reshape(shape), axes=axes)
@@ -220,18 +222,18 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     # solver flows is _ZERO and its slot is packed as zeros.  At r1 = r2 a
     # call applies the Gauss-Newton symbol instead, whose null space still
     # gets this kernel, so the kernel is checked through ``blockwise``.
-    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
+    tau = 0.8
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
     f = vx._Fields(s)
-    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
+    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     assert list(grad) == list(vx.FLOWS)
-    precondition = vx._Preconditioner(s, p)
+    precondition = vx._Preconditioner(s, tau)
     for name, block in precondition.unpack(precondition.pack(grad)).items():
         assert np.array_equal(block, grad[name]), name
     for g in (grad, dict(grad, theta1=vx._ZERO)):
         got = precondition.unpack(precondition.blockwise(precondition.pack(g)))
-        want = fft2_precondition(g, s, p)
+        want = fft2_precondition(g, s, tau)
         assert list(got) == list(want)
         for name, ref in want.items():
             if ref is vx._ZERO:
@@ -253,19 +255,19 @@ def shifted(s: vx.LatticeState, d: dict[str, np.ndarray], t: float) -> vx.Lattic
     return replace(s, **{name: getattr(s, name) + t * v for name, v in d.items()})
 
 
-def jd_norm2(s: vx.LatticeState, p: vx.VortexParams, d: dict[str, np.ndarray]) -> float:
+def jd_norm2(s: vx.LatticeState, tau: float, d: dict[str, np.ndarray]) -> float:
     """|J d|^2 for a perturbation d of some blocks, with J d the central
     difference of the residual fields, exact for fields at most quadratic
     in the state."""
-    plus = vx._residual_fields(vx._Fields(shifted(s, d, 1.0)), p)
-    minus = vx._residual_fields(vx._Fields(shifted(s, d, -1.0)), p)
+    plus = vx._residual_fields(vx._Fields(shifted(s, d, 1.0)), tau)
+    minus = vx._residual_fields(vx._Fields(shifted(s, d, -1.0)), tau)
     jd = (0.5 * (plus[k] - minus[k]) for k in plus)
     return float(sum(np.sum(np.abs(v) ** 2) for v in jd if v is not vx._ZERO))
 
 
-def rayleigh_quotient(s: vx.LatticeState, p: vx.VortexParams, name: str, d: np.ndarray) -> float:
+def rayleigh_quotient(s: vx.LatticeState, tau: float, name: str, d: np.ndarray) -> float:
     """|J d|^2 / |d|^2 for a perturbation d of one block."""
-    return jd_norm2(s, p, {name: d}) / float(np.sum(np.abs(d) ** 2))
+    return jd_norm2(s, tau, {name: d}) / float(np.sum(np.abs(d) ** 2))
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -277,7 +279,6 @@ def test_vacuum_symbol_matches_rayleigh_quotients(r: int, tau: float) -> None:
     # tau + omega^2 on transverse waves and tau on longitudinal ones, and
     # its SYMBOL row is their average.
     N = 16
-    p = vx.VortexParams(r1=r, tau=tau, r2=r)
     s = vacuum_state(N, r, tau)
     om2 = omega2(N, s.a)
 
@@ -293,7 +294,7 @@ def test_vacuum_symbol_matches_rayleigh_quotients(r: int, tau: float) -> None:
                 d = np.zeros((N, N, r, r), dtype=np.complex128)
                 d[:, :, i, j] = np.exp(1j * phase)
                 for name in ("theta1", "phi"):
-                    got = rayleigh_quotient(s, p, name, d)
+                    got = rayleigh_quotient(s, tau, name, d)
                     assert got == pytest.approx(symbol(name, k1, k2), rel=1e-9), (name, k1, k2, i, j)
         along = np.array([np.sin(2.0 * np.pi * k1 / N), np.sin(2.0 * np.pi * k2 / N)])
         along /= np.linalg.norm(along)
@@ -304,7 +305,7 @@ def test_vacuum_symbol_matches_rayleigh_quotients(r: int, tau: float) -> None:
                 d = np.zeros((2, N, N, r, r), dtype=np.complex128)
                 for mu in range(2):
                     d[mu, :, :, 0, 0] = 1j * pol[mu] * np.cos(phase)
-                quotients.append(rayleigh_quotient(s, p, name, d))
+                quotients.append(rayleigh_quotient(s, tau, name, d))
             transverse, longitudinal = quotients
             assert transverse == pytest.approx(tau + om2[k1, k2], rel=1e-9), name
             assert longitudinal == pytest.approx(tau, rel=1e-9), name
@@ -315,12 +316,12 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     # One preconditioner serves a whole solve; what a call returns must be
     # a new packed vector, left alone by the next call, and the packed
     # gradient it was given must be left alone too.
-    p = vx.VortexParams(r1=2, tau=0.8, r2=1)
+    tau = 0.8
     rng = np.random.default_rng(83)
     s = branch_state(2, 1, "phi", rng)
     f = vx._Fields(s)
-    grad = vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS)
-    precondition = vx._Preconditioner(s, p)
+    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
+    precondition = vx._Preconditioner(s, tau)
     packed = precondition.pack(grad)
     first = precondition(packed)
     kept = first.copy()
@@ -353,15 +354,15 @@ def tangent(s: vx.LatticeState, rng: np.random.Generator, modes=None) -> dict[st
 
 
 def hessian_action(
-    s: vx.LatticeState, p: vx.VortexParams, packing: vx._Preconditioner, d: dict[str, np.ndarray]
+    s: vx.LatticeState, tau: float, packing: vx._Preconditioner, d: dict[str, np.ndarray]
 ) -> np.ndarray:
     """H d, the derivative of the packed gradient along d at s.  Along the
     line the gradient is a cubic in t, so Richardson's combination of the
     central differences at t = 1 and t = 1/2 is exact."""
 
     def central(t: float) -> np.ndarray:
-        plus = packing.pack(vx.residual_gradient(shifted(s, d, t), p))
-        minus = packing.pack(vx.residual_gradient(shifted(s, d, -t), p))
+        plus = packing.pack(vx.residual_gradient(shifted(s, d, t), tau))
+        minus = packing.pack(vx.residual_gradient(shifted(s, d, -t), tau))
         return (plus - minus) / (2.0 * t)
 
     return (4.0 * central(0.5) - central(1.0)) / 3.0
@@ -375,15 +376,14 @@ def test_gauss_newton_symbol_inverts_the_hessian_on_waves(r: int, tau: float, N:
     # <H d, P H d> = <H d, d>: the quadratic form of P's inverse is the
     # Rayleigh numerator of J.  The waves span every block and include a
     # doubler (sin = 0) at even N; odd N builds every mode on its own.
-    p = vx.VortexParams(r1=r, tau=tau, r2=r)
     s = vacuum_state(N, r, tau)
-    packing = vx._Preconditioner(s, p)
+    packing = vx._Preconditioner(s, tau)
     assert packing.symbol is not None
     rng = np.random.default_rng(97 + 10 * r + N)
     for modes in (((1, 0),), ((2, 3), (0, 1)), ((N // 2, N // 2), (3, 2), (0, 0))):
         d = tangent(s, rng, modes)
-        hd = hessian_action(s, p, packing, d)
-        want = 2.0 * s.a * s.a * jd_norm2(s, p, d)
+        hd = hessian_action(s, tau, packing, d)
+        want = 2.0 * s.a * s.a * jd_norm2(s, tau, d)
         assert vx._inner(hd, packing.pack(d)) == pytest.approx(want, rel=1e-9), modes
         assert vx._inner(hd, packing(hd)) == pytest.approx(want, rel=1e-9), modes
 
@@ -392,10 +392,9 @@ def test_gauss_newton_symbol_inverts_the_hessian_on_waves(r: int, tau: float, N:
 def test_gauss_newton_symbol_is_symmetric_positive_definite(r: int, tau: float) -> None:
     # Each mode's matrix is Hermitian positive definite, so the operator
     # is symmetric positive definite in the solver's metric.
-    p = vx.VortexParams(r1=r, tau=tau, r2=r)
     rng = np.random.default_rng(61 + r)
     s = vx.random_smooth_state(8, r, r, 1.0, rng, amplitude=0.3, tau=tau)
-    packing = vx._Preconditioner(s, p)
+    packing = vx._Preconditioner(s, tau)
     for _, inverse in packing.symbol.groups:
         blocks = inverse.transpose(2, 0, 1)
         assert np.array_equal(blocks, blocks.conj().transpose(0, 2, 1))
@@ -412,11 +411,11 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
     # The symbol maps real coordinates to real coordinates, so an
     # anti-Hermitian gradient block gives an anti-Hermitian direction,
     # exactly: the field dump's oracle checks the potentials to 1e-12.
-    p = vx.VortexParams(r1=r, tau=1.0, r2=r)
+    tau = 1.0
     s = vx.random_smooth_state(16, r, r, 1.0, np.random.default_rng(5 + r), 0.3, 1.0)
     f = vx._Fields(s)
-    packing = vx._Preconditioner(s, p)
-    out = packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS))))
+    packing = vx._Preconditioner(s, tau)
+    out = packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS))))
     for name in ("A1", "A2"):
         assert out[name].any()
         assert np.array_equal(out[name], -adj(out[name])), name
@@ -426,12 +425,11 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
 def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, tau: float) -> None:
     # No constant vacuum (r1 != r2, or tau < 0): no symbol is built, and a
     # call is the per-block kernel bit for bit.
-    p = vx.VortexParams(r1=r1, tau=tau, r2=r2)
     s = branch_state(r1, r2, "phi", np.random.default_rng(13 + r1 + r2))
     f = vx._Fields(s)
-    packing = vx._Preconditioner(s, p)
+    packing = vx._Preconditioner(s, tau)
     assert packing.symbol is None
-    g = packing.pack(vx._gradient(f, vx._residual_fields(f, p), vx.FLOWS))
+    g = packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS))
     assert np.array_equal(packing(g), packing.blockwise(g))
 
 
@@ -441,8 +439,7 @@ def test_gauss_newton_symbol_groups_fit_the_memory_estimate(r: int, tau: float) 
     # class of modes: the probes find coupling groups of at most six of the
     # 8 r^2 real coordinates, 6 + 2 per anti-Hermitian unit at tau > 0.  At
     # N = 8 the classes of equal sines are 5 x 3.
-    p = vx.VortexParams(r1=r, tau=tau, r2=r)
-    symbol = vx._Preconditioner(vacuum_state(8, r, tau), p).symbol
+    symbol = vx._Preconditioner(vacuum_state(8, r, tau), tau).symbol
     sizes = [cols.stop - cols.start for cols, _ in symbol.groups]
     assert sum(sizes) == 8 * r * r
     assert max(sizes) <= 6
@@ -460,9 +457,9 @@ EXCHANGED_BLOCKS = {
 }
 
 
-def exchanged_params(p: vx.VortexParams) -> vx.VortexParams:
-    q = vx.VortexParams(r1=p.r2, tau=p.tau_prime, r2=p.r1)
-    assert q.tau_prime == p.tau
+def exchanged_coupling(tau: float, r1: int, r2: int) -> float:
+    q = vx.tau_prime(tau, r1, r2)
+    assert vx.tau_prime(q, r2, r1) == tau
     return q
 
 
@@ -477,15 +474,15 @@ def assert_swapped(got: dict, want: dict, names: dict[str, str], where) -> None:
 
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
-    p = vx.VortexParams(r1=r1, tau=0.8, r2=r2)
-    q = exchanged_params(p)
+    tau = 0.8
+    q = exchanged_coupling(tau, r1, r2)
     for branch in ZERO_BLOCKS:
         rng = np.random.default_rng(97 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
         t = vx.exchange_bundles(s)
         assert (t.r1, t.r2) == (r2, r1)
         f, ft = vx._Fields(s), vx._Fields(t)
-        w, wt = vx._residual_fields(f, p), vx._residual_fields(ft, q)
+        w, wt = vx._residual_fields(f, tau), vx._residual_fields(ft, q)
         assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
         grad, grad_t = vx._gradient(f, w, vx.BLOCKS), vx._gradient(ft, wt, vx.BLOCKS)
         assert_swapped(grad_t, grad, EXCHANGED_BLOCKS, branch)

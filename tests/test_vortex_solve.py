@@ -15,9 +15,9 @@ import lattice_oracles as lo
 
 def scalar_solve(seed: int = 7, N: int = 8, tol: float = 1e-12) -> vx.SolveResult:
     rng = np.random.default_rng(seed)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(N, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    return vx.solve(s0, p, tol=tol, max_iter=5000)
+    return vx.solve(s0, tau, tol=tol, max_iter=5000)
 
 
 def test_scalar_vortex_converges() -> None:
@@ -42,9 +42,9 @@ def test_energy_history_is_monotone() -> None:
 
 def test_result_reads_its_diagnostics_off_the_final_state() -> None:
     res = scalar_solve()
-    p = vx.VortexParams(r1=1, tau=1.0)
-    assert res.residual == vx.residual_energy(res.state, p)
-    assert res.breakdown == vx.residual_breakdown(res.state, p)
+    tau = 1.0
+    assert res.residual == vx.residual_energy(res.state, tau)
+    assert res.breakdown == vx.residual_breakdown(res.state, tau)
     assert res.moment_map_value == vx.moment_map_value(res.state)
 
 
@@ -69,23 +69,23 @@ def test_solution_trace_identity() -> None:
 
 def test_l4_identities_at_solution() -> None:
     res = scalar_solve(tol=1e-13)
-    out = lo.l4_identity_check(res.state, vx.VortexParams(r1=1, tau=1.0))
+    out = lo.l4_identity_check(res.state, 1.0)
     assert out["res2"] <= 1e-10
     assert out["res1"] <= 1e-5
 
 
-def negative_tau_section_solve() -> tuple[vx.SolveResult, vx.VortexParams, vx.LatticeState]:
+def negative_tau_section_solve() -> tuple[vx.SolveResult, float, vx.LatticeState]:
     rng = np.random.default_rng(7)
-    p = vx.VortexParams(r1=1, tau=-1.0)
-    s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=-1.0)
-    return vx.solve(s0, p, tol=1e-12, max_iter=2000), p, s0
+    tau = -1.0
+    s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=tau)
+    return vx.solve(s0, tau, tol=1e-12, max_iter=2000), tau, s0
 
 
 def test_negative_tau_cannot_converge_on_section_branch() -> None:
-    res, p, s0 = negative_tau_section_solve()
+    res, tau, s0 = negative_tau_section_solve()
     assert not res.converged
     assert res.stalled
-    floor = p.tau**2 * s0.vol / 8.0
+    floor = tau**2 * s0.vol / 8.0
     assert res.residual >= 0.999 * floor
 
 
@@ -96,22 +96,21 @@ def test_negative_tau_converges_on_mirror_branch() -> None:
     mirrored = vx.exchange_bundles(
         vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
     )
-    p = vx.VortexParams(r1=1, tau=-1.0)
-    q = vx.VortexParams(r1=p.r2, tau=p.tau_prime, r2=p.r1)
-    res = vx.solve(vx.exchange_bundles(mirrored), q, tol=1e-20, max_iter=5000)
+    tau, tau_prime = -1.0, 1.0
+    res = vx.solve(vx.exchange_bundles(mirrored), tau_prime, tol=1e-20, max_iter=5000)
     assert res.converged
     s = vx.exchange_bundles(res.state)
     assert not s.phi.any() and not s.theta1.any()
-    assert vx.residual_energy(s, p) <= 1e-20
+    assert vx.residual_energy(s, tau) <= 1e-20
     total = s.a * s.a * float(np.sum(np.abs(s.psi) ** 2))
-    assert total == pytest.approx(p.tau_prime * s.vol, abs=1e-9)
+    assert total == pytest.approx(tau_prime * s.vol, abs=1e-9)
 
 
 def capped_solve() -> vx.SolveResult:
     rng = np.random.default_rng(7)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    return vx.solve(s0, p, tol=1e-12, max_iter=3)
+    return vx.solve(s0, tau, tol=1e-12, max_iter=3)
 
 
 def test_solve_honours_max_iter() -> None:
@@ -123,9 +122,9 @@ def test_solve_honours_max_iter() -> None:
 
 def test_cold_solve_reaches_rounding_level_tolerance() -> None:
     rng = np.random.default_rng(11)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(32, 1, 1, 1.0, rng, amplitude=0.3, tau=1.0)
-    res = vx.solve(s0, p, tol=1e-25, max_iter=2000)
+    res = vx.solve(s0, tau, tol=1e-25, max_iter=2000)
     assert res.converged
     assert not res.stalled
     # Measured 9 with the Gauss-Newton symbol; the per-block kernel took 170.
@@ -136,9 +135,9 @@ def test_rank_two_solve_leaves_the_saddle() -> None:
     # From this start the flow first approaches the theta1 = 0 saddle at
     # residual 3/8; the solve must leave it within the budget.
     rng = np.random.default_rng(3)
-    p = vx.VortexParams(r1=2, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(8, 2, 1, 1.0, rng, amplitude=0.1, tau=1.0)
-    res = vx.solve(s0, p, tol=1e-3, max_iter=300)
+    res = vx.solve(s0, tau, tol=1e-3, max_iter=300)
     assert res.converged
 
 
@@ -155,9 +154,9 @@ def test_cold_rank_one_solve_takes_at_most_8_iterations(N: int) -> None:
 def test_cold_rank_two_vacuum_solve_takes_at_most_40_iterations(N: int) -> None:
     # (2, 2) has the vacuum phi = sqrt(tau) I; measured 24/25 iterations,
     # 76/84 with the per-block kernel.
-    p = vx.VortexParams(r1=2, tau=1.0, r2=2)
+    tau = 1.0
     s0 = vx.random_smooth_state(N, 2, 2, 1.0, np.random.default_rng(3), 0.1, 1.0)
-    res = vx.solve(s0, p, tol=1e-12, max_iter=2000)
+    res = vx.solve(s0, tau, tol=1e-12, max_iter=2000)
     assert res.converged
     assert res.iterations <= 40, res.iterations
 
@@ -165,9 +164,9 @@ def test_cold_rank_two_vacuum_solve_takes_at_most_40_iterations(N: int) -> None:
 def test_cold_rank_one_solve_at_zero_tau_converges() -> None:
     # At tau = 0 the vacuum phi = 0 has no mass and the symbol's null space
     # takes everything the mass would see; measured 8 iterations.
-    p = vx.VortexParams(r1=1, tau=0.0)
+    tau = 0.0
     s0 = vx.random_smooth_state(16, 1, 1, 1.0, np.random.default_rng(7), 0.1, 0.0)
-    res = vx.solve(s0, p, tol=1e-13, max_iter=2000)
+    res = vx.solve(s0, tau, tol=1e-13, max_iter=2000)
     assert res.converged
     assert res.iterations <= 20, res.iterations
 
@@ -176,17 +175,17 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
     calls = []
     fields = vx._residual_fields
 
-    def counted(f: vx._Fields, p: vx.VortexParams) -> dict[str, np.ndarray]:
+    def counted(f: vx._Fields, tau: float) -> dict[str, np.ndarray]:
         calls.append(1)
-        return fields(f, p)
+        return fields(f, tau)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
 
     def total(max_iter: int) -> int:
         s0 = vx.random_smooth_state(16, 1, 1, 1.0, np.random.default_rng(7), 0.1, 1.0)
         calls.clear()
-        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
         return len(calls)
 
     # Two probes and the accepted state per iteration.  The start state,
@@ -211,7 +210,7 @@ def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, 
             return _kernel(*args)
 
         monkeypatch.setattr(vx, name, counted)
-    p = vx.VortexParams(r1=r1, tau=1.0)
+    tau = 1.0
 
     def totals(max_iter: int) -> dict[str, int]:
         s0 = vx.random_smooth_state(
@@ -219,7 +218,7 @@ def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, 
         )
         for name in counts:
             counts[name] = 0
-        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
         return dict(counts)
 
     # The same start and budgets 2 and 4: the difference is two iterations,
@@ -249,14 +248,14 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    p = vx.VortexParams(r1=r1, tau=1.0)
+    tau = 1.0
 
     def total(max_iter: int) -> int:
         s0 = vx.random_smooth_state(
             8, r1, 1, 1.0, np.random.default_rng(seed), amplitude=0.1, tau=1.0
         )
         calls.clear()
-        assert vx.solve(s0, p, tol=0.0, max_iter=max_iter).iterations == max_iter
+        assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
         return len(calls)
 
     assert total(4) - total(2) == 2 * 4
@@ -273,13 +272,13 @@ def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: 
     # first short solve
     # leaves numpy's one-time allocations (FFT plans, lazy imports), which
     # do not grow with the grid, outside the count.
-    p = vx.VortexParams(r1=r1, tau=1.0, r2=r2)
-    vx.solve(vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0), p, max_iter=1)
+    tau = 1.0
+    vx.solve(vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0), tau, max_iter=1)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         s0 = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0)
-        vx.solve(s0, p, tol=1e-12, max_iter=max_iter)
+        vx.solve(s0, tau, tol=1e-12, max_iter=max_iter)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -293,10 +292,10 @@ def non_finite_solve(scale: float) -> vx.SolveResult:
     # 1e50: finite energy, but the line probes overflow; 1e100: the energy
     # itself is infinite; nan: the energy is nan.
     rng = np.random.default_rng(5)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
     with np.errstate(all="ignore"):
-        return vx.solve(replace(s0, phi=s0.phi * scale), p)
+        return vx.solve(replace(s0, phi=s0.phi * scale), tau)
 
 
 @pytest.mark.parametrize("scale", NON_FINITE_SCALES)
@@ -421,10 +420,10 @@ def test_prolong_at_odd_grid_is_the_real_band_limited_interpolant(
 
 
 def test_prolonged_constant_solution_stays_exact() -> None:
-    p = vx.VortexParams(r1=1, tau=1.0)
-    s = lo.constant_solution_state(8, p)
+    tau = 1.0
+    s = lo.constant_solution_state(8, tau)
     fine = vx.prolong_state(s)
-    assert vx.residual_energy(fine, p) <= 1e-24
+    assert vx.residual_energy(fine, tau) <= 1e-24
 
 
 @pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1), (2, 2)])
@@ -444,14 +443,14 @@ def test_prolonged_coarse_sample_is_the_fine_sample(r1: int, r2: int) -> None:
 
 def test_solve_projects_frozen_blocks_at_entry() -> None:
     rng = np.random.default_rng(19)
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s0 = vx.random_smooth_state(8, 1, 1, 1.0, rng, amplitude=0.1, tau=1.0)
     dirty = replace(
         s0,
         psi=np.full((8, 8, 1, 1), 0.3, dtype=np.complex128),
         theta2=np.full((8, 8, 1, 1), 0.2j, dtype=np.complex128),
     )
-    res = vx.solve(dirty, p, tol=1e-12, max_iter=5000)
+    res = vx.solve(dirty, tau, tol=1e-12, max_iter=5000)
     assert res.converged
     assert not res.state.psi.any()
     assert not res.state.theta2.any()
@@ -475,9 +474,9 @@ def test_stop_reason_zero_gradient() -> None:
     # phi = 0 with flat connections is a fixed point of the flow above the
     # minimum: every gradient term carries phi or a derivative of a
     # constant field.
-    p = vx.VortexParams(r1=1, tau=1.0)
+    tau = 1.0
     s = vx.zero_state(8, 1)
-    res = vx.solve(s, p, tol=1e-12, max_iter=50)
+    res = vx.solve(s, tau, tol=1e-12, max_iter=50)
     assert res.stop_reason == "zero_gradient"
     assert res.stalled
     assert res.iterations == 0
