@@ -4,9 +4,9 @@ Subcommands: betti (Poincare polynomial pipeline), strata (descriptor
 enumeration), stability (split-model checks), vortex (lattice solver) and
 selftest (cross-implementation invariant suite).  Reports are emitted as
 json (canonical, byte-deterministic, never NaN or Infinity), csv
-(flattened path,value rows) or pretty text.  A golden file can be compared
-against (--golden) or written (--write-golden); comparison failures exit
-with code 2.
+(flattened path,value rows) or pretty text.  A report can be compared
+against a golden file (--golden; a mismatch exits with code 2) or written
+to one (--out).
 
 Exit codes: 0 for a completed run (including unstable verdicts and
 non-converged solves), 1 for parameter or input validation failures, for
@@ -363,11 +363,13 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
             f"--grid {args.grid} needs about {need:.3g} bytes, "
             f"more than the {have:.3g} bytes of physical memory"
         )
-    # vortex.solve holds psi at zero, so the psi branch is solved as the phi
-    # branch of the exchanged bundles, whose coupling is tau', and its
-    # answer is exchanged back.
-    mirror = args.branch == "psi"
+    # A section on a degree-0 bundle needs a positive coupling: phi's is
+    # tau, psi's is tau' = -tau r1/r2.  vortex.solve holds psi at zero, so
+    # at tau < 0 the psi branch is solved as the phi branch of the exchanged
+    # bundles, whose coupling is tau', and its answer is exchanged back.
+    mirror = args.tau < 0
     r1, r2, tau = (args.rank2, args.rank1, tau_p) if mirror else (args.rank1, args.rank2, args.tau)
+    branch, coupling = ("psi", "tau'") if mirror else ("phi", "tau")
 
     start = vortex.random_smooth_state(
         args.grid, r1, r2, args.vol, np.random.default_rng(args.seed), args.amplitude, args.tau,
@@ -387,7 +389,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
             "tol": float(args.tol),
             "max_iter": args.max_iter,
             "seed": args.seed,
-            "branch": args.branch,
+            "branch": branch,
             "amplitude": float(args.amplitude),
         },
         "converged": result.converged,
@@ -398,25 +400,15 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         "breakdown": result.breakdown,
         "moment_map": result.moment_map_value,
     }
-    # The solved section has coupling tau (tau, or tau' on the mirror); a
-    # degree-0 bundle carries it only when that is > 0.
-    name = "tau'" if mirror else "tau"
-    if not result.converged and tau <= 0:
-        floor = tau * tau * args.vol / 8.0
-        report["note"] = (
-            "no solution expected: a nonzero section on a degree-0 bundle "
-            f"needs {name} > 0; the residual cannot drop below {name}^2*vol/8 = {floor!r}"
-        )
-    elif result.stalled and np.max(np.abs(solution.state.phi)) < 1e-6 * math.sqrt(tau):
+    if result.stalled and np.max(np.abs(solution.state.phi)) < 1e-6 * math.sqrt(tau):
         # A start whose section is mostly noise (amplitude above its
         # sqrt(coupling)) can collapse onto the section's zero, where
         # W1 = -tau/2 and W2 = -tau'/2 are constant and the flow stops.
         floor = args.vol * (args.rank1 * args.tau**2 + args.rank2 * tau_p**2) / 4.0
-        section = "psi" if mirror else "phi"
         report["note"] = (
-            f"stalled at the critical point {section} = 0, whose residual is "
+            f"stalled at the critical point {branch} = 0, whose residual is "
             f"vol*(rank1*tau^2 + rank2*tau'^2)/4 = {floor!r}; an --amplitude "
-            f"below sqrt({name}) = {math.sqrt(tau)!r} starts in the solution's basin"
+            f"below sqrt({coupling}) = {math.sqrt(tau)!r} starts in the solution's basin"
         )
     if args.dump_fields:
         _dump_fields(args.dump_fields, result.state, args.vol)
@@ -425,7 +417,7 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         bd = result.breakdown
         lines = [
             f"params: r1={args.rank1} r2={args.rank2} N={args.grid} vol={args.vol} "
-            f"tau={args.tau} tau'={tau_p} branch={args.branch} seed={args.seed}",
+            f"tau={args.tau} tau'={tau_p} branch={branch} seed={args.seed}",
             f"converged: {result.converged} (iterations {result.iterations}, "
             f"residual {result.residual!r}, stop reason {result.stop_reason})",
             f"breakdown: eq1={bd['eq1']!r} eq2={bd['eq2']!r} "
@@ -600,9 +592,6 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--golden", help="compare the report against this golden file (exit 2 on drift)"
     )
-    common.add_argument(
-        "--write-golden", help="write the report to this golden file and proceed"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     b = sub.add_parser("betti", parents=[common], help="Poincare polynomial pipeline")
@@ -635,7 +624,6 @@ def build_parser() -> _Parser:
     sol.add_argument("--tol", type=float, default=1e-12)
     sol.add_argument("--max-iter", type=int, default=10000)
     sol.add_argument("--seed", type=int, default=0)
-    sol.add_argument("--branch", choices=("phi", "psi"), default="phi")
     sol.add_argument("--amplitude", type=float, default=0.1, help="initial mode scale")
     sol.add_argument(
         "--dump-fields", help="write binary field snapshots to this path"
@@ -672,9 +660,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         report, pretty, code = args.fn(args)
         text = _render(report, fmt, pretty)
-        if args.write_golden:
-            with open(args.write_golden, "w", encoding="utf-8") as fh:
-                fh.write(text)
         if args.golden:
             with open(args.golden, encoding="utf-8") as fh:
                 expected = fh.read()

@@ -173,9 +173,9 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, t
     packing.unpack(x)["phi"][...] = math.sqrt(tau) * vx._identity(r)
     x[:, at[0, 0], at[1, 0]] += basis.T
     x[:, at[0, 1], at[1, 1]] -= basis.T
-    held = np.zeros((n, n, r, r), dtype=np.complex128)
-    probe = vx._derived(s, dict(packing.unpack(x), theta2=held, psi=held, N=n))
-    w = vx._residual_fields(vx._Fields(probe, held=vx.HELD), tau)
+    zero = np.zeros((n, n, r, r), dtype=np.complex128)
+    probe = vx._derived(s, dict(packing.unpack(x), theta2=zero, psi=zero, N=n))
+    w = vx._residual_fields(vx._Fields(probe), tau)
     response = np.array([v for v in w.values() if v is not vx._ZERO])
     offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
     near = response[:, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n]

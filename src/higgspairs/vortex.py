@@ -58,6 +58,11 @@ One problem.  ``solve`` solves the section branch: it holds theta2 and psi
 at zero and flows the FLOWS blocks A1, A2, theta1 and phi.  The mirror
 branch, with theta1 and phi at zero, is the same problem on the exchanged
 bundles at coupling tau_prime, so it is solved there and exchanged back.
+A section on a degree-0 bundle needs a positive coupling, so phi can be
+nonzero only at tau > 0 and psi only at tau_prime > 0, i.e. tau < 0: the
+sign of tau picks the branch, and the CLI solves the mirror exactly when
+tau < 0.  Against that sign the residual cannot drop below c^2 vol/8, c
+the section's coupling.
 
 Zero blocks.  The solver's kernels never form a term with a factor that is
 zero in the data.  ``_Fields`` replaces each of theta1, theta2, phi and psi
@@ -67,9 +72,10 @@ preconditioner kernels, so the formulas below are written once and the
 terms it touches are skipped.  In a solve theta2 and psi are zero, which
 removes W5 and W6, the psi half of the moment maps and of the
 intertwining, and every gradient term that carries them.  The skip rests
-on the data alone; ``residual_gradient`` still returns every block as an
-array.  Commutators of 1x1 blocks are zero, since scalars commute, and
-``_comm`` returns them as _ZERO without forming a product.
+on the data alone: ``_Fields`` scans each block.  ``residual_gradient``
+still returns every block as an array.  Commutators of 1x1 blocks are
+zero, since scalars commute, and ``_comm`` returns them as _ZERO without
+forming a product.
 
 Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: the
 packed layout, a site plane for every entry of the FLOWS blocks, and the
@@ -168,8 +174,8 @@ class LatticeState:
     def __post_init__(self) -> None:
         if self.N < MIN_GRID:
             raise ValueError(f"grid size must be at least {MIN_GRID}, got {self.N}")
-        if not self.a > 0:
-            raise ValueError(f"spacing must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"spacing must be finite and positive, got {self.a}")
         if self.phi.ndim != 4:
             # The ranks are read off phi's last two axes.
             want = f"({self.N}, {self.N}, r1, r2)"
@@ -323,28 +329,23 @@ def _site_frob2(m: np.ndarray) -> np.ndarray:
 class _Fields:
     """Shared derived quantities for one state (plain helper, no caching).
 
-    theta1, theta2, phi and psi are _ZERO where they vanish at every site;
-    the connections are always arrays.  The blocks named in held are zero
-    by construction (a solve holds theta2 and psi there) and are set to
-    _ZERO without a scan.
+    theta1, theta2, phi and psi are _ZERO where they vanish at every site
+    (in a solve, theta2 and psi); the connections are always arrays.
     """
 
-    def __init__(self, s: LatticeState, held: tuple[str, ...] = ()) -> None:
-        def block(name: str):
-            return _ZERO if name in held else _block(getattr(s, name))
-
+    def __init__(self, s: LatticeState) -> None:
         self.a = s.a
         self.k = s.a * s.a
         self.Z1 = _zpot(s.A1)
         self.Z2 = _zpot(s.A2)
         self.Z1b = -_adj(self.Z1)
         self.Z2b = -_adj(self.Z2)
-        self.t1 = block("theta1")
-        self.t2 = block("theta2")
+        self.t1 = _block(s.theta1)
+        self.t2 = _block(s.theta2)
         self.t1d = _adj(self.t1)
         self.t2d = _adj(self.t2)
-        self.phi = block("phi")
-        self.psi = block("psi")
+        self.phi = _block(s.phi)
+        self.psi = _block(s.psi)
 
     def exchanged(self) -> _Fields:
         """These fields with the bundles exchanged; every array is shared, none recomputed."""
@@ -968,7 +969,7 @@ def solve(
     the new energy is not finite.  The last three set stalled=True.
     """
     s = replace(s0, **{name: np.zeros_like(getattr(s0, name)) for name in HELD})
-    f = _Fields(s, held=HELD)
+    f = _Fields(s)
     w = _residual_fields(f, tau)
     energy = _energy(s, w)
     history = [energy]
@@ -986,7 +987,7 @@ def solve(
         """The residual fields at x - eta dirn."""
         np.multiply(dirn, -eta, out=probe)
         np.add(probe, x, out=probe)
-        return _residual_fields(_Fields(probe_state, held=HELD), tau)
+        return _residual_fields(_Fields(probe_state), tau)
 
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
@@ -1015,7 +1016,7 @@ def solve(
             break
         x_new = x - step * dirn
         cand = _derived(s, packing.unpack(x_new))
-        f_new = _Fields(cand, held=HELD)
+        f_new = _Fields(cand)
         w_new = _residual_fields(f_new, tau)
         e_new = _energy(cand, w_new)
         if not e_new < energy:
@@ -1039,6 +1040,8 @@ def solve(
 
 
 def _spacing(N: int, vol: float) -> float:
+    if not 0 < vol < math.inf:
+        raise ValueError(f"volume must be finite and positive, got {vol!r}")
     return math.sqrt(vol) / N
 
 

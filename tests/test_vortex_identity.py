@@ -72,15 +72,16 @@ def test_replace_rederives_tau_prime() -> None:
 
 def test_params_validation() -> None:
     # The ranks and the volume of a problem are its state's, and the state
-    # refuses a zero rank and a volume that is not positive.
+    # refuses a zero rank and a volume that is not finite and positive,
+    # naming the volume.
     with pytest.raises(ValueError, match=r"^ranks must be positive, got \(0, 1\)$"):
         vx.zero_state(8, 0)
     with pytest.raises(ValueError, match=r"^ranks must be positive, got \(1, 0\)$"):
         vx.zero_state(8, 1, 0)
-    with pytest.raises(ValueError, match="spacing must be positive"):
-        vx.zero_state(8, 1, vol=0.0)
-    with pytest.raises(ValueError):
-        vx.zero_state(8, 1, vol=-2.0)
+    for vol in (0.0, -2.0, math.nan, math.inf):
+        for build in (vx.zero_state, vx.random_state, vx.random_smooth_state):
+            with pytest.raises(ValueError, match=rf"^volume must be finite and positive, got {vol!r}$"):
+                build(8, 1, 1, vol)
 
 
 def test_lattice_state_validation() -> None:
@@ -101,6 +102,9 @@ def test_lattice_state_validation() -> None:
             theta1=s.theta2, theta2=s.theta2,
             phi=np.zeros((4, 4, 2, 1), dtype=np.complex128), psi=s.psi,
         )
+    for a in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^spacing must be finite and positive, got {a}$"):
+            replace(s, a=a)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), (), (4, 4, 0, 1), (4, 4, 1, 0)])
