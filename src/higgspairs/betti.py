@@ -1,13 +1,14 @@
 """Poincare polynomials of rank-2 Higgs-pair moduli spaces.
 
-Two independent routes to the same polynomial:
+Two independent routes to the same polynomial, both built by
+``betti_report``:
 
-* the direct Morse sum ``total_poincare`` = minimum-stratum contribution
+* the direct Morse sum, its ``total`` = minimum-stratum contribution
   (``pairs_poincare_n0``, the tau-stable holomorphic-pairs moduli) plus
   index-shifted symmetric-product polynomials over the higher strata
   (``stratum_poincare``);
-* the single generating-function extraction ``theorem_extraction``, which
-  reads the same answer off as the coefficient of x^{k+2g} y^{k+2g} in a
+* the single generating-function extraction, its ``extractions``, which
+  read the same answer off as the coefficient of x^{k+2g} y^{k+2g} in a
   two-part series.
 
 The extraction's strata prefactor carries a y-exponent convention switch:
@@ -52,7 +53,6 @@ from .strata import StratumDescriptor, d_range, stratum_descriptor
 RANK = 2
 AS_PRINTED = "as_printed"
 CORRECTED = "corrected"
-_CONVENTIONS = (AS_PRINTED, CORRECTED)
 
 
 @dataclass(frozen=True)
@@ -195,37 +195,22 @@ def stratum_poincare(p, d: int) -> PoincarePolynomial:
     return PoincarePolynomial(product.shift(desc.index))
 
 
-def total_poincare(p) -> PoincarePolynomial:
-    """Direct Morse sum: minimum stratum plus all higher strata."""
-    return sum((stratum_poincare(p, d) for d in d_range(p)), pairs_poincare_n0(p))
-
-
-def theorem_extraction(p, y_exponent_convention: str = CORRECTED) -> PoincarePolynomial:
-    """Coefficient of x^(k+2g) y^(k+2g) in the displayed two-part series.
+def _extraction(p, n0: PoincarePolynomial, y_exponent_convention: str) -> PoincarePolynomial:
+    """Coefficient of x^(k+2g) y^(k+2g) in the displayed two-part series,
+    given the minimum stratum n0.
 
     The minimum-stratum part carries prefactor x^(2g+1+floor(tau_bar))
     y^(k+2g), so its y-extraction is trivial and its x-extraction reduces
-    to the pairs formula.  The strata part is, for each d in the range,
+    to the pairs formula: it is n0.  The strata part is, for each d in the
+    range,
 
         t^(2(2d+g-k-1)) x^(2d+2) y^(Y) (1+tx)^(2g) (1+ty)^(2g)
             / ((1-x)(1-y)(1-t^2 x)(1-t^2 y))
 
-    with Y = d - 2g under ``as_printed`` and Y = d + 2g under
-    ``corrected``.  Only ``corrected`` is expected to match total_poincare.
-    """
-    if y_exponent_convention not in _CONVENTIONS:
-        raise ValueError(
-            f"y_exponent_convention must be one of {_CONVENTIONS}, "
-            f"got {y_exponent_convention!r}"
-        )
-    return _extraction(p, pairs_poincare_n0(p), y_exponent_convention)
-
-
-def _extraction(p, n0: PoincarePolynomial, y_exponent_convention: str) -> PoincarePolynomial:
-    """theorem_extraction given the minimum stratum n0.
-
-    The strata terms are read off the series here, never taken from the
-    direct route's stratum polynomials, so the two routes stay independent.
+    with Y = d - 2g under AS_PRINTED and Y = d + 2g under CORRECTED.  Only
+    CORRECTED is expected to match the direct Morse sum.  The strata terms
+    are read off the series here, never taken from the direct route's
+    stratum polynomials, so the two routes stay independent.
     """
     g, k = p.g, p.k
     target = k + 2 * g

@@ -266,7 +266,10 @@ _MODEL_KEYS = ("g", "k", "dL", "psi_nonzero", "theta_zero", "s_placement")
 
 def _run_stability(args: argparse.Namespace) -> _Outcome:
     with open(args.model, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise InvalidParamsError("model JSON nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise InvalidParamsError(f"model must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(_MODEL_KEYS)

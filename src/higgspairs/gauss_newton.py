@@ -166,7 +166,7 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, t
     """
     r = s.r1
     count = len(basis)
-    n = 5 * math.ceil(math.sqrt(2 * count / 5))
+    n = _probe_grid(r)
     sites = [(i, j) for j in range(n) for i in range(n) if (i + 2 * j) % 5 == 0]
     at = np.array(sites[: 2 * count]).T.reshape(2, 2, count)
     x = np.zeros((len(basis[0]), n, n), dtype=np.complex128)
@@ -182,6 +182,12 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, t
     readout = _real_units(r, hermitian=True).conj()
     jac = np.einsum("uij,fopcij->opfuc", readout, near).real
     return 0.5 * (jac[:, 0] - jac[:, 1]).reshape(len(offsets), -1, count)
+
+
+def _probe_grid(r: int) -> int:
+    """The side n of _probe's grid at rank r: a multiple of 5 whose n^2 / 5
+    sites with i + 2j = 0 mod 5 hold two for each of the 8 r^2 coordinates."""
+    return 5 * math.ceil(math.sqrt(2 * 8 * r * r / 5))
 
 
 def _groups(jac: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -180,17 +180,6 @@ def validate_params(p) -> list[str]:
     return violations
 
 
-def mu_plus(k: int) -> Fraction:
-    """Smallest slope above k/2 attainable by a subbundle in the split class.
-
-    Line-subbundle slopes are integers and the full bundle has slope k/2, so
-    for odd k the next value up is (k+1)/2.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k % 2 == 0:
-        raise ValueError(f"k must be an odd integer, got {k!r}")
-    return Fraction(k + 1, 2)
-
-
 def invariant_subbundles(m: SplitHiggsPairModel) -> list[tuple[str, Fraction]]:
     """The Higgs-invariant summand line subbundles with their slopes.
 

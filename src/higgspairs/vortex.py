@@ -443,7 +443,11 @@ def residual_energy(s: LatticeState, tau: float) -> float:
 
 def residual_breakdown(s: LatticeState, tau: float) -> dict[str, float]:
     """Named parts of residual_energy plus pointwise diagnostics."""
-    w = _residual_fields(_Fields(s), tau)
+    return _breakdown(s, _residual_fields(_Fields(s), tau))
+
+
+def _breakdown(s: LatticeState, w: dict[str, np.ndarray]) -> dict[str, float]:
+    """residual_breakdown of s given its residual fields w."""
     k = s.a * s.a
 
     def site_max(m: np.ndarray) -> float:
@@ -1032,7 +1036,7 @@ def solve(
         state=s,
         energy_history=history,
         stop_reason=stop_reason,
-        breakdown=residual_breakdown(s, tau),
+        breakdown=_breakdown(s, w),
     )
 
 
@@ -1174,6 +1178,12 @@ SOLVE_WORKING_STATES = 11
 # times the 8 coordinates per unit), and its build holds about 180 more for
 # the group of six it works on, whatever r is.
 SYMBOL_PER_CLASS = (48, 180)
+# Complex fields of r x r matrices on the probe grid of the symbol's build
+# (gauss_newton._probe, whose side grows as r) that the build holds at its
+# peak: the probe state, the residual fields of it and the responses read
+# off them.  Its measured peak was 29 to 34 such fields (r = 2..8 at N = 4,
+# 5 and 8), 177 MB at r = 8: whatever N is, the build grows as r^4.
+SYMBOL_PROBE_FIELDS = 36
 
 
 def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
@@ -1183,14 +1193,18 @@ def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     per mode) and the solver's working set.  At r1 = r2 a problem can have
     a vacuum, and then the working set holds its Gauss-Newton symbol: one
     set of matrices per class of modes with equal sines, the classes that
-    gauss_newton.GaussNewtonSymbol builds (at odd N each mode is its own)."""
+    gauss_newton.GaussNewtonSymbol builds (at odd N each mode is its own),
+    and the probe grid of its build."""
     site = 16 * N * N
     state = 16 * sum(math.prod(shape) for shape in _block_shapes(N, r1, r2).values())
     work = SOLVE_WORKING_STATES * state
     if r1 == r2:
+        from higgspairs.gauss_newton import _probe_grid
+
         classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else N * (N // 2 + 1)
         kept, build = SYMBOL_PER_CLASS
         work += 16 * classes * (kept * r1 * r1 + build)
+        work += 16 * SYMBOL_PROBE_FIELDS * _probe_grid(r1) ** 2 * r1 * r1
     return state + max(site * len(_SMOOTH_MODES), work)
 
 

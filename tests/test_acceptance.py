@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -69,9 +68,9 @@ def test_symmetric_product_poincare_matches_convolution_oracle() -> None:
 # -- 2: closed-form extraction equals the stratum sum on the theorem grid
 
 
-def mismatch_report(p: betti.ModuliParams) -> list[list[int]]:
-    total = dict(betti.total_poincare(p).as_pairs())
-    printed = dict(betti.theorem_extraction(p, betti.AS_PRINTED).as_pairs())
+def mismatch_report(report: betti.BettiReport) -> list[list[int]]:
+    total = dict(report.total.as_pairs())
+    printed = dict(report.extractions[betti.AS_PRINTED].as_pairs())
     return [
         [e, printed.get(e, 0) - total.get(e, 0)]
         for e in sorted(set(total) | set(printed))
@@ -83,10 +82,9 @@ def test_closed_form_extraction_matches_stratum_sum() -> None:
     archive = []
     for p in THEOREM_GRID:
         start = time.monotonic()
-        total = betti.total_poincare(p)
-        corrected = betti.theorem_extraction(p, betti.CORRECTED)
-        assert corrected == total, (p.g, p.k)
-        diff = mismatch_report(p)
+        report = betti.betti_report(p)
+        assert report.extractions[betti.CORRECTED] == report.total, (p.g, p.k)
+        diff = mismatch_report(report)
         assert diff, (p.g, p.k)
         archive.append(
             {"g": p.g, "k": p.k, "tau_bar": str(p.tau_bar), "diff": diff}
@@ -112,7 +110,7 @@ def test_pair_polynomials_are_integral_and_nonnegative() -> None:
             assert c >= 0, (p.g, p.k, e)
 
 
-# -- 4: stratum degree bookkeeping and the divisor-to-bundle degree map
+# -- 4: stratum degree bookkeeping
 
 
 def test_stratum_degree_bookkeeping() -> None:
@@ -125,32 +123,8 @@ def test_stratum_degree_bookkeeping() -> None:
             n2 = p.k - d
             assert pairs[0][0] == low == desc.index
             assert pairs[-1][0] == low + 2 * (n1 + n2) == desc.index + 2 * desc.dim
-
-
-def random_divisor(rng: random.Random, total: int) -> dict[str, int]:
-    out: dict[str, int] = {}
-    remaining = total
-    while remaining > 0:
-        m = rng.randint(1, remaining)
-        label = rng.choice(("u", "v", "w", "z"))
-        out[label] = out.get(label, 0) + m
-        remaining -= m
-    return out
-
-
-def test_divisor_bundle_map_degree() -> None:
-    rng = random.Random(2026)
-    checked = 0
-    while checked < 1000:
-        p = rng.choice(THEOREM_GRID)
-        d = rng.choice(strata.d_range(p))
-        desc = strata.stratum_descriptor(p, d)
-        pair = strata.DivisorPair(
-            D=random_divisor(rng, desc.n1), Dp=random_divisor(rng, desc.n2)
-        )
-        assert strata.divisor_bundle_map(pair, p) == p.k
-        checked += 1
-    assert checked == 1000
+            # O(D')^2 (x) O(D)^-1 (x) K has the degree k of det E.
+            assert 2 * desc.n2 - desc.n1 + 2 * p.g - 2 == p.k
 
 
 # -- 5: split-model stability scan
@@ -191,18 +165,12 @@ def test_fixed_point_models_stable_exactly_on_stratum_range() -> None:
         for d in range(rng_d[0] - 3, rng_d[-1] + 2):
             n1 = -2 * d + p.k + 2 * p.g - 2
             n2 = p.k - d
-            seeded = random.Random(100 * p.k + d)
             if n1 < 0 or n2 < 0:
                 assert d not in rng_d
                 with pytest.raises(ValueError):
-                    strata.fixed_point_model(
-                        strata.DivisorPair(D={}, Dp={}), p, d
-                    )
+                    strata.fixed_point_model(p, d)
                 continue
-            pair = strata.DivisorPair(
-                D=random_divisor(seeded, n1), Dp=random_divisor(seeded, n2)
-            )
-            model = strata.fixed_point_model(pair, p, d)
+            model = strata.fixed_point_model(p, d)
             verdict = stability.is_tau_stable_split(model, p.tau_bar)
             assert verdict.stable == (d in rng_d), (p.g, p.k, d)
     assert time.monotonic() - start < 5.0

@@ -18,8 +18,6 @@ from higgspairs.betti import (
     pairs_poincare_n0,
     stratum_poincare,
     sym_poincare,
-    theorem_extraction,
-    total_poincare,
 )
 from higgspairs.series import FormulaIntegrityError, LaurentPoly
 from higgspairs.stability import InvalidParamsError
@@ -258,7 +256,7 @@ def test_stratum_rejects_out_of_range_degree():
 
 def test_total_golden_g2_k5():
     p = ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4))
-    assert total_poincare(p).as_pairs() == [
+    assert betti_report(p).total.as_pairs() == [
         (0, 1), (1, 4), (2, 8), (3, 16), (4, 33), (5, 56), (6, 79), (7, 92),
         (8, 79), (9, 56), (10, 33), (11, 16), (12, 8), (13, 4), (14, 1),
     ]
@@ -266,26 +264,20 @@ def test_total_golden_g2_k5():
 
 def test_extraction_corrected_matches_total():
     for g, k in ((2, 5), (3, 9)):
-        p = ModuliParams(g=g, k=k, tau_bar=mid_tau(k))
-        assert theorem_extraction(p, CORRECTED) == total_poincare(p)
+        report = betti_report(ModuliParams(g=g, k=k, tau_bar=mid_tau(k)))
+        assert report.extractions[CORRECTED] == report.total
 
 
 def test_extraction_as_printed_differs():
-    p = ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4))
-    assert theorem_extraction(p, AS_PRINTED) != total_poincare(p)
-
-
-def test_extraction_rejects_unknown_convention():
-    p = ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4))
-    with pytest.raises(ValueError):
-        theorem_extraction(p, "fixed")
+    report = betti_report(ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4)))
+    assert report.extractions[AS_PRINTED] != report.total
 
 
 def test_total_independent_of_tau_bar_within_floor_window():
     # any tau_bar with the same floor selects the same strata
     a = ModuliParams(g=2, k=5, tau_bar=Fraction(11, 4))
     b = ModuliParams(g=2, k=5, tau_bar=Fraction(14, 5))
-    assert total_poincare(a) == total_poincare(b)
+    assert betti_report(a).total == betti_report(b).total
     assert pairs_poincare_n0(a) == pairs_poincare_n0(b)
 
 
@@ -299,15 +291,101 @@ def test_total_euler_characteristic_is_sum_over_strata():
             want += (-1) ** (n1 + n2) * math.comb(2 * p.g - 2, n1) * math.comb(
                 2 * p.g - 2, n2
             )
-        assert euler_characteristic(total_poincare(p)) == want, (p.g, p.k)
+        assert euler_characteristic(betti_report(p).total) == want, (p.g, p.k)
 
 
 def test_total_coefficients_positive():
     for g, k in ((2, 5), (2, 7), (3, 9)):
-        p = ModuliParams(g=g, k=k, tau_bar=mid_tau(k))
-        poly = total_poincare(p)
+        poly = betti_report(ModuliParams(g=g, k=k, tau_bar=mid_tau(k))).total
         assert poly.coeff(0) == 1
         assert all(c > 0 for _, c in poly.as_pairs())
+
+
+# -- the Higgs-bundle fibration ------------------------------------------
+#
+# For k > 6g - 6 every Higgs-stable rank-2 bundle of degree k has H^1(E) = 0,
+# so its sections form a P^(k+1-2g)-bundle over the Higgs moduli space.  The
+# Poincare polynomial H of that space is the Morse sum for GL(2), odd-degree
+# Higgs bundles (Hitchin, Proc. LMS 1987).  The pair total misses the fixed
+# components with the section in L, one of index 2d per stratum, so
+#
+#     total + sum_d t^(2d) P(Sym^n1) P(Sym^d) = H P(P^(k+1-2g)).
+#
+# The polynomials below are dicts {exponent: coefficient}, built without
+# the betti or series modules.
+
+
+def poly_add(*polys: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_pow(a: dict[int, int], n: int) -> dict[int, int]:
+    out = {0: 1}
+    for _ in range(n):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_shift(a: dict[int, int], s: int) -> dict[int, int]:
+    return {e + s: c for e, c in a.items()}
+
+
+def divide_one_minus(a: dict[int, int], step: int) -> dict[int, int]:
+    """a / (1 - t^step), which must be exact."""
+    q: dict[int, int] = {}
+    for e in range(min(a), max(a) - step + 1):
+        c = a.get(e, 0) + q.get(e - step, 0)
+        if c:
+            q[e] = c
+    assert poly_mul(q, {0: 1, step: -1}) == a
+    return q
+
+
+def higgs_poincare(g: int, k: int) -> dict[int, int]:
+    """H: (1+t)^(2g) P(N0) plus t^(2(g+2d-k-1)) (1+t)^(2g) P(Sym^m) for
+    each d > k/2 with m = 2g - 2 + k - 2d >= 0, where P(N0) =
+    [(1+t^3)^(2g) - t^(2g) (1+t)^(2g)] / ((1-t^2)(1-t^4))."""
+    jacobian = poly_pow({0: 1, 1: 1}, 2 * g)
+    minus_jacobian = {e: -c for e, c in jacobian.items()}
+    n0 = poly_add(poly_pow({0: 1, 3: 1}, 2 * g), poly_shift(minus_jacobian, 2 * g))
+    h = poly_mul(jacobian, divide_one_minus(divide_one_minus(n0, 2), 4))
+    for d in range((k + 1) // 2, (2 * g - 2 + k) // 2 + 1):
+        m = 2 * g - 2 + k - 2 * d
+        term = poly_mul(jacobian, dict(macdonald_oracle(m, g)))
+        h = poly_add(h, poly_shift(term, 2 * (g + 2 * d - k - 1)))
+    return h
+
+
+def test_total_fibres_over_higgs_moduli_exactly_above_6g_minus_6():
+    holds = fails = 0
+    for g in range(2, 7):
+        for k in range(4 * g - 3, 6 * g + 12, 2):
+            p = ModuliParams(g=g, k=k, tau_bar=Fraction(2 * k + 1, 4))
+            lhs = dict(betti_report(p).total.as_pairs())
+            for d in d_range(p):
+                n1 = stratum_descriptor(p, d).n1
+                sections_in_l = poly_mul(
+                    dict(macdonald_oracle(n1, g)), dict(macdonald_oracle(d, g))
+                )
+                lhs = poly_add(lhs, poly_shift(sections_in_l, 2 * d))
+            fibre = {2 * i: 1 for i in range(k + 2 - 2 * g)}
+            identity = lhs == poly_mul(higgs_poincare(g, k), fibre)
+            assert identity == (k > 6 * g - 6), (g, k)
+            holds += identity
+            fails += not identity
+    assert (holds, fails) == (45, 15)
 
 
 # -- the one-pass report builder ----------------------------------------
@@ -323,20 +401,21 @@ def test_report_agrees_with_the_public_functions():
         assert [poly for _, poly in built.strata] == [
             stratum_poincare(p, d) for d in d_range(p)
         ], (p.g, p.k)
-        assert built.total == total_poincare(p), (p.g, p.k)
+        assert built.total == sum(
+            (stratum_poincare(p, d) for d in d_range(p)), pairs_poincare_n0(p)
+        ), (p.g, p.k)
         assert list(built.extractions) == [CORRECTED, AS_PRINTED]
-        for convention, ext in built.extractions.items():
-            assert ext == theorem_extraction(p, convention), (p.g, p.k, convention)
+        assert built.extractions[CORRECTED] == built.total, (p.g, p.k)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         betti_report,
-        total_poincare,
+        lambda p: betti_report(p).total,
         lambda p: stratum_poincare(p, 3),
-        lambda p: theorem_extraction(p, CORRECTED),
-        lambda p: theorem_extraction(p, AS_PRINTED),
+        lambda p: betti_report(p).extractions[CORRECTED],
+        lambda p: betti_report(p).extractions[AS_PRINTED],
     ],
     ids=["betti_report", "total", "stratum", "extraction_corrected", "extraction_as_printed"],
 )

@@ -330,6 +330,20 @@ def test_argument_errors_are_structured(capsys, argv: list[str], option: str) ->
     assert option in payload["message"]
 
 
+def test_stability_refuses_deeply_nested_model(capsys, tmp_path) -> None:
+    # The JSON parser recurses once per nesting level.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, ["stability", "check", "--model", str(path), "--tau-bar", "11/4"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "InvalidParamsError",
+        "message": "model JSON nests too deeply to parse",
+    }
+
+
 def test_stability_model_key_validation(capsys, tmp_path) -> None:
     good = json.loads((GOLDEN / "model_stable.json").read_text())
 
@@ -648,6 +662,16 @@ def test_vortex_out_of_memory_exits_1(capsys, monkeypatch, fmt: str) -> None:
         assert err.startswith("error: out of memory")
 
 
+def refuse_allocation(monkeypatch) -> None:
+    """Make the sampler and numpy's allocators fail the test if reached."""
+    def allocates(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(higgspairs.vortex, "random_smooth_state", allocates)
+    for name in ("empty", "zeros", "empty_like", "zeros_like"):
+        monkeypatch.setattr(np, name, allocates)
+
+
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
 def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
     capsys, monkeypatch, fmt: str
@@ -655,12 +679,7 @@ def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
     # A grid of 10^12 sites needs far more than any physical memory; the
     # refusal must come from the estimate, so the sampler and numpy's
     # allocators fail the test if they are reached.
-    def allocates(*args, **kwargs):
-        raise AssertionError("allocated before refusing")
-
-    monkeypatch.setattr(higgspairs.vortex, "random_smooth_state", allocates)
-    for name in ("empty", "zeros", "empty_like", "zeros_like"):
-        monkeypatch.setattr(np, name, allocates)
+    refuse_allocation(monkeypatch)
     code, out, err = run(capsys, vortex_args(**{"--grid": "1000000", "--format": fmt}))
     assert code == 1
     assert out == ""
@@ -675,6 +694,23 @@ def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
         assert message in payload["message"]
     else:
         assert err.startswith("error: out of memory: " + message)
+
+
+def test_vortex_rank_beyond_physical_memory_is_refused_before_allocating(
+    capsys, monkeypatch
+) -> None:
+    # The Gauss-Newton symbol's build grows as r^4 whatever the grid: at
+    # ranks (256, 256) its probe grid has 2295^2 sites of 256 x 256
+    # matrices, about 2e14 bytes on the smallest grid.
+    refuse_allocation(monkeypatch)
+    code, out, err = run(
+        capsys, vortex_args(**{"--rank1": "256", "--rank2": "256", "--grid": "4"})
+    )
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError"
+    assert "--grid 4 needs about 1.98e+14 bytes" in payload["message"]
 
 
 def test_vortex_dump_fields(capsys, tmp_path) -> None:

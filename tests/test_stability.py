@@ -21,7 +21,6 @@ from higgspairs.stability import (
     check_higgs_stability,
     invariant_subbundles,
     is_tau_stable_split,
-    mu_plus,
     require_valid,
     validate_params,
 )
@@ -139,15 +138,6 @@ def test_betti_cli_exits_cleanly_on_drawn_params(inputs):
         assert code == 1
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"] == "InvalidParamsError"
-
-
-def test_mu_plus():
-    assert mu_plus(5) == Fraction(3)
-    assert mu_plus(9) == Fraction(5)
-    with pytest.raises(ValueError):
-        mu_plus(6)
-    with pytest.raises(ValueError):
-        mu_plus("5")
 
 
 # -- split model construction --------------------------------------------

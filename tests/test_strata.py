@@ -1,8 +1,7 @@
-"""Stratum bookkeeping: degree ranges, descriptors, divisor pairs."""
+"""Stratum bookkeeping: degree ranges, descriptors, fixed-point models."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,10 +10,8 @@ import pytest
 from higgspairs.betti import ModuliParams
 from higgspairs.stability import is_tau_stable_split
 from higgspairs.strata import (
-    DivisorPair,
     StratumDescriptor,
     d_range,
-    divisor_bundle_map,
     fixed_point_model,
     stratum_descriptor,
 )
@@ -29,18 +26,6 @@ class Params:
 
 def mid(k: int) -> Fraction:
     return Fraction(k, 2) + Fraction(1, 4)
-
-
-def split_degree(rng, labels, total):
-    """Random effective divisor of the given total degree."""
-    out = {}
-    remaining = total
-    while remaining > 0:
-        m = rng.randint(1, remaining)
-        label = rng.choice(labels)
-        out[label] = out.get(label, 0) + m
-        remaining -= m
-    return out
 
 
 # -- degree ranges ---------------------------------------------------------
@@ -106,62 +91,7 @@ def test_descriptor_rejects_negative_exponents_directly():
         StratumDescriptor(d=1, n1=-1, n2=0, index=2)
 
 
-# -- divisor pairs ----------------------------------------------------------
-
-
-def test_divisor_pair_canonicalises_multisets():
-    pair = DivisorPair(D=[("p", 1), ("q", 2), ("p", 1)], Dp={"r": 1})
-    assert pair.D == (("p", 2), ("q", 2))
-    assert pair.Dp == (("r", 1),)
-    assert pair.deg_D == 4 and pair.deg_Dp == 1
-
-
-def test_divisor_pair_rejects_bad_multiplicity():
-    with pytest.raises(ValueError):
-        DivisorPair(D={"p": 0}, Dp={})
-    with pytest.raises(ValueError):
-        DivisorPair(D={"p": -2}, Dp={})
-    with pytest.raises(ValueError):
-        DivisorPair(D={"p": True}, Dp={})
-
-
-def test_divisor_bundle_map_degree_is_k():
-    # 1000 random matched pairs across the strata of several parameter sets
-    rng = random.Random(17)
-    labels = [f"pt{i}" for i in range(9)]
-    cases = [(2, 5), (2, 7), (3, 9), (3, 11), (4, 13)]
-    checked = 0
-    while checked < 1000:
-        g, k = rng.choice(cases)
-        p = Params(g, k, mid(k))
-        d = rng.choice(d_range(p))
-        desc = stratum_descriptor(p, d)
-        pair = DivisorPair(
-            D=split_degree(rng, labels, desc.n1),
-            Dp=split_degree(rng, labels, desc.n2),
-        )
-        assert divisor_bundle_map(pair, p) == k
-        checked += 1
-
-
-def test_divisor_bundle_map_rejects_unmatched_degrees():
-    p = Params(2, 5, Fraction(11, 4))
-    with pytest.raises(ValueError):
-        divisor_bundle_map(DivisorPair(D={"p": 1}, Dp={"q": 1}), p)
-
-
 # -- fixed-point models ------------------------------------------------------
-
-
-def make_pair(p, d, labels=("u", "v", "w")):
-    from higgspairs.strata import _exponents
-
-    n1, n2 = _exponents(p, d)
-    rng = random.Random(d)
-    return DivisorPair(
-        D=split_degree(rng, list(labels), n1),
-        Dp=split_degree(rng, list(labels), n2),
-    )
 
 
 def test_fixed_point_models_stable_exactly_on_the_range():
@@ -173,7 +103,7 @@ def test_fixed_point_models_stable_exactly_on_the_range():
             rng_d = d_range(p)
             for d in range(rng_d[0] - 2, rng_d[-1] + 1):
                 try:
-                    model = fixed_point_model(make_pair(p, d), p, d)
+                    model = fixed_point_model(p, d)
                 except ValueError:
                     assert d not in rng_d
                     continue
@@ -184,7 +114,7 @@ def test_fixed_point_models_stable_exactly_on_the_range():
 def test_fixed_point_model_below_floor_is_unstable():
     p = Params(2, 5, Fraction(11, 4))
     d = 2  # floor(tau_bar); buildable but unstable
-    model = fixed_point_model(make_pair(p, d), p, d)
+    model = fixed_point_model(p, d)
     verdict = is_tau_stable_split(model, p.tau_bar)
     assert not verdict.stable
     assert verdict.witness.condition == 2
@@ -192,16 +122,13 @@ def test_fixed_point_model_below_floor_is_unstable():
 
 def test_fixed_point_model_validates_divisor_degrees():
     p = Params(2, 5, Fraction(11, 4))
-    with pytest.raises(ValueError):
-        fixed_point_model(DivisorPair(D={"p": 1}, Dp={"q": 1}), p, 3)
-    with pytest.raises(ValueError):
-        fixed_point_model(make_pair(p, 3), p, 6)  # n1 < 0 at d = 6
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        fixed_point_model(p, 6)  # n1 < 0 at d = 6
 
 
 def test_fixed_point_model_fields():
     p = Params(2, 5, Fraction(11, 4))
-    pair = make_pair(p, 3)
-    model = fixed_point_model(pair, p, 3)
+    model = fixed_point_model(p, 3)
     assert (model.g, model.k, model.dL) == (2, 5, 3)
     assert model.psi_nonzero and not model.theta_zero
     assert model.s_placement == "in_Lc"

@@ -188,10 +188,29 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
         assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
         return len(calls)
 
-    # Two probes and the accepted state per iteration.  The start state,
-    # the final breakdown and the Gauss-Newton symbol's impulse probe are a
-    # fixed cost per solve, which the difference of two budgets leaves out.
+    # Two probes and the accepted state per iteration.  The start state and
+    # the Gauss-Newton symbol's impulse probe are a fixed cost per solve,
+    # which the difference of two budgets leaves out.
     assert total(4) - total(2) == 2 * 3
+
+
+def test_solve_reads_its_breakdown_off_the_loop_fields(monkeypatch) -> None:
+    # Without a vacuum ((2, 1) has none) the only fixed cost is the start
+    # state: the final breakdown reuses the residual fields of the last
+    # accepted state, and equals residual_breakdown of the final state.
+    calls = []
+    fields = vx._residual_fields
+
+    def counted(f: vx._Fields, tau: float) -> dict[str, np.ndarray]:
+        calls.append(1)
+        return fields(f, tau)
+
+    monkeypatch.setattr(vx, "_residual_fields", counted)
+    s0 = vx.random_smooth_state(8, 2, 1, 1.0, np.random.default_rng(3), 0.1, 1.0)
+    res = vx.solve(s0, 1.0, tol=0.0, max_iter=3)
+    assert res.iterations == 3
+    assert len(calls) == 1 + 3 * 3
+    assert res.breakdown == vx.residual_breakdown(res.state, 1.0)
 
 
 @pytest.mark.parametrize("r1, seed, products", [(1, 7, 23), (2, 3, 37)])
@@ -263,15 +282,18 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
 
 @pytest.mark.parametrize(
     "N, r1, r2, max_iter",
-    [(32, 1, 1, 100), (64, 1, 1, 100), (17, 1, 1, 100), (16, 2, 2, 30), (32, 2, 2, 30)],
+    [
+        (32, 1, 1, 100), (64, 1, 1, 100), (17, 1, 1, 100), (16, 2, 2, 30), (32, 2, 2, 30),
+        (4, 2, 2, 2), (4, 4, 4, 2), (4, 6, 6, 2),
+    ],
 )
 def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: int) -> None:
     # The CLI refuses a grid on this estimate before it allocates, so it
     # must bound what sampling and solving hold, the Gauss-Newton symbol of
-    # these r1 = r2 problems included (odd N: no mode shares a class).  A
-    # first short solve
-    # leaves numpy's one-time allocations (FFT plans, lazy imports), which
-    # do not grow with the grid, outside the count.
+    # these r1 = r2 problems included (odd N: no mode shares a class).  On
+    # the smallest grid the symbol's build dominates, and it grows as r^4.
+    # A first short solve leaves numpy's one-time allocations (FFT plans,
+    # lazy imports), which do not grow with the grid, outside the count.
     tau = 1.0
     vx.solve(vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(3), 0.1, 1.0), tau, max_iter=1)
     tracemalloc.start()
