@@ -110,7 +110,7 @@ def test_pair_polynomials_are_integral_and_nonnegative() -> None:
             assert c >= 0, (p.g, p.k, e)
 
 
-# -- 4: stratum degree bookkeeping
+# -- 4: stratum degree bookkeeping and the divisor-to-bundle degree map
 
 
 def test_stratum_degree_bookkeeping() -> None:
@@ -123,8 +123,23 @@ def test_stratum_degree_bookkeeping() -> None:
             n2 = p.k - d
             assert pairs[0][0] == low == desc.index
             assert pairs[-1][0] == low + 2 * (n1 + n2) == desc.index + 2 * desc.dim
+
+
+def test_divisor_bundle_map_degree() -> None:
+    checked = 0
+    for p in THEOREM_GRID:
+        for d in strata.d_range(p):
+            desc = strata.stratum_descriptor(p, d)
+            model = strata.fixed_point_model(p, d)
+            assert model.dL == d and model.s_placement == "in_Lc"
+            # D' is the zero divisor of the section of Lc = L^-1 (x) det E,
+            # D that of the Higgs component in L^-2 (x) det E (x) K.
+            assert desc.n2 == model.k - model.dL
+            assert desc.n1 == model.k - 2 * model.dL + 2 * model.g - 2
             # O(D')^2 (x) O(D)^-1 (x) K has the degree k of det E.
             assert 2 * desc.n2 - desc.n1 + 2 * p.g - 2 == p.k
+            checked += 1
+    assert checked > 0
 
 
 # -- 5: split-model stability scan
