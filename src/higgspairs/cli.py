@@ -362,10 +362,16 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
     # MemoryError.
     need, have = vortex.solve_bytes(args.grid, args.rank1, args.rank2), _physical_memory()
     if have is not None and need > have:
-        raise MemoryError(
+        message = (
             f"--grid {args.grid} needs about {need:.3g} bytes, "
             f"more than the {have:.3g} bytes of physical memory"
         )
+        if vortex.solve_bytes(vortex.MIN_GRID, args.rank1, args.rank2) > have:
+            # No grid fits: the ranks drive the estimate, not the grid.
+            message += (
+                f"; --rank1 {args.rank1} --rank2 {args.rank2} need more than that on every grid"
+            )
+        raise MemoryError(message)
     # A section on a degree-0 bundle needs a positive coupling: phi's is
     # tau, psi's is tau' = -tau r1/r2.  vortex.solve holds psi at zero, so
     # at tau < 0 the psi branch is solved as the phi branch of the exchanged
@@ -452,8 +458,10 @@ def _dump_fields(path: str, s: vortex.LatticeState, vol: float) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        # The solver's blocks are views of its packed vectors: each is
+        # copied only when it is not contiguous, and written from its buffer.
         for name in vortex.BLOCKS:
-            fh.write(np.ascontiguousarray(getattr(s, name)).astype("<c16").tobytes())
+            fh.write(np.ascontiguousarray(getattr(s, name), dtype="<c16").data)
 
 
 # -- selftest ------------------------------------------------------------

@@ -53,21 +53,26 @@ class GaussNewtonSymbol:
     coordinates: a packed tangent vector is sum_c u_c e_c over units e_c
     orthonormal in Re tr(x^H y) (_real_units: anti-Hermitian ones for the
     potentials, all of gl(r) for theta1 and phi), and the residual fields
-    are read in the units of gl(r).  At the vacuum A = theta = 0, phi0 =
-    sqrt(tau) I, J is a convolution over STENCIL_OFFSETS, so a real-FFT
-    mode xi of u maps to the same mode of the residuals by the matrix
-    Jh(xi) = sum_o J(o) exp(-2 pi i xi.o/N).
+    are read in the units of gl(r).  The potentials enter rotated, each
+    unit of A1 and the same unit of A2 as (A1 + A2)/sqrt(2) and (A1 -
+    A2)/sqrt(2), and so do the residuals W1 and W2: an orthogonal change
+    of coordinates, which the inverse follows exactly.  At the vacuum A =
+    theta = 0, phi0 = sqrt(tau) I, J is a convolution over
+    STENCIL_OFFSETS, so a real-FFT mode xi of u maps to the same mode of
+    the residuals by the matrix Jh(xi) = sum_o J(o) exp(-2 pi i xi.o/N).
 
     J(o) is probed, not derived (_probe).  Units that share a residual
     coordinate at some offset form a coupling group, and J*J is block
-    diagonal in the groups, so each is built and applied on its own.  The
-    probes find 2r^2 groups: each anti-Hermitian unit of A1 and A2 (both
-    directions) with the same unit and i times it in phi, six coordinates,
-    and the same unit and i times it in theta1, two.  At tau = 0 phi
+    diagonal in the groups, so each is built and applied on its own.  Only
+    the differences A1 - A2 and W1 - W2 feel phi, so the probes find 3r^2
+    groups: each anti-Hermitian unit of A1 + A2 (both directions), two
+    coordinates; the same unit of A1 - A2 with the unit and i times it in
+    phi, four; and the unit and i times it in theta1, two.  At tau = 0 phi
     decouples and every group has two.  When the probes show J odd in the
     neighbour offsets, as central differences make it, Jh reads a mode
     only through sin(2 pi k/N) along each axis, which k and N/2 - k share
-    at even N: each class of such modes is built once.
+    at even N: each class of such modes is built once, and its matrices
+    are copied to each mode of the class.
 
     Per mode and group the operator is ((J*J)^+ + P0 K P0) / a^2
     (_pseudo_inverse_with_kernel): the exact inverse on the directions J
@@ -80,9 +85,9 @@ class GaussNewtonSymbol:
     coordinates, so the potentials of a direction stay anti-Hermitian.
 
     A call reads the coordinates off a packed gradient, transforms them
-    with rfft along the last site axis and fft along the first, gathers
-    the modes by class, multiplies each group by its matrices, and goes
-    back the same way.
+    with rfft along the last site axis and fft along the first, multiplies
+    each group at every mode of the half spectrum by that mode's matrix,
+    and goes back the same way.
     """
 
     def __init__(self, packing: vx._Preconditioner, s: vx.LatticeState, tau: float) -> None:
@@ -99,62 +104,69 @@ class GaussNewtonSymbol:
                     rows.append(row)
                     names.append(name)
         basis = np.array(rows)
+        # The potentials as (A1 + A2)/sqrt(2) and (A1 - A2)/sqrt(2), unit by
+        # unit, and the residuals W1, W2 likewise: only the difference of
+        # the potentials and of the equations feels phi.  VACUUM_SYMBOL
+        # gives A1 and A2 one kernel, so the names below still pick it.
+        c = math.sqrt(0.5)
+        a1 = [k for k, name in enumerate(names) if name == "A1"]
+        a2 = [k for k, name in enumerate(names) if name == "A2"]
+        basis[a1], basis[a2] = c * (basis[a1] + basis[a2]), c * (basis[a1] - basis[a2])
         jac = _probe(packing, s, basis, tau)
+        w1, w2 = jac.pop("W1"), jac.pop("W2")
+        jac = np.concatenate([c * (w1 + w2), c * (w1 - w2), *jac.values()], axis=1)
         odd = np.array_equal(jac[1], -jac[2]) and np.array_equal(jac[3], -jac[4])
-        reps1, members1 = _sine_classes(N, N, odd)
-        reps2, members2 = _sine_classes(N, N // 2 + 1, odd)
+        reps1, of1 = _sine_classes(N, N, odd)
+        reps2, of2 = _sine_classes(N, N // 2 + 1, odd)
         angle1 = 2.0 * np.pi * reps1[:, None] / N
         angle2 = 2.0 * np.pi * reps2[None, :] / N
         phases = np.array([np.exp(-1j * (o1 * angle1 + o2 * angle2)).ravel()
                            for o1, o2 in STENCIL_OFFSETS])
         omega2 = ((np.sin(angle1) ** 2 + np.sin(angle2) ** 2) / (s.a * s.a)).ravel()
         kernel = np.array([vx._block_kernel(name, tau, omega2) for name in names])
-        # The flat spectrum positions of each class's modes, one row per
-        # member; a class with fewer members repeats one.
-        self.members = (
-            members1[:, None, :, None] * (N // 2 + 1) + members2[None, :, None, :]
-        ).reshape(len(members1) * len(members2), -1)
+        # The class of each mode of the half spectrum, flat.
+        of = (of1[:, None] * len(reps2) + of2[None, :]).ravel()
         self.groups: list[tuple[slice, np.ndarray]] = []
         order: list[int] = []
         for cols, touched in _groups(jac):
             jh = np.einsum("om,orc->rcm", phases, jac[:, touched][:, :, cols])
             inverse = _pseudo_inverse_with_kernel(jh, kernel[cols])
             inverse /= s.a * s.a
-            self.groups.append((slice(len(order), len(order) + len(cols)), inverse))
+            self.groups.append((slice(len(order), len(order) + len(cols)), inverse[:, :, of]))
             order.extend(cols)
         # Coordinates in group order, so that every group is one slice.
         # Over the real components (plane, part) of a packed vector each
-        # coordinate reads at most two, and each component sums at most two
-        # coordinates.
+        # coordinate reads at most four (two entries of a unit, in A1 and
+        # in A2), and each component sums at most two coordinates.
         parts = np.stack([basis[order].real, basis[order].imag])
         self.reads = _sparse_rows(parts.transpose(1, 2, 0).reshape(len(order), -1))
         self.writes = [_sparse_rows(part.T) for part in parts]
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         # Each intermediate goes as soon as the next one exists: at its
-        # peak this call adds about 2.3 states, its result included, and
-        # 3.2 when every intermediate lived to the end (rank 1, N = 64).
+        # peak this call adds about 2.1 states, its result included (rank
+        # 1, N = 64).
         parts = g.view(np.float64).reshape(g.shape + (2,))
         w = np.fft.rfft(_combine(*self.reads, lambda j: parts[j // 2, :, :, j % 2]), axis=-1)
         np.fft.fft(w, axis=-2, out=w)
         flat = w.reshape(len(w), -1)
-        spec = flat[:, self.members]
         for cols, inverse in self.groups:
-            spec[cols] = np.einsum("ije,jqe->iqe", inverse, spec[cols])
-        flat[:, self.members] = spec
-        del spec
+            flat[cols] = np.einsum("ijm,jm->im", inverse, flat[cols])
         np.fft.ifft(w, axis=-2, out=w)
         u = np.fft.irfft(w, n=g.shape[-1], axis=-1)
-        del w
+        del w, flat
         d = np.empty(g.shape + (2,))
         for part, writes in enumerate(self.writes):
             _combine(*writes, lambda j: u[j], out=d[..., part])
         return d.view(np.complex128).reshape(g.shape)
 
 
-def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, tau: float) -> np.ndarray:
-    """J(o) for o in STENCIL_OFFSETS, shape (offsets, residual coordinates,
-    coordinates), from one evaluation of the residual fields.
+def _probe(
+    packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, tau: float
+) -> dict[str, np.ndarray]:
+    """J(o) for o in STENCIL_OFFSETS, from one evaluation of the residual
+    fields: for each residual field that is not zero, by name, an array of
+    shape (offsets, units of gl(r), coordinates).
 
     Every unit e_c goes to two sites of the vacuum on a small grid with
     the solve's spacing, +e_c at one and -e_c at the other, all at sites
@@ -162,7 +174,9 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, t
     The residuals are at most quadratic and their products stay on a
     site, so half the difference of the two responses is J e_c exactly:
     the quadratic part, even in e_c, and the vacuum's own residual drop
-    out.
+    out.  The probe state goes once its residual fields exist, and each
+    field once the sites around the probes are read off it, which keeps
+    the build's peak near 20 probe-grid fields.
     """
     r = s.r1
     count = len(basis)
@@ -173,15 +187,30 @@ def _probe(packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, t
     packing.unpack(x)["phi"][...] = math.sqrt(tau) * vx._identity(r)
     x[:, at[0, 0], at[1, 0]] += basis.T
     x[:, at[0, 1], at[1, 1]] -= basis.T
-    zero = np.zeros((n, n, r, r), dtype=np.complex128)
+    # theta2 and psi are zero: a broadcast zero holds no memory.
+    zero = np.broadcast_to(np.complex128(0.0), (n, n, r, r))
     probe = vx._derived(s, dict(packing.unpack(x), theta2=zero, psi=zero, N=n))
     w = vx._residual_fields(vx._Fields(probe), tau)
-    response = np.array([v for v in w.values() if v is not vx._ZERO])
+    del x, probe
     offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
-    near = response[:, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n]
-    readout = _real_units(r, hermitian=True).conj()
-    jac = np.einsum("uij,fopcij->opfuc", readout, near).real
-    return 0.5 * (jac[:, 0] - jac[:, 1]).reshape(len(offsets), -1, count)
+    index = ((at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n)
+    # Each residual field goes as soon as its sites around the probes are read.
+    names = [name for name, v in w.items() if v is not vx._ZERO]
+    near = np.empty((len(names),) + index[0].shape + (r, r), dtype=np.complex128)
+    for k, name in enumerate(names):
+        near[k] = w.pop(name)[index]
+    del w
+    # Re tr(u^H y) = Re u . Re y + Im u . Im y over the entries, read off
+    # the real and imaginary parts without forming a complex product.  Each
+    # unit's entries are all real or all imaginary, so each sum has at most
+    # two nonzero terms and equals the complex readout's real part.
+    units = _real_units(r, hermitian=True)
+    readout = np.stack([units.real, units.imag], axis=-1)
+    parts = near.view(np.float64).reshape(near.shape + (2,))
+    jac = np.einsum("uijz,fopcijz->opfuc", readout, parts)
+    del near, parts
+    jac = 0.5 * (jac[:, 0] - jac[:, 1])
+    return {name: jac[:, k] for k, name in enumerate(names)}
 
 
 def _probe_grid(r: int) -> int:
@@ -211,21 +240,13 @@ def _groups(jac: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _sine_classes(N: int, count: int, reflect: bool) -> tuple[np.ndarray, np.ndarray]:
     """The Fourier indices 0..count-1 of an N-grid axis in classes of equal
     sin(2 pi k/N): the class representatives k (a range of integers) and
-    the first and the last index of each class (one row when no class has
-    two).  With reflect, k and N/2 - k share a class at even N; otherwise
-    every index is its own class."""
+    the class of each index.  With reflect, k and N/2 - k share a class at
+    even N; otherwise every index is its own class."""
     k = np.arange(count)
     k = np.where(2 * k > N, k - N, k)
     if reflect and N % 2 == 0:
         k = np.where(4 * k > N, N // 2 - k, np.where(4 * k < -N, -(N // 2) - k, k))
-    reps = np.arange(k.min(), k.max() + 1)
-    of = k - k.min()
-    first = np.empty(len(reps), dtype=np.intp)
-    last = np.empty(len(reps), dtype=np.intp)
-    first[of[::-1]] = np.arange(count)[::-1]
-    last[of] = np.arange(count)
-    members = first[None] if np.array_equal(first, last) else np.array([first, last])
-    return reps, members
+    return np.arange(k.min(), k.max() + 1), k - k.min()
 
 
 def _sparse_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

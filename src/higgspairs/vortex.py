@@ -86,9 +86,12 @@ problem has a constant vacuum, A = theta = 0 and phi = sqrt(tau) I, which
 needs r1 = r2 and tau >= 0 (tau_prime = -tau r1 / r2 then equals -tau),
 J*J there is translation invariant, and the preconditioner applies its
 exact inverse mode by mode instead (gauss_newton.GaussNewtonSymbol):
-built once per solve by probing the residual fields at the vacuum, one
-small matrix per Fourier mode and coupling group of real coordinates,
-with the per-block kernel on its null space, the gauge directions.
+built once per solve by probing the residual fields at the vacuum, in
+real coordinates that take the potentials as (A1 +/- A2)/sqrt(2) and the
+residuals W1, W2 likewise, so that only A1 - A2 couples to phi.  It holds
+a 2 x 2 or 4 x 4 matrix per mode of the half spectrum and coupling group,
+with the per-block kernel on its null space, the gauge directions, and a
+call applies the matrices to every mode with no gather by class.
 Without a vacuum there is no constant state to linearize at, and the
 per-block kernel serves alone.  The solver's loop runs on packed vectors
 in that layout, one complex array each for the flowed blocks of the
@@ -1131,40 +1134,60 @@ def random_smooth_state(
     sqrt(tau); psi is zero (section branch initial data).
     """
     rng = np.random.default_rng() if rng is None else rng
-    j1, j2 = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    # One wave per mode for the whole state; every field sums the same table.
-    waves = [
-        np.exp(2j * np.pi * (k1 * j1 + k2 * j2) / N)[:, :, None, None]
-        for k1, k2 in _SMOOTH_MODES
-    ]
-
-    def mode_field(*mat_shape: int) -> np.ndarray:
-        out = np.zeros((N, N) + mat_shape, dtype=np.complex128)
-        for wave in waves:
-            coeff = rng.standard_normal(mat_shape) + 1j * rng.standard_normal(mat_shape)
-            out += wave * coeff
-        return out / len(_SMOOTH_MODES)
-
-    def potential(r: int) -> np.ndarray:
-        out = np.empty((2, N, N, r, r), dtype=np.complex128)
-        for mu in range(2):
-            raw = mode_field(r, r)
-            hol = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            raw = raw + hol
-            out[mu] = amplitude * 0.5 * (raw - _adj(raw))
-        return out
-
-    A1 = potential(r1)
-    A2 = potential(r2)
-    theta1 = amplitude * mode_field(r1, r1)
-    theta2 = np.zeros((N, N, r2, r2), dtype=np.complex128)
-    base = np.zeros((N, N, r1, r2), dtype=np.complex128)
-    base[:, :, 0, 0] = math.sqrt(abs(tau)) if tau != 0 else 1.0
-    phi = base + amplitude * mode_field(r1, r2)
-    psi = np.zeros((N, N, r2, r1), dtype=np.complex128)
+    modes = len(_SMOOTH_MODES)
+    shapes = {"A1": (r1, r1), "A2": (r2, r2), "theta1": (r1, r1), "phi": (r1, r2)}
+    # The draws keep the order of a field-by-field sum: per field (per
+    # direction of a potential) and per mode, the real and then the
+    # imaginary part of a matrix coefficient; each direction of a potential
+    # then draws a constant matrix.  One call draws what its parts would.
+    coeffs, constants = [], {}
+    for name, (p, q) in shapes.items():
+        potential = name in ("A1", "A2")
+        d = rng.standard_normal((2 if potential else 1, modes + potential, 2, p * q))
+        z = d[:, :, 0] + 1j * d[:, :, 1]
+        if potential:
+            constants[name] = z[:, modes].reshape(2, p, q, 1, 1)
+        coeffs.append(z[:, :modes].transpose(1, 0, 2).reshape(modes, -1))
+    coeff = np.concatenate(coeffs, axis=1)
+    # k1 j1 + k2 j2 takes at most 8N - 7 integer values: each wave indexes a
+    # table of exp(2 pi i m / N), evaluated once per integer m.
+    low = 4 * (N - 1)
+    table = np.exp(2j * np.pi * np.arange(-low, low + 1) / N)
+    j = np.arange(N)
+    # Every sampled matrix entry of every field is one site plane, fields
+    # first, and each mode adds its wave to all of them at once: with the
+    # planes last the sum took three times as long.
+    planes = np.zeros((coeff.shape[1], N, N), dtype=np.complex128)
+    term = np.empty_like(planes)
+    for (k1, k2), c in zip(_SMOOTH_MODES, coeff):
+        wave = table[k1 * j[:, None] + (k2 * j + low)]
+        # wave * c, not c * wave: the operand order fixes the bits.
+        np.multiply(wave, c[:, None, None], out=term)
+        planes += term
+    del term
+    planes /= modes
+    # Each field from its planes, written into its block's site-first layout.
+    blocks, at = {}, 0
+    for name, (p, q) in shapes.items():
+        lead = (2,) if name in constants else ()
+        count = math.prod(lead) * p * q
+        field = planes[at : at + count].reshape(lead + (p, q, N, N))
+        at += count
+        blocks[name] = np.empty(lead + (N, N, p, q), dtype=np.complex128)
+        out = np.moveaxis(blocks[name], (-4, -3), (-2, -1))
+        if name in constants:
+            field += constants[name]
+            np.multiply(amplitude * 0.5, field - field.swapaxes(-3, -4).conj(), out=out)
+        elif name == "theta1":
+            np.multiply(amplitude, field, out=out)
+        else:
+            base = np.zeros((p, q, 1, 1), dtype=np.complex128)
+            base[0, 0] = math.sqrt(abs(tau)) if tau != 0 else 1.0
+            np.add(base, amplitude * field, out=out)
     return LatticeState(
-        N=N, a=_spacing(N, vol), A1=A1, A2=A2,
-        theta1=theta1, theta2=theta2, phi=phi, psi=psi,
+        N=N, a=_spacing(N, vol), **blocks,
+        theta2=np.zeros((N, N, r2, r2), dtype=np.complex128),
+        psi=np.zeros((N, N, r2, r1), dtype=np.complex128),
     )
 
 
@@ -1172,40 +1195,45 @@ def random_smooth_state(
 # state's bytes: the measured peak RSS growth was 7.3 to 10.1 states (rank
 # 1 at N = 64, 128, 256; (2, 2) at N = 64; (2, 1) at N = 128).
 SOLVE_WORKING_STATES = 11
-# Complex numbers per class of Fourier modes that the Gauss-Newton symbol
-# of an r1 = r2 = r problem adds, over r^2: it keeps 40 (coupling groups of
-# six and two coordinates per anti-Hermitian unit), bounded here by 48 (six
-# times the 8 coordinates per unit), and its build holds about 180 more for
-# the group of six it works on, whatever r is.
-SYMBOL_PER_CLASS = (48, 180)
+# Complex numbers per mode of the half spectrum that the Gauss-Newton
+# symbol of an r1 = r2 = r problem keeps, over r^2: one matrix per coupling
+# group, and the groups have 2, 2 and 4 coordinates per anti-Hermitian unit
+# (2 each at tau = 0).
+SYMBOL_PER_MODE = 24
+# Complex numbers per class of Fourier modes that the symbol's build holds
+# besides, for the group it works on, whatever r is: measured 71 to 99 (r =
+# 1 and 2, N = 64 to 256 and 129).
+SYMBOL_BUILD_PER_CLASS = 100
 # Complex fields of r x r matrices on the probe grid of the symbol's build
 # (gauss_newton._probe, whose side grows as r) that the build holds at its
-# peak: the probe state, the residual fields of it and the responses read
-# off them.  Its measured peak was 29 to 34 such fields (r = 2..8 at N = 4,
-# 5 and 8), 177 MB at r = 8: whatever N is, the build grows as r^4.
-SYMBOL_PROBE_FIELDS = 36
+# peak, the residual fields of the probe state and what they are computed
+# from: measured 20.2 to 22.6 such fields (r = 2..8 at N = 4, 5 and 8),
+# 116 MB at r = 8.  Whatever N is, the build grows as r^4.
+SYMBOL_PROBE_FIELDS = 24
 
 
 def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     """An upper estimate of the bytes a cold solve on the N-grid holds at
     its peak, counted without allocating anything: the start state, and
-    the larger of random_smooth_state's wave table (one complex site field
-    per mode) and the solver's working set.  At r1 = r2 a problem can have
-    a vacuum, and then the working set holds its Gauss-Newton symbol: one
-    set of matrices per class of modes with equal sines, the classes that
-    gauss_newton.GaussNewtonSymbol builds (at odd N each mode is its own),
+    the larger of random_smooth_state's temporaries (two site planes per
+    sampled matrix entry, and a wave with its indices) and the solver's
+    working set.  At r1 = r2 a problem can have a vacuum, and then the
+    working set holds its Gauss-Newton symbol: matrices for every mode of
+    the half spectrum, built once per class of modes with equal sines that
+    gauss_newton.GaussNewtonSymbol finds (at odd N each mode is its own),
     and the probe grid of its build."""
     site = 16 * N * N
     state = 16 * sum(math.prod(shape) for shape in _block_shapes(N, r1, r2).values())
+    sampled = 3 * r1 * r1 + 2 * r2 * r2 + r1 * r2
     work = SOLVE_WORKING_STATES * state
     if r1 == r2:
         from higgspairs.gauss_newton import _probe_grid
 
-        classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else N * (N // 2 + 1)
-        kept, build = SYMBOL_PER_CLASS
-        work += 16 * classes * (kept * r1 * r1 + build)
+        modes = N * (N // 2 + 1)
+        classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else modes
+        work += 16 * (modes * SYMBOL_PER_MODE * r1 * r1 + classes * SYMBOL_BUILD_PER_CLASS)
         work += 16 * SYMBOL_PROBE_FIELDS * _probe_grid(r1) ** 2 * r1 * r1
-    return state + max(site * len(_SMOOTH_MODES), work)
+    return state + max(site * (2 * sampled + 2), work)
 
 
 def prolong_state(s: LatticeState) -> LatticeState:

@@ -686,12 +686,15 @@ def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
     assert "Traceback" not in err
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     # 12 states of 1.28e14 bytes, and the Gauss-Newton symbol of the (1, 1)
-    # problem, 1.25e11 classes of modes at 3648 bytes each.
-    message = f"--grid 1000000 needs about 1.99e+15 bytes, more than the {physical:.3g} bytes"
+    # problem: 5.0e11 modes at 384 bytes each, and 1.25e11 classes of modes
+    # at 1600 bytes each while it is built.
+    message = f"--grid 1000000 needs about 1.93e+15 bytes, more than the {physical:.3g} bytes"
     if fmt == "json":
         payload = json.loads(err)
         assert payload["error"] == "MemoryError"
         assert message in payload["message"]
+        # Rank 1 fits on a small grid: the grid alone is named.
+        assert "--rank1" not in payload["message"]
     else:
         assert err.startswith("error: out of memory: " + message)
 
@@ -700,8 +703,9 @@ def test_vortex_rank_beyond_physical_memory_is_refused_before_allocating(
     capsys, monkeypatch
 ) -> None:
     # The Gauss-Newton symbol's build grows as r^4 whatever the grid: at
-    # ranks (256, 256) its probe grid has 2295^2 sites of 256 x 256
-    # matrices, about 2e14 bytes on the smallest grid.
+    # ranks (256, 256) its probe grid has 2290^2 sites of 256 x 256
+    # matrices, 24 fields of them about 1.3e14 bytes on the smallest grid.
+    # No grid fits, so the refusal names the ranks too.
     refuse_allocation(monkeypatch)
     code, out, err = run(
         capsys, vortex_args(**{"--rank1": "256", "--rank2": "256", "--grid": "4"})
@@ -710,7 +714,38 @@ def test_vortex_rank_beyond_physical_memory_is_refused_before_allocating(
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "MemoryError"
-    assert "--grid 4 needs about 1.98e+14 bytes" in payload["message"]
+    assert "--grid 4 needs about 1.32e+14 bytes, more than the" in payload["message"]
+    assert payload["message"].endswith(
+        "bytes of physical memory; --rank1 256 --rank2 256 need more than that on every grid"
+    )
+
+
+@pytest.mark.parametrize("tau", ["1.0", "-1.0"], ids=["phi", "psi"])
+def test_vortex_dump_payload_is_each_block_in_c_order(
+    capsys, monkeypatch, tmp_path, tau: str
+) -> None:
+    # The solved blocks are views of the solver's packed vectors, not
+    # contiguous at rank 2, and the psi branch (tau < 0) dumps the exchanged
+    # state.  The dump writes each block from its buffer: its bytes must be
+    # those of a contiguous little-endian copy of the block.
+    dumped = []
+    write = higgspairs.cli._dump_fields
+
+    def recording(path: str, s: higgspairs.vortex.LatticeState, vol: float) -> None:
+        dumped.append(s)
+        write(path, s, vol)
+
+    monkeypatch.setattr(higgspairs.cli, "_dump_fields", recording)
+    dump = tmp_path / "fields.bin"
+    argv = vortex_args(**{"--rank1": "2", "--tau": tau, "--dump-fields": str(dump)})
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    (state,) = dumped
+    blocks = [getattr(state, name) for name in higgspairs.vortex.BLOCKS]
+    assert not all(b.flags.c_contiguous for b in blocks)
+    blob = dump.read_bytes()
+    payload = blob[blob.index(b"\n") + 1 :]
+    assert payload == b"".join(np.ascontiguousarray(b).astype("<c16").tobytes() for b in blocks)
 
 
 def test_vortex_dump_fields(capsys, tmp_path) -> None:

@@ -435,18 +435,19 @@ def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, t
 
 @pytest.mark.parametrize("r, tau", [(1, 1.0), (2, 1.0), (3, 0.5), (2, 0.0)])
 def test_gauss_newton_symbol_groups_fit_the_memory_estimate(r: int, tau: float) -> None:
-    # solve_bytes counts at most SYMBOL_PER_CLASS[0] r^2 complex numbers per
-    # class of modes: the probes find coupling groups of at most six of the
-    # 8 r^2 real coordinates, 6 + 2 per anti-Hermitian unit at tau > 0.  At
-    # N = 8 the classes of equal sines are 5 x 3.
+    # solve_bytes counts SYMBOL_PER_MODE r^2 complex numbers per mode of the
+    # half spectrum: in coordinates rotated to (A1 +/- A2)/sqrt(2) the probes
+    # find coupling groups of at most four of the 8 r^2 real coordinates,
+    # 2 + 2 + 4 per anti-Hermitian unit at tau > 0.  At N = 8 the half
+    # spectrum has 8 x 5 modes.
     symbol = vx._Preconditioner(vacuum_state(8, r, tau), tau).symbol
     sizes = [cols.stop - cols.start for cols, _ in symbol.groups]
     assert sum(sizes) == 8 * r * r
-    assert max(sizes) <= 6
-    assert sum(g * g for g in sizes) <= vx.SYMBOL_PER_CLASS[0] * r * r
+    assert max(sizes) <= 4
+    assert sum(g * g for g in sizes) <= vx.SYMBOL_PER_MODE * r * r
     if tau > 0:
-        assert sorted(sizes) == [2] * r * r + [6] * r * r
-    assert all(inverse.shape[-1] == 15 for _, inverse in symbol.groups)
+        assert sorted(sizes) == [2] * 2 * r * r + [4] * r * r
+    assert all(inverse.shape[-1] == 40 for _, inverse in symbol.groups)
 
 
 # Exchanging the bundles swaps W1, W3, W4 with W2, W5, W6 and each block

@@ -378,10 +378,16 @@ def per_field_smooth_state(
     )
 
 
-@pytest.mark.parametrize("N, r1, r2", [(8, 1, 1), (16, 2, 1)])
+@pytest.mark.parametrize(
+    "N, r1, r2",
+    [(8, 1, 1), (16, 2, 1), (9, 1, 1), (17, 2, 1), (9, 1, 2), (17, 2, 2), (16, 1, 2), (64, 1, 1),
+     (64, 2, 2)],
+)
 def test_smooth_state_matches_per_field_waves(N: int, r1: int, r2: int) -> None:
     # The benchmark's fixed starts and the acceptance solves rest on the
-    # seed-to-state mapping, so the shared wave table must not move a bit.
+    # seed-to-state mapping, so the sampler's wave table, its one call to
+    # the generator and its stacked sum must not move a bit, at odd and
+    # even N and with either rank the larger.
     got = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(7), 0.3, 1.0)
     want = per_field_smooth_state(N, r1, r2, np.random.default_rng(7), 0.3, 1.0)
     assert got.a == want.a
