@@ -100,9 +100,13 @@ an inner product, the conjugate-gradient update or a step is one array
 operation, and the states along the way are views of the packed state.
 Each iteration packs the gradient blocks and transforms them together,
 one forward and one inverse 1-D transform per site axis.  The line step
-flattens the residual fields of the start and of its two probes once
-each, forms each coefficient of the quartic with one reduction, and
-takes the real roots of its cubic derivative in closed form.  Every such
+evaluates its two probes in one call, on a state whose blocks carry a
+leading probe axis: every kernel works per site, on the site axes -4
+and -3 and the matrix axes -2 and -1, and broadcasts over leading axes,
+so each probe's fields are bit for bit those it would have alone.  It
+flattens the residual fields of the start and of the two probes once,
+forms each coefficient of the quartic with one reduction, and takes the
+real roots of its cubic derivative in closed form.  Every such
 reduction is ``_real_dot``, which does not call BLAS, so a solve is the
 same at every BLAS thread count.
 """
@@ -112,7 +116,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -194,11 +198,11 @@ class LatticeState:
 
     @property
     def r1(self) -> int:
-        return self.phi.shape[2]
+        return self.phi.shape[-2]
 
     @property
     def r2(self) -> int:
-        return self.phi.shape[3]
+        return self.phi.shape[-1]
 
     @property
     def vol(self) -> float:
@@ -293,14 +297,15 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
 
-    d1 and d2 differentiate along the two leading site axes; each takes its
+    d1 and d2 differentiate along the site axes -4 and -3, so the fields
+    may carry leading axes (the solver's two line probes); each takes its
     differences from one copy of the field wrapped by a row (column) at
     either end, in one subtraction.
     """
-    wrapped = np.concatenate((m[-1:], m, m[:1]))
-    d1 = wrapped[2:] - wrapped[:-2]
-    wrapped = np.concatenate((n[:, -1:], n, n[:, :1]), axis=1)
-    d2 = wrapped[:, 2:] - wrapped[:, :-2]
+    wrapped = np.concatenate((m[..., -1:, :, :, :], m, m[..., :1, :, :, :]), axis=-4)
+    d1 = wrapped[..., 2:, :, :, :] - wrapped[..., :-2, :, :, :]
+    wrapped = np.concatenate((n[..., -1:, :, :], n, n[..., :1, :, :]), axis=-3)
+    d2 = wrapped[..., 2:, :, :] - wrapped[..., :-2, :, :]
     d2 *= sign * 1j
     d1 += d2
     d1 *= 0.25 / a
@@ -316,8 +321,9 @@ def _dzbar(m: np.ndarray, a: float) -> np.ndarray:
 
 
 def _zpot(A: np.ndarray) -> np.ndarray:
-    """A_z = (A_1 - i A_2)/2 from the per-direction potentials."""
-    return 0.5 * (A[0] - 1j * A[1])
+    """A_z = (A_1 - i A_2)/2 from the per-direction potentials, whose
+    direction is the axis before the two site axes."""
+    return 0.5 * (A[..., 0, :, :, :, :] - 1j * A[..., 1, :, :, :, :])
 
 
 def _frob2(m: np.ndarray) -> float:
@@ -690,8 +696,8 @@ class _Preconditioner:
 
     def __init__(self, s: LatticeState, tau: float) -> None:
         # Per block: its name, its slot, the shape of its entries (leading
-        # axes, matrix axes) and the axes that view its planes as the block
-        # (leading axes, site axes, matrix axes).
+        # axes, matrix axes) and the axes, counted from the end, that view
+        # its planes as the block (leading axes, site axes, matrix axes).
         self.layout: list[tuple[str, slice, tuple[int, ...], tuple[int, ...]]] = []
         used = 0
         for name in FLOWS:
@@ -699,7 +705,7 @@ class _Preconditioner:
             lead = len(shape) - 4
             entries = shape[:lead] + shape[-2:]
             n = math.prod(entries)
-            axes = tuple(range(lead)) + (lead + 2, lead + 3, lead, lead + 1)
+            axes = tuple(range(-lead - 4, -4)) + (-2, -1, -4, -3)
             self.layout.append((name, slice(used, used + n), entries, axes))
             used += n
         self.shape = (used, s.N, s.N)
@@ -724,9 +730,13 @@ class _Preconditioner:
         ])
 
     def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """The FLOWS blocks of the packed vector x, as views of it."""
+        """The FLOWS blocks of the packed vector x, as views of it.  Axes of
+        x before its (planes, N, N) lead every block: the solver's two
+        line probes are one array of shape (2, planes, N, N)."""
+        batch = x.shape[:-3]
+        order = tuple(range(len(batch)))
         return {
-            name: x[slot].reshape(entries + x.shape[-2:]).transpose(axes)
+            name: x[..., slot, :, :].reshape(batch + entries + x.shape[-2:]).transpose(order + axes)
             for name, slot, entries, axes in self.layout
         }
 
@@ -843,53 +853,52 @@ def _line_minimum(c1: float, c2: float, c3: float, c4: float) -> float:
     return best
 
 
-def _flat(w: dict[str, np.ndarray], sizes: dict[str, int]) -> np.ndarray:
-    """The residual fields named in sizes end to end, _ZERO ones as zeros."""
+def _flat(w: dict[str, np.ndarray], sizes: dict[str, int], rows: int) -> np.ndarray:
+    """The residual fields named in sizes end to end, _ZERO ones as zeros,
+    in one row per entry of their leading axis of length rows (1 for the
+    fields of one state, 2 for the stacked line probes)."""
     return np.concatenate(
-        [np.zeros(n, dtype=np.complex128) if w[k] is _ZERO else w[k] for k, n in sizes.items()],
-        axis=None,
+        [np.zeros((rows, n), dtype=np.complex128) if w[k] is _ZERO else w[k].reshape(rows, n)
+         for k, n in sizes.items()],
+        axis=1,
     )
 
 
-def _exact_step(
-    fields_at: Callable[[float], dict[str, np.ndarray]],
-    w0: dict[str, np.ndarray],
-    h: float,
-) -> float:
+def _exact_step(w0: dict[str, np.ndarray], probes: dict[str, np.ndarray], h: float) -> float:
     """The step eta > 0 minimizing the residual energy along a line, from
-    its residual fields w0 at eta = 0 and fields_at(eta) elsewhere.
+    its residual fields w0 at eta = 0 and probes, those at eta = -h and
+    eta = +h stacked on a leading axis of length 2 (one _residual_fields
+    call on a state that holds both probes).
 
     Every residual field is at most quadratic in the fields, so along the
     line W(eta) = W0 - eta B + eta^2 C exactly and the energy is a quartic
     in eta.  The fields at eta = -/+ h give hB and h^2 C, so the quartic
     is written in t = eta/h: with h near the step, the linear term stays
-    clear of the rounding of the probes.  The fields of the start and of
-    each probe are flattened once, into one vector each, so each quartic
-    coefficient is one reduction; only fields that are _ZERO at all three
-    points are left out, and they add nothing.  The quartic is evaluated at
-    every real root of its cubic derivative (_cubic_roots) and the lowest
-    value wins.  Returns 0.0 when no root lowers the energy and nan when a
+    clear of the rounding of the probes.  The fields of the start are
+    flattened once into one vector, and those of the probes into one row
+    per probe, in the same order, so each quartic coefficient is one
+    reduction; only fields that are _ZERO at the start and in both probes
+    are left out, and they add nothing.  The quartic is evaluated at every
+    real root of its cubic derivative (_cubic_roots) and the lowest value
+    wins.  Returns 0.0 when no root lowers the energy and nan when a
     coefficient is not finite.
     """
-    wp, wm = fields_at(-h), fields_at(h)
     sizes = {}
     for k, v0 in w0.items():
-        live = [v for v in (v0, wp[k], wm[k]) if v is not _ZERO]
-        if live:
-            sizes[k] = live[0].size
-    # Each probe's dict goes as soon as its flat copy exists, and vm once
-    # it is used: the solve's peak memory is measurably lower.
-    v0 = _flat(w0, sizes)
-    vp = _flat(wp, sizes)
-    del wp
-    vm = _flat(wm, sizes)
-    del wm
-    # hb = (vp - vm) / 2, and h2c = (vp + vm) / 2 - v0 in vp's place.
-    hb = vp - vm
+        if v0 is not _ZERO:
+            sizes[k] = v0.size
+        elif probes[k] is not _ZERO:
+            sizes[k] = probes[k].size // 2
+    v0 = _flat(w0, sizes, 1)[0]
+    pm = _flat(probes, sizes, 2)
+    # The probes' fields go as soon as their flat copy exists.
+    del probes
+    # hb = (p - m) / 2, and h2c = (p + m) / 2 - v0 in p's place.
+    hb = pm[0] - pm[1]
     hb *= 0.5
-    h2c = vp
-    h2c += vm
-    del vm
+    h2c = pm[0]
+    h2c += pm[1]
+    del pm
     h2c *= 0.5
     h2c -= v0
     c1 = -2.0 * _real_dot(v0, hb)
@@ -955,10 +964,11 @@ def solve(
     descent direction.  Each step is the exact minimum of the quartic
     energy along its line (_exact_step), and a step is accepted only if
     the energy recomputed at the new state is lower, so the energy is
-    monotone and the iteration deterministic.  One iteration costs three
-    evaluations of the residual fields: two probes along the line and the
-    new state, whose _Fields and residual fields give both its energy and
-    its gradient.
+    monotone and the iteration deterministic.  One iteration evaluates the
+    residual fields of three states in two calls: the two probes along the
+    line, stacked in one buffer and evaluated together, and the new state,
+    whose _Fields and residual fields give both its energy and its
+    gradient.
     The loop runs on packed vectors in the _Preconditioner's layout: the
     flowed blocks of the state, the gradient, the preconditioned gradient
     and the direction are one complex array each, so every inner product,
@@ -986,16 +996,10 @@ def solve(
     prev: Optional[tuple[np.ndarray, float, np.ndarray]] = None
     packing = _Preconditioner(s, tau)
     x = packing.pack({name: getattr(s, name) for name in FLOWS})
-    # The probes along the line share one buffer and the state that views it.
-    probe = np.empty_like(x)
+    # The probes along the line, x + h dirn and x - h dirn, share one
+    # buffer with a leading probe axis and the state that views it.
+    probe = np.empty((2,) + x.shape, dtype=np.complex128)
     probe_state = _derived(s, packing.unpack(probe))
-
-    def fields_at(eta: float) -> dict[str, np.ndarray]:
-        """The residual fields at x - eta dirn."""
-        np.multiply(dirn, -eta, out=probe)
-        np.add(probe, x, out=probe)
-        return _residual_fields(_Fields(probe_state), tau)
-
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
         if not math.isfinite(energy):
@@ -1015,9 +1019,16 @@ def solve(
                 cg = pgrad + beta * dirn_prev
                 if _inner(grad, cg) > 0:
                     dirn = cg
+                del cg
+            # The previous vectors go before the line step, whose stacked
+            # probes are the solve's peak.
+            del pgrad_prev, dirn_prev
         prev = (pgrad, gz, dirn)
         del grad
-        step = _exact_step(fields_at, w, step)
+        np.multiply(dirn, step, out=probe[0])
+        np.multiply(dirn, -step, out=probe[1])
+        probe += x
+        step = _exact_step(w, _residual_fields(_Fields(probe_state), tau), step)
         if not step > 0.0:
             stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
@@ -1088,7 +1099,7 @@ def random_state(
         return out
 
     def commuting_higgs(A: np.ndarray, r: int) -> np.ndarray:
-        zb = -_adj(_zpot(A[:, 0, 0]))
+        zb = -_adj(_zpot(A[:, :1, :1])[0, 0])
         c0, c1, c2 = (amplitude * complex(*rng.standard_normal(2)) for _ in range(3))
         t = c0 * np.eye(r) + c1 * zb + c2 * (zb @ zb)
         out = np.empty((N, N, r, r), dtype=np.complex128)
@@ -1192,8 +1203,10 @@ def random_smooth_state(
 
 
 # Peak bytes a cold solve holds besides its start, in units of the start
-# state's bytes: the measured peak RSS growth was 7.3 to 10.1 states (rank
-# 1 at N = 64, 128, 256; (2, 2) at N = 64; (2, 1) at N = 128).
+# state's bytes.  With both line probes evaluated in one call, the traced
+# peak of the iterations, less what the preconditioner keeps, was 8.4 to
+# 10.5 states (rank 1 at N = 64, 128, 256; (2, 2) at N = 64; the most at
+# (2, 1), N = 128), the stacked probes' fields and their temporaries.
 SOLVE_WORKING_STATES = 11
 # Complex numbers per mode of the half spectrum that the Gauss-Newton
 # symbol of an r1 = r2 = r problem keeps, over r^2: one matrix per coupling

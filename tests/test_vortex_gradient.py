@@ -187,7 +187,10 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         def along(t: float) -> vx.LatticeState:
             return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
 
-        eta = vx._exact_step(lambda t: vx._residual_fields(vx._Fields(along(t)), tau), w, 1.0)
+        # The probes at t = -1 and t = +1, stacked on a leading axis.
+        pair = (along(-1.0), along(1.0))
+        probes = vx._derived(s, {name: np.stack([getattr(p, name) for p in pair]) for name in BLOCKS})
+        eta = vx._exact_step(w, vx._residual_fields(vx._Fields(probes), tau), 1.0)
         assert eta > 0.0
         best = vx.residual_energy(along(eta), tau)
         assert best < vx.residual_energy(s, tau)

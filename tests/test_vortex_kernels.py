@@ -157,6 +157,42 @@ def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
             assert np.linalg.norm(got[name] - ref) <= 1e-12 * scale, (branch, name)
 
 
+@pytest.mark.parametrize("N", [5, 8])
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_stacked_probes_give_each_probes_residual_fields(N: int, r1: int, r2: int) -> None:
+    # The solver evaluates its two line probes, x + h d and x - h d, as one
+    # state whose packed buffer has a leading probe axis.  Every kernel is
+    # per site or per leading index, so each probe's fields are those of
+    # the probe evaluated alone, bit for bit.  A block that is zero in both
+    # probes (theta1 here, in the second case) is _ZERO, and so is every
+    # field all of whose terms it zeroes.
+    tau = 0.8
+    rng = np.random.default_rng(131 + 10 * r1 + r2 + N)
+    s0 = vx.random_smooth_state(N, r1, r2, 1.0, rng, amplitude=0.3, tau=tau)
+    for zero_theta1 in (False, True):
+        s = replace(s0, theta1=np.zeros_like(s0.theta1)) if zero_theta1 else s0
+        packing = vx._Preconditioner(s, tau)
+        x = packing.pack({name: getattr(s, name) for name in vx.FLOWS})
+        d = cfield(rng, *packing.shape)
+        if zero_theta1:
+            packing.unpack(d)["theta1"][...] = 0.0
+        h = 0.37
+        probe = np.stack([x + h * d, x - h * d])
+        got = vx._residual_fields(vx._Fields(vx._derived(s, packing.unpack(probe))), tau)
+        alone = [
+            vx._residual_fields(vx._Fields(vx._derived(s, packing.unpack(probe[i].copy()))), tau)
+            for i in (0, 1)
+        ]
+        assert (got["W4"] is vx._ZERO) == zero_theta1
+        for name, field in got.items():
+            if field is vx._ZERO:
+                assert all(w[name] is vx._ZERO for w in alone), (zero_theta1, name)
+                continue
+            assert field.shape[0] == 2, (zero_theta1, name)
+            for i, w in enumerate(alone):
+                assert np.array_equal(field[i], w[name]), (zero_theta1, name, i)
+
+
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     # The gradient of every block, built with the solver's zero skips,

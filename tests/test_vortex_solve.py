@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -172,26 +173,30 @@ def test_cold_rank_one_solve_at_zero_tau_converges() -> None:
 
 
 def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
+    # Each call counts the states it evaluates: one, or one per entry of
+    # the leading probe axis that a stacked state's potentials carry.
     calls = []
     fields = vx._residual_fields
 
     def counted(f: vx._Fields, tau: float) -> dict[str, np.ndarray]:
-        calls.append(1)
+        calls.append(math.prod(f.Z1.shape[:-4]))
         return fields(f, tau)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
     tau = 1.0
 
-    def total(max_iter: int) -> int:
+    def total(max_iter: int) -> tuple[int, int]:
         s0 = vx.random_smooth_state(16, 1, 1, 1.0, np.random.default_rng(7), 0.1, 1.0)
         calls.clear()
         assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
-        return len(calls)
+        return len(calls), sum(calls)
 
-    # Two probes and the accepted state per iteration.  The start state and
-    # the Gauss-Newton symbol's impulse probe are a fixed cost per solve,
-    # which the difference of two budgets leaves out.
-    assert total(4) - total(2) == 2 * 3
+    # Two probes in one stacked call and the accepted state per iteration.
+    # The start state and the Gauss-Newton symbol's impulse probe are a
+    # fixed cost per solve, which the difference of two budgets leaves out.
+    (short_calls, short_states), (long_calls, long_states) = total(2), total(4)
+    assert long_calls - short_calls == 2 * 2
+    assert long_states - short_states == 2 * 3
 
 
 def test_solve_reads_its_breakdown_off_the_loop_fields(monkeypatch) -> None:
@@ -209,17 +214,20 @@ def test_solve_reads_its_breakdown_off_the_loop_fields(monkeypatch) -> None:
     s0 = vx.random_smooth_state(8, 2, 1, 1.0, np.random.default_rng(3), 0.1, 1.0)
     res = vx.solve(s0, 1.0, tol=0.0, max_iter=3)
     assert res.iterations == 3
-    assert len(calls) == 1 + 3 * 3
+    # Per iteration, one call on both line probes and one on the new state.
+    assert len(calls) == 1 + 3 * 2
     assert res.breakdown == vx.residual_breakdown(res.state, 1.0)
 
 
-@pytest.mark.parametrize("r1, seed, products", [(1, 7, 23), (2, 3, 37)])
+@pytest.mark.parametrize("r1, seed, products", [(1, 7, 18), (2, 3, 30)])
 def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, products: int) -> None:
     # On the phi branch psi = theta2 = 0, so no term with either factor is
     # formed, and commutators of the 1x1 (r2 = 1) blocks take no product.
-    # Kernel calls per iteration (three field evaluations and one
-    # gradient): 13 stencils where all terms cost 16, and 23 (rank 1) or
-    # 37 (rank 2) small-matrix products where all terms cost 72.
+    # Kernel calls per iteration (two field evaluations, one of them on both
+    # line probes stacked, and one gradient): 10 stencils, and 18 (rank 1)
+    # or 30 (rank 2) small-matrix products.  With one call per probe and
+    # every term formed, the three evaluations and the gradient cost 16
+    # stencils and 72 products.
     counts = {"_stencil": 0, "_mm": 0}
     for name in counts:
         kernel = getattr(vx, name)
@@ -243,7 +251,7 @@ def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, 
     # The same start and budgets 2 and 4: the difference is two iterations,
     # free of the start-state and final-breakdown evaluations.
     short, long = totals(2), totals(4)
-    assert (long["_stencil"] - short["_stencil"]) == 2 * 13
+    assert (long["_stencil"] - short["_stencil"]) == 2 * 10
     assert (long["_mm"] - short["_mm"]) == 2 * products
 
 
