@@ -294,6 +294,17 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _mm(x, y) - _mm(y, x)
 
 
+# The index tuples of _stencil, built once: a slice is not a constant in
+# Python 3.11, so building them inline cost each call about 1 us.  Per
+# differentiated axis (-4, -3): its last entry, its first, the entries
+# from the third on and all but the last two, each with the axes after it.
+_WRAP = {
+    axis: tuple((Ellipsis, part) + (slice(None),) * (-axis - 1)
+                for part in (slice(-1, None), slice(None, 1), slice(2, None), slice(None, -2)))
+    for axis in (-4, -3)
+}
+
+
 def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
 
@@ -302,10 +313,12 @@ def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     differences from one copy of the field wrapped by a row (column) at
     either end, in one subtraction.
     """
-    wrapped = np.concatenate((m[..., -1:, :, :, :], m, m[..., :1, :, :, :]), axis=-4)
-    d1 = wrapped[..., 2:, :, :, :] - wrapped[..., :-2, :, :, :]
-    wrapped = np.concatenate((n[..., -1:, :, :], n, n[..., :1, :, :]), axis=-3)
-    d2 = wrapped[..., 2:, :, :] - wrapped[..., :-2, :, :]
+    last, first, ahead, behind = _WRAP[-4]
+    wrapped = np.concatenate((m[last], m, m[first]), axis=-4)
+    d1 = wrapped[ahead] - wrapped[behind]
+    last, first, ahead, behind = _WRAP[-3]
+    wrapped = np.concatenate((n[last], n, n[first]), axis=-3)
+    d2 = wrapped[ahead] - wrapped[behind]
     d2 *= sign * 1j
     d1 += d2
     d1 *= 0.25 / a
@@ -366,9 +379,13 @@ class _Fields:
 
     def curvature(self) -> np.ndarray:
         """F_z_zbar of the Higgs-coupled connection of E1, the derivative part
-        in one stencil pass on (Zb - Z, Zb + Z) by linearity."""
+        in one stencil pass on (Zb - Z, Zb + Z) by linearity.  Z and Zb go
+        before the stencil runs, which in a solve's stacked line probes is
+        where the traced peak sits."""
         Z, Zb = self.Z1 + self.t1, self.Z1b + self.t1d
-        return _stencil(Zb - Z, Zb + Z, self.a, -1.0) + _comm(Z, Zb)
+        comm, minus, plus = _comm(Z, Zb), Zb - Z, Zb + Z
+        del Z, Zb
+        return _stencil(minus, plus, self.a, -1.0) + comm
 
     def dz_phi(self) -> np.ndarray:
         return _dz(self.phi, self.a) + _prod(self.Z1, self.phi) - _prod(self.phi, self.Z2)
@@ -1203,10 +1220,12 @@ def random_smooth_state(
 
 
 # Peak bytes a cold solve holds besides its start, in units of the start
-# state's bytes.  With both line probes evaluated in one call, the traced
-# peak of the iterations, less what the preconditioner keeps, was 8.4 to
-# 10.5 states (rank 1 at N = 64, 128, 256; (2, 2) at N = 64; the most at
-# (2, 1), N = 128), the stacked probes' fields and their temporaries.
+# state's bytes: the stacked line probes' fields and their temporaries.
+# The traced peak of the iterations, less what the preconditioner keeps,
+# was 8.90, 8.51 and 8.41 states at rank 1 (N = 64, 128, 256), 8.76 at
+# (2, 2), N = 64, and the most, 9.64, at (2, 1), N = 128 (10.06 while
+# _Fields.curvature held Z and Zb across its stencil).  A bound of 10
+# would leave less than 0.4 state of room.
 SOLVE_WORKING_STATES = 11
 # Complex numbers per mode of the half spectrum that the Gauss-Newton
 # symbol of an r1 = r2 = r problem keeps, over r^2: one matrix per coupling

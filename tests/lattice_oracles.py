@@ -138,3 +138,36 @@ def check_invariants(s: vx.LatticeState, atol: float = 1e-12) -> list[str]:
     if float(np.max(np.abs(mm(s.psi, s.phi)))) > atol:
         out.append("psi phi != 0")
     return out
+
+
+def symbol_call(g: np.ndarray, units: np.ndarray, groups: list) -> np.ndarray:
+    """A Gauss-Newton symbol applied to the packed vector g (planes, N, N),
+    densely and in explicit loops: given its coordinates' units over the
+    planes, units (coordinates, planes), and its groups, each a slice of
+    the coordinates with its inverse (g, g, modes) over the half spectrum
+    (N rows of N // 2 + 1 modes, flat).
+
+    Every coordinate is Re(conj(unit) . g) summed over all planes, zero
+    entries included.  Its half spectrum is read off the full 2-D DFT, each
+    group's inverse multiplies it entry by entry, the inverse real DFT
+    brings it back, and the result sums unit * coordinate over every
+    coordinate and plane.
+    """
+    count, planes = units.shape
+    N = g.shape[-1]
+    coords = np.zeros((count, N, N))
+    for c in range(count):
+        for p in range(planes):
+            coords[c] += (np.conj(units[c, p]) * g[p]).real
+    spectrum = np.fft.fft2(coords)[:, :, : N // 2 + 1].reshape(count, -1)
+    product = np.zeros_like(spectrum)
+    for cols, inverse in groups:
+        for i in range(cols.stop - cols.start):
+            for j in range(cols.stop - cols.start):
+                product[cols.start + i] += inverse[i, j] * spectrum[cols.start + j]
+    back = np.fft.irfft2(product.reshape(count, N, N // 2 + 1), s=(N, N))
+    out = np.zeros_like(g)
+    for c in range(count):
+        for p in range(planes):
+            out[p] += units[c, p] * back[c]
+    return out

@@ -6,6 +6,7 @@ import ast
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -580,6 +581,76 @@ def test_vortex_report_does_not_depend_on_the_blas_thread_count() -> None:
     assert reports[0] == reports[1]
 
 
+GRID_64 = vortex_args(**{"--grid": "64", "--seed": "7", "--tol": "1e-13"})
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap policy is glibc's mallopt",
+)
+def test_vortex_solve_keeps_its_freed_heap(capsys) -> None:
+    # A solve frees temporaries of 64 KiB and more on every iteration.
+    # With glibc's own thresholds the freed top of the heap went back to
+    # the kernel and the next iteration faulted it in again: the second of
+    # two identical solves took 979 minor faults here (about 1,600 in the
+    # benchmark's loop).  The CLI's heap policy keeps it; that solve then
+    # took 0 to 17.
+    import resource
+
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        code, out, _ = run(capsys, GRID_64)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert code == 0
+    assert json.loads(out)["converged"] is True
+    assert faults <= 100, faults
+
+
+class _Mallopt:
+    """A stand-in for the C library's mallopt that records its calls."""
+
+    def __init__(self, result: int) -> None:
+        self.result, self.calls = result, []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.mark.parametrize("libc", ["without mallopt", "refusing", "accepting"])
+def test_vortex_heap_policy_changes_no_report(monkeypatch, capsys, libc: str) -> None:
+    # Where the C library has no mallopt (macOS, Windows) or refuses the
+    # value (musl), the solve goes on as it is; it sets glibc's two
+    # thresholds, once each, or nothing.  No arithmetic depends on the
+    # policy, so the report is the same bytes in every case.
+    import ctypes
+    from types import SimpleNamespace
+
+    argv = vortex_args(**{"--grid": "16", "--seed": "7", "--tol": "1e-13"})
+    code, want, _ = run(capsys, argv)
+    assert code == 0
+    mallopt = _Mallopt(result=int(libc == "accepting"))
+    fake = SimpleNamespace() if libc == "without mallopt" else SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: fake)
+    # The policy is set once per process; the fake must see that first time,
+    # and the next solve of the suite the real C library again.
+    keep = higgspairs.cli._keep_freed_heap
+    keep.cache_clear()
+    try:
+        code, got, _ = run(capsys, argv)
+        run(capsys, argv)
+    finally:
+        keep.cache_clear()
+    assert code == 0
+    assert got == want
+    if libc == "refusing":
+        assert mallopt.calls == [(-3, 32 * 1024 * 1024)]
+    elif libc == "accepting":
+        assert mallopt.calls == [(-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+
 def test_vortex_rejects_bad_grid(capsys) -> None:
     code, out, err = run(capsys, vortex_args(**{"--grid": "2"}))
     assert code == 1
@@ -960,7 +1031,8 @@ def test_cli_reads_no_private_library_names() -> None:
 
 def test_exact_commands_never_import_numpy() -> None:
     # betti, strata and stability check are pure-integer code: a fresh
-    # process that runs all three, each to its golden, must not load numpy.
+    # process that runs all three, each to its golden, must not load numpy,
+    # nor ctypes, which only a vortex solve's heap policy uses.
     src = Path(higgspairs.__file__).parents[1]
     runs = [
         BETTI_ARGS + ["--golden", str(GOLDEN / "betti_g2_k5.json")],
@@ -974,7 +1046,7 @@ def test_exact_commands_never_import_numpy() -> None:
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'ctypes')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

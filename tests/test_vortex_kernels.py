@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import higgspairs.vortex as vx
+from higgspairs import gauss_newton
+
+import lattice_oracles as lo
 
 RANK_PAIRS = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -455,6 +458,46 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
     for name in ("A1", "A2"):
         assert out[name].any()
         assert np.array_equal(out[name], -adj(out[name])), name
+
+
+def rotated_units(packing: vx._Preconditioner, r: int) -> list[np.ndarray]:
+    """The symbol's coordinates, written out: each unit of _real_units over
+    its block's planes (anti-Hermitian ones for the potentials), with the
+    units of A1 and A2 taken as (A1 + A2)/sqrt(2) and (A1 - A2)/sqrt(2)."""
+    rows: dict[str, list[np.ndarray]] = {}
+    for name, slot, _, _ in packing.layout:
+        units = gauss_newton._real_units(r, hermitian=name not in ("A1", "A2")).reshape(-1, r * r)
+        for start in range(slot.start, slot.stop, r * r):
+            for u in units:
+                row = np.zeros(packing.shape[0], dtype=np.complex128)
+                row[start : start + r * r] = u
+                rows.setdefault(name, []).append(row)
+    c = np.sqrt(0.5)
+    potentials = [c * (a1 + a2) for a1, a2 in zip(rows["A1"], rows["A2"])]
+    potentials += [c * (a1 - a2) for a1, a2 in zip(rows["A1"], rows["A2"])]
+    return potentials + rows["theta1"] + rows["phi"]
+
+
+@pytest.mark.parametrize("N", [8, 9])
+@pytest.mark.parametrize("tau", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_gauss_newton_symbol_call_matches_dense_reference(r: int, tau: float, N: int) -> None:
+    # The call reads and writes only the nonzero terms of its units and
+    # multiplies groups of one size together; the reference reads every
+    # plane of every unit and multiplies each group entry by entry.  Both
+    # round in float64 through transforms of length N, so 1e-13 of the
+    # result's largest entry bounds their difference.
+    s = vacuum_state(N, r, tau)
+    packing = vx._Preconditioner(s, tau)
+    symbol = packing.symbol
+    want = rotated_units(packing, r)
+    assert len(symbol.units) == len(want) == 8 * r * r
+    for row in want:
+        assert sum(np.array_equal(row, unit) for unit in symbol.units) == 1
+    rng = np.random.default_rng(29 + 10 * r + N)
+    g = packing.pack(tangent(s, rng))
+    ref = lo.symbol_call(g, symbol.units, symbol.groups)
+    assert np.max(np.abs(packing(g) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("r1, r2, tau", [(2, 1, 1.0), (1, 2, 1.0), (1, 1, -1.0)])
