@@ -99,7 +99,7 @@ class GaussNewtonSymbol:
         # One row per real coordinate: its unit over the packed planes, and
         # the name of its block.
         rows, names = [], []
-        for name, slot, _, _ in packing.layout:
+        for name, slot, _ in packing.layout:
             units = _real_units(r, hermitian=name not in ("A1", "A2")).reshape(-1, r * r)
             for start in range(slot.start, slot.stop, r * r):
                 for u in units:
@@ -212,7 +212,7 @@ def _probe(
     The residuals are at most quadratic and their products stay on a
     site, so half the difference of the two responses is J e_c exactly:
     the quadratic part, even in e_c, and the vacuum's own residual drop
-    out.  The probe state goes once its residual fields exist, and each
+    out.  The probe vector goes once its residual fields exist, and each
     field once the sites around the probes are read off it, which keeps
     the build's peak near 20 probe-grid fields.
     """
@@ -226,15 +226,14 @@ def _probe(
     x[:, at[0, 0], at[1, 0]] += basis.T
     x[:, at[0, 1], at[1, 1]] -= basis.T
     # theta2 and psi are zero: a broadcast zero holds no memory.
-    zero = np.broadcast_to(np.complex128(0.0), (n, n, r, r))
-    probe = vx._derived(s, dict(packing.unpack(x), theta2=zero, psi=zero, N=n))
-    w = vx._residual_fields(vx._Fields(probe), tau)
-    del x, probe
+    zero = np.broadcast_to(np.complex128(0.0), (r, r, n, n))
+    w = vx._residual_fields(vx._Fields(s.a, dict(packing.unpack(x), theta2=zero, psi=zero)), tau)
+    del x
     offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
-    index = ((at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n)
+    index = (Ellipsis, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n)
     # Each residual field goes as soon as its sites around the probes are read.
     names = [name for name, v in w.items() if v is not vx._ZERO]
-    near = np.empty((len(names),) + index[0].shape + (r, r), dtype=np.complex128)
+    near = np.empty((len(names), r, r) + index[1].shape, dtype=np.complex128)
     for k, name in enumerate(names):
         near[k] = w.pop(name)[index]
     del w
@@ -245,7 +244,7 @@ def _probe(
     units = _real_units(r, hermitian=True)
     readout = np.stack([units.real, units.imag], axis=-1)
     parts = near.view(np.float64).reshape(near.shape + (2,))
-    jac = np.einsum("uijz,fopcijz->opfuc", readout, parts)
+    jac = np.einsum("uijz,fijopcz->opfuc", readout, parts)
     del near, parts
     jac = 0.5 * (jac[:, 0] - jac[:, 1])
     return {name: jac[:, k] for k, name in enumerate(names)}

@@ -7,6 +7,14 @@ and the morphisms phi (r1 x r2) and psi (r2 x r1).  Degree-0 trivial
 bundles only, so potentials are global matrix fields; derivatives are
 second-order central differences and curvature is F = dA + A ^ A.
 
+Two layouts.  A ``LatticeState`` holds each block as (..., N, N, r, q),
+site axes first, and so do the state constructors, ``residual_gradient``
+and a field dump.  The kernels run on plane fields (..., r, q, N, N), the
+matrix axes -4 and -3 and the site axes -2 and -1, so every per-site
+product or difference is an operation on whole contiguous site planes;
+``_turn`` views one layout as the other with one transpose, and the public
+entry points take it once per block.
+
 One coupling.  A problem is a ``LatticeState``, which carries the ranks
 (phi's matrix axes) and the volume, and the coupling tau of E1: the
 degree-0 condition fixes the coupling of E2 as ``tau_prime(tau, r1, r2)``.
@@ -97,18 +105,21 @@ per-block kernel serves alone.  The solver's loop runs on packed vectors
 in that layout, one complex array each for the flowed blocks of the
 state, the gradient, the preconditioned gradient and the direction, so
 an inner product, the conjugate-gradient update or a step is one array
-operation, and the states along the way are views of the packed state.
-Each iteration packs the gradient blocks and transforms them together,
-one forward and one inverse 1-D transform per site axis.  The line step
-evaluates its two probes in one call, on a state whose blocks carry a
-leading probe axis: every kernel works per site, on the site axes -4
-and -3 and the matrix axes -2 and -1, and broadcasts over leading axes,
-so each probe's fields are bit for bit those it would have alone.  It
-flattens the residual fields of the start and of the two probes once,
-forms each coefficient of the quartic with one reduction, and takes the
-real roots of its cubic derivative in closed form.  Every such
-reduction is ``_real_dot``, which does not call BLAS, so a solve is the
-same at every BLAS thread count.
+operation.  The packed vector's planes are the kernels' own memory:
+``unpack`` views each block as its plane field by a reshape, so the
+start is packed once, through the plane views of its public blocks, the
+fields along the way are built on views of the packed state, and the
+final state views its planes as public blocks.  Each iteration packs the
+gradient blocks and transforms them together, one forward and one
+inverse 1-D transform per site axis.  The line step evaluates its two
+probes in one call, on blocks that carry a leading probe axis: every
+kernel works per site, on the matrix axes -4 and -3 and the site axes -2
+and -1, and broadcasts over leading axes, so each probe's fields are bit
+for bit those it would have alone.  It flattens the residual fields of
+the start and of the two probes once, forms each coefficient of the
+quartic with one reduction, and takes the real roots of its cubic
+derivative in closed form.  Every such reduction is ``_real_dot``, which
+does not call BLAS, so a solve is the same at every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -247,32 +258,61 @@ def _block(m: np.ndarray):
     return m if m.any() else _ZERO
 
 
+def _turn(m: np.ndarray) -> np.ndarray:
+    """m with its two pairs of last axes exchanged, as a view: a public
+    block (..., N, N, r, q) as the kernels' planes (..., r, q, N, N), and
+    planes back as a public block."""
+    return m.transpose(*range(m.ndim - 4), -2, -1, -4, -3)
+
+
 @functools.cache
 def _identity(r: int) -> np.ndarray:
-    """The r x r identity, one read-only array per rank."""
-    eye = np.eye(r)
+    """The r x r identity as a plane field of one site, shape (r, r, 1, 1),
+    one read-only array per rank."""
+    eye = np.eye(r).reshape(r, r, 1, 1)
     eye.flags.writeable = False
     return eye
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
+    """The per-site adjoint of a plane field."""
     if m is _ZERO:
         return _ZERO
     # The array methods, not np.swapaxes and np.conj: the same values
     # without numpy's Python-level dispatch, on a hot path.
+    return m.swapaxes(-4, -3).conj()
+
+
+def _public_adj(m: np.ndarray) -> np.ndarray:
+    """The per-site adjoint of a public block (..., N, N, r, q)."""
     return m.swapaxes(-1, -2).conj()
 
 
-def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-site matrix product x @ y of (..., p, q) and (..., q, r) fields.
+@functools.cache
+def _entry(j: int) -> tuple[tuple, tuple]:
+    """The index tuples of column j and of row j of a plane field, with
+    their axis kept.  Built once per j: a slice is not a constant, and
+    building them inline cost each _mm call about 0.5 us (4.4 against 5.0
+    us at (2, 2, 8, 8))."""
+    return (
+        (Ellipsis, slice(None), slice(j, j + 1), slice(None), slice(None)),
+        (Ellipsis, slice(j, j + 1), slice(None), slice(None), slice(None)),
+    )
 
-    Summed as q broadcast multiply-adds over the inner index: matmul makes
-    one BLAS call per site, which costs several times more on blocks this
-    small.
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-site matrix product x @ y of (..., p, q, N, N) and (..., q, r,
+    N, N) plane fields.
+
+    Summed as q broadcast multiply-adds over the inner index, each over
+    whole site planes: matmul makes one BLAS call per site, which costs
+    several times more on blocks this small.
     """
-    out = x[..., :, :1] * y[..., :1, :]
-    for j in range(1, x.shape[-1]):
-        out += x[..., :, j : j + 1] * y[..., j : j + 1, :]
+    column, row = _entry(0)
+    out = x[column] * y[row]
+    for j in range(1, x.shape[-3]):
+        column, row = _entry(j)
+        out += x[column] * y[row]
     return out
 
 
@@ -289,35 +329,35 @@ def _comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     formed without a product (the subtraction would only leave rounding
     noise), so the terms that carry it are skipped too.
     """
-    if x is _ZERO or y is _ZERO or x.shape[-1] == 1:
+    if x is _ZERO or y is _ZERO or x.shape[-3] == 1:
         return _ZERO
     return _mm(x, y) - _mm(y, x)
 
 
 # The index tuples of _stencil, built once: a slice is not a constant in
 # Python 3.11, so building them inline cost each call about 1 us.  Per
-# differentiated axis (-4, -3): its last entry, its first, the entries
+# differentiated axis (-2, -1): its last entry, its first, the entries
 # from the third on and all but the last two, each with the axes after it.
 _WRAP = {
     axis: tuple((Ellipsis, part) + (slice(None),) * (-axis - 1)
                 for part in (slice(-1, None), slice(None, 1), slice(2, None), slice(None, -2)))
-    for axis in (-4, -3)
+    for axis in (-2, -1)
 }
 
 
 def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
 
-    d1 and d2 differentiate along the site axes -4 and -3, so the fields
-    may carry leading axes (the solver's two line probes); each takes its
-    differences from one copy of the field wrapped by a row (column) at
-    either end, in one subtraction.
+    d1 and d2 differentiate along the site axes -2 and -1, so the fields
+    may carry matrix and leading axes (the solver's two line probes); each
+    takes its differences from one copy of the field wrapped by a row
+    (column) at either end, in one subtraction.
     """
-    last, first, ahead, behind = _WRAP[-4]
-    wrapped = np.concatenate((m[last], m, m[first]), axis=-4)
+    last, first, ahead, behind = _WRAP[-2]
+    wrapped = np.concatenate((m[last], m, m[first]), axis=-2)
     d1 = wrapped[ahead] - wrapped[behind]
-    last, first, ahead, behind = _WRAP[-3]
-    wrapped = np.concatenate((n[last], n, n[first]), axis=-3)
+    last, first, ahead, behind = _WRAP[-1]
+    wrapped = np.concatenate((n[last], n, n[first]), axis=-1)
     d2 = wrapped[ahead] - wrapped[behind]
     d2 *= sign * 1j
     d1 += d2
@@ -335,7 +375,8 @@ def _dzbar(m: np.ndarray, a: float) -> np.ndarray:
 
 def _zpot(A: np.ndarray) -> np.ndarray:
     """A_z = (A_1 - i A_2)/2 from the per-direction potentials, whose
-    direction is the axis before the two site axes."""
+    direction is axis -5, before the last four (the site and matrix axes,
+    in either order)."""
     return 0.5 * (A[..., 0, :, :, :, :] - 1j * A[..., 1, :, :, :, :])
 
 
@@ -344,30 +385,37 @@ def _frob2(m: np.ndarray) -> float:
 
 
 def _site_frob2(m: np.ndarray) -> np.ndarray:
-    """Per-site squared Frobenius norm (a scalar 0.0 for _ZERO)."""
-    return 0.0 if m is _ZERO else np.sum(np.abs(m) ** 2, axis=(-1, -2))
+    """Per-site squared Frobenius norm of a plane field (a scalar 0.0 for
+    _ZERO)."""
+    return 0.0 if m is _ZERO else np.sum(np.abs(m) ** 2, axis=(-4, -3))
 
 
 class _Fields:
-    """Shared derived quantities for one state (plain helper, no caching).
+    """Shared derived quantities for one state (plain helper, no caching),
+    from its blocks as plane fields (..., r, q, N, N) at spacing a.
 
     theta1, theta2, phi and psi are _ZERO where they vanish at every site
     (in a solve, theta2 and psi); the connections are always arrays.
     """
 
-    def __init__(self, s: LatticeState) -> None:
-        self.a = s.a
-        self.k = s.a * s.a
-        self.Z1 = _zpot(s.A1)
-        self.Z2 = _zpot(s.A2)
+    def __init__(self, a: float, blocks: dict[str, np.ndarray]) -> None:
+        self.a = a
+        self.k = a * a
+        self.Z1 = _zpot(blocks["A1"])
+        self.Z2 = _zpot(blocks["A2"])
         self.Z1b = -_adj(self.Z1)
         self.Z2b = -_adj(self.Z2)
-        self.t1 = _block(s.theta1)
-        self.t2 = _block(s.theta2)
+        self.t1 = _block(blocks["theta1"])
+        self.t2 = _block(blocks["theta2"])
         self.t1d = _adj(self.t1)
         self.t2d = _adj(self.t2)
-        self.phi = _block(s.phi)
-        self.psi = _block(s.psi)
+        self.phi = _block(blocks["phi"])
+        self.psi = _block(blocks["psi"])
+
+    @classmethod
+    def of(cls, s: LatticeState) -> _Fields:
+        """The fields of a public state, each block viewed as planes."""
+        return cls(s.a, {name: _turn(getattr(s, name)) for name in BLOCKS})
 
     def exchanged(self) -> _Fields:
         """These fields with the bundles exchanged; every array is shared, none recomputed."""
@@ -411,14 +459,14 @@ def ymh_energy(s: LatticeState, tau: float) -> float:
     2(|D_z .|^2 + |D_zbar .|^2), the deviations are weighted by
     DEVIATION_WEIGHT (1/4).
     """
-    f = _Fields(s)
+    f = _Fields.of(s)
     e = f.exchanged()
     h1 = f.curvature()
     h2 = e.curvature()
     curv = 4.0 * (_frob2(h1) + _frob2(h2))
     # Per-site identities, so a _ZERO moment map still leaves a site field.
-    eye1 = np.broadcast_to(np.eye(s.r1), h1.shape)
-    eye2 = np.broadcast_to(np.eye(s.r2), h2.shape)
+    eye1 = np.broadcast_to(_identity(s.r1), h1.shape)
+    eye2 = np.broadcast_to(_identity(s.r2), h2.shape)
 
     kin_phi, kin_psi = (
         2.0 * (_frob2(g.dz_phi() + g.x_phi()) + _frob2(g.dzbar_phi() + g.y_phi())) for g in (f, e)
@@ -435,7 +483,7 @@ def _bundle_fields(f: _Fields, tau: float) -> tuple[np.ndarray, np.ndarray, np.n
     F_z_zbar of the Higgs-coupled connection appears as i Lambda R), and
     twice the holomorphicity and intertwining defects of phi."""
     return (
-        2.0 * f.curvature() + 0.5 * f.moment1() - 0.5 * tau * _identity(f.Z1.shape[-1]),
+        2.0 * f.curvature() + 0.5 * f.moment1() - 0.5 * tau * _identity(f.Z1.shape[-3]),
         2.0 * f.dzbar_phi(),
         2.0 * f.x_phi(),
     )
@@ -450,7 +498,7 @@ def _residual_fields(f: _Fields, tau: float) -> dict[str, np.ndarray]:
     has a zero factor is _ZERO.
     """
     w1, w3, w4 = _bundle_fields(f, tau)
-    w2, w5, w6 = _bundle_fields(f.exchanged(), tau_prime(tau, f.Z1.shape[-1], f.Z2.shape[-1]))
+    w2, w5, w6 = _bundle_fields(f.exchanged(), tau_prime(tau, f.Z1.shape[-3], f.Z2.shape[-3]))
     return {"W1": w1, "W2": w2, "W3": w3, "W4": w4, "W5": w5, "W6": w6}
 
 
@@ -464,12 +512,12 @@ def residual_energy(s: LatticeState, tau: float) -> float:
     Zero exactly at discrete solutions of the coupled equations together
     with D_zbar phi = 0, theta-intertwining of phi, and the psi mirrors.
     """
-    return _energy(s, _residual_fields(_Fields(s), tau))
+    return _energy(s, _residual_fields(_Fields.of(s), tau))
 
 
 def residual_breakdown(s: LatticeState, tau: float) -> dict[str, float]:
     """Named parts of residual_energy plus pointwise diagnostics."""
-    return _breakdown(s, _residual_fields(_Fields(s), tau))
+    return _breakdown(s, _residual_fields(_Fields.of(s), tau))
 
 
 def _breakdown(s: LatticeState, w: dict[str, np.ndarray]) -> dict[str, float]:
@@ -519,10 +567,10 @@ def residual_gradient(s: LatticeState, tau: float) -> dict[str, np.ndarray]:
     per-direction stacks (the projection of the unconstrained gradient onto
     the constraint manifold).
     """
-    f = _Fields(s)
+    f = _Fields.of(s)
     grad = _gradient(f, _residual_fields(f, tau), BLOCKS)
     return {
-        name: np.zeros_like(getattr(s, name)) if g is _ZERO else g
+        name: np.zeros_like(getattr(s, name)) if g is _ZERO else _turn(g)
         for name, g in grad.items()
     }
 
@@ -700,10 +748,12 @@ class _Preconditioner:
     ``solve`` builds one per solve, and it fixes the solver's packed
     layout: a packed vector is one complex array of shape (planes, N, N),
     a site plane for every matrix entry (and direction) of the FLOWS
-    blocks, each block in its own fixed slot.  ``pack`` copies blocks into
-    a fresh packed vector (a _ZERO block, one with no nonzero term, fills
-    its slot with zeros) and ``unpack`` views a packed vector, on any
-    grid, as blocks.  ``blockwise`` transforms all planes of a packed
+    blocks, each block in its own fixed slot.  ``pack`` copies plane
+    fields into a fresh packed vector (a _ZERO block, one with no nonzero
+    term, fills its slot with zeros) and ``unpack`` views a packed vector,
+    on any grid, as plane fields by a reshape, with no transpose: a slot
+    holds its block's entries in order, each a site plane, which is the
+    kernels' layout.  ``blockwise`` transforms all planes of a packed
     gradient with one 1-D transform pair per site axis, the last axis
     first, which is the order fft2 and ifft2 use, so every block equals
     theirs bit for bit.  The first transform writes a fresh array and the
@@ -712,18 +762,15 @@ class _Preconditioner:
     """
 
     def __init__(self, s: LatticeState, tau: float) -> None:
-        # Per block: its name, its slot, the shape of its entries (leading
-        # axes, matrix axes) and the axes, counted from the end, that view
-        # its planes as the block (leading axes, site axes, matrix axes).
-        self.layout: list[tuple[str, slice, tuple[int, ...], tuple[int, ...]]] = []
+        # Per block: its name, its slot and the shape of its entries
+        # (leading axes, matrix axes), whose planes the slot holds in order.
+        self.layout: list[tuple[str, slice, tuple[int, ...]]] = []
         used = 0
         for name in FLOWS:
             shape = getattr(s, name).shape
-            lead = len(shape) - 4
-            entries = shape[:lead] + shape[-2:]
+            entries = shape[:-4] + shape[-2:]
             n = math.prod(entries)
-            axes = tuple(range(-lead - 4, -4)) + (-2, -1, -4, -3)
-            self.layout.append((name, slice(used, used + n), entries, axes))
+            self.layout.append((name, slice(used, used + n), entries))
             used += n
         self.shape = (used, s.N, s.N)
         self.grid = (s.a, tau)
@@ -743,22 +790,24 @@ class _Preconditioner:
         omega2 = (sin2[:, None] + sin2[None, :]) / (a * a)
         return np.concatenate([
             np.broadcast_to(_block_kernel(name, tau, omega2), (slot.stop - slot.start, N, N))
-            for name, slot, _, _ in self.layout
+            for name, slot, _ in self.layout
         ])
 
     def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """The FLOWS blocks of the packed vector x, as views of it.  Axes of
-        x before its (planes, N, N) lead every block: the solver's two
-        line probes are one array of shape (2, planes, N, N)."""
+        """The FLOWS blocks of the packed vector x as plane fields, views of
+        it by a reshape alone.  Axes of x before its (planes, N, N) lead
+        every block: the solver's two line probes are one array of shape
+        (2, planes, N, N).  With x contiguous, each block is C-contiguous
+        at every index of those axes."""
         batch = x.shape[:-3]
-        order = tuple(range(len(batch)))
         return {
-            name: x[..., slot, :, :].reshape(batch + entries + x.shape[-2:]).transpose(order + axes)
-            for name, slot, entries, axes in self.layout
+            name: x[..., slot, :, :].reshape(batch + entries + x.shape[-2:])
+            for name, slot, entries in self.layout
         }
 
     def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        """A fresh packed vector holding the FLOWS blocks of blocks."""
+        """A fresh packed vector holding the FLOWS blocks of blocks, plane
+        fields; a public block goes in through its planes view, _turn."""
         x = np.empty(self.shape, dtype=np.complex128)
         for name, view in self.unpack(x).items():
             g = blocks[name]
@@ -990,8 +1039,9 @@ def solve(
     flowed blocks of the state, the gradient, the preconditioned gradient
     and the direction are one complex array each, so every inner product,
     the Polak-Ribiere+ update and each step along the line is one array
-    operation.  The states along the way are views of the packed state,
-    derived without re-validation; energies stay the per-block sums of
+    operation.  The fields along the way are built on the plane views of
+    the packed state, and the final state is their public view, derived
+    without re-validation; energies stay the per-block sums of
     residual_energy.
     The solve starts from s0 with theta2 and psi set to zero and flows the
     FLOWS blocks (see "One problem" above).  Converged means
@@ -1003,7 +1053,12 @@ def solve(
     the new energy is not finite.  The last three set stalled=True.
     """
     s = replace(s0, **{name: np.zeros_like(getattr(s0, name)) for name in HELD})
-    f = _Fields(s)
+    packing = _Preconditioner(s, tau)
+    # The start is packed once, through the planes views of its public
+    # blocks; every state after it is the packed vector's planes.
+    x = packing.pack({name: _turn(getattr(s, name)) for name in FLOWS})
+    held = {name: _turn(getattr(s, name)) for name in HELD}
+    f = _Fields(s.a, {**packing.unpack(x), **held})
     w = _residual_fields(f, tau)
     energy = _energy(s, w)
     history = [energy]
@@ -1011,12 +1066,10 @@ def solve(
     stop_reason = "max_iter"
     iterations = 0
     prev: Optional[tuple[np.ndarray, float, np.ndarray]] = None
-    packing = _Preconditioner(s, tau)
-    x = packing.pack({name: getattr(s, name) for name in FLOWS})
     # The probes along the line, x + h dirn and x - h dirn, share one
-    # buffer with a leading probe axis and the state that views it.
+    # buffer with a leading probe axis and the blocks that view it.
     probe = np.empty((2,) + x.shape, dtype=np.complex128)
-    probe_state = _derived(s, packing.unpack(probe))
+    probe_blocks = {**packing.unpack(probe), **held}
     # "not energy <= tol" lets a NaN energy into the loop, where it stops.
     while iterations < max_iter and not energy <= tol:
         if not math.isfinite(energy):
@@ -1045,26 +1098,27 @@ def solve(
         np.multiply(dirn, step, out=probe[0])
         np.multiply(dirn, -step, out=probe[1])
         probe += x
-        step = _exact_step(w, _residual_fields(_Fields(probe_state), tau), step)
+        step = _exact_step(w, _residual_fields(_Fields(s.a, probe_blocks), tau), step)
         if not step > 0.0:
             stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
         x_new = x - step * dirn
-        cand = _derived(s, packing.unpack(x_new))
-        f_new = _Fields(cand)
+        f_new = _Fields(s.a, {**packing.unpack(x_new), **held})
         w_new = _residual_fields(f_new, tau)
-        e_new = _energy(cand, w_new)
+        e_new = _energy(s, w_new)
         if not e_new < energy:
             stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
             break
-        s, x, f, w, energy = cand, x_new, f_new, w_new, e_new
+        x, f, w, energy = x_new, f_new, w_new, e_new
         history.append(energy)
         iterations += 1
 
     if energy <= tol:
         stop_reason = "converged"
+    # The final state views the packed vector's planes as public blocks.
+    final = {name: _turn(block) for name, block in packing.unpack(x).items()}
     return SolveResult(
-        state=s,
+        state=_derived(s, final),
         energy_history=history,
         stop_reason=stop_reason,
         breakdown=_breakdown(s, w),
@@ -1116,7 +1170,7 @@ def random_state(
         return out
 
     def commuting_higgs(A: np.ndarray, r: int) -> np.ndarray:
-        zb = -_adj(_zpot(A[:, :1, :1])[0, 0])
+        zb = -_public_adj(_zpot(A[:, :1, :1])[0, 0])
         c0, c1, c2 = (amplitude * complex(*rng.standard_normal(2)) for _ in range(3))
         t = c0 * np.eye(r) + c1 * zb + c2 * (zb @ zb)
         out = np.empty((N, N, r, r), dtype=np.complex128)
@@ -1202,10 +1256,10 @@ def random_smooth_state(
         field = planes[at : at + count].reshape(lead + (p, q, N, N))
         at += count
         blocks[name] = np.empty(lead + (N, N, p, q), dtype=np.complex128)
-        out = np.moveaxis(blocks[name], (-4, -3), (-2, -1))
+        out = _turn(blocks[name])
         if name in constants:
             field += constants[name]
-            np.multiply(amplitude * 0.5, field - field.swapaxes(-3, -4).conj(), out=out)
+            np.multiply(amplitude * 0.5, field - _adj(field), out=out)
         elif name == "theta1":
             np.multiply(amplitude, field, out=out)
         else:
@@ -1224,8 +1278,9 @@ def random_smooth_state(
 # The traced peak of the iterations, less what the preconditioner keeps,
 # was 8.90, 8.51 and 8.41 states at rank 1 (N = 64, 128, 256), 8.76 at
 # (2, 2), N = 64, and the most, 9.64, at (2, 1), N = 128 (10.06 while
-# _Fields.curvature held Z and Zb across its stencil).  A bound of 10
-# would leave less than 0.4 state of room.
+# _Fields.curvature held Z and Zb across its stencil); the kernels' site
+# planes left each of these peaks as it was.  A bound of 10 would leave
+# less than 0.4 state of room.
 SOLVE_WORKING_STATES = 11
 # Complex numbers per mode of the half spectrum that the Gauss-Newton
 # symbol of an r1 = r2 = r problem keeps, over r^2: one matrix per coupling
@@ -1285,7 +1340,7 @@ def prolong_state(s: LatticeState) -> LatticeState:
     at = np.fft.fftfreq(N, 1 / N).astype(int) % N2
 
     def up(block: np.ndarray) -> np.ndarray:
-        # The site axes of every block are (-4, -3).
+        # The site axes of every public block are (-4, -3).
         spec = np.fft.fft2(block, axes=(-4, -3))
         big = np.zeros(block.shape[:-4] + (N2, N2) + block.shape[-2:], dtype=np.complex128)
         big[..., at[:, None], at, :, :] = spec
@@ -1298,7 +1353,7 @@ def prolong_state(s: LatticeState) -> LatticeState:
 
     fine = {name: up(getattr(s, name)) for name in BLOCKS}
     for name in ("A1", "A2"):
-        fine[name] = 0.5 * (fine[name] - _adj(fine[name]))
+        fine[name] = 0.5 * (fine[name] - _public_adj(fine[name]))
     return LatticeState(N=N2, a=s.a / 2, **fine)
 
 

@@ -37,9 +37,50 @@ def dz(m: np.ndarray, a: float) -> np.ndarray:
     return (d1 - 1j * d2) * (0.25 / a)
 
 
+def dzbar(m: np.ndarray, a: float) -> np.ndarray:
+    """(d1 + i d2) m / 2, each d the central difference along a site axis."""
+    d1 = np.roll(m, -1, axis=-4) - np.roll(m, 1, axis=-4)
+    d2 = np.roll(m, -1, axis=-3) - np.roll(m, 1, axis=-3)
+    return (d1 + 1j * d2) * (0.25 / a)
+
+
 def site_frob2(m: np.ndarray) -> np.ndarray:
     """The per-site squared Frobenius norm."""
     return np.sum(np.abs(m) ** 2, axis=(-1, -2))
+
+
+def residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
+    """The six residual fields W1..W6 of s at coupling tau, on the state's
+    own (N, N, r, q) blocks.
+
+    Per bundle, with Z = A_z + theta and Zb = A_zbar + theta^H the (1,0)
+    and (0,1) parts of the Higgs-coupled connection: the vortex equation
+    2 (dz Zb - dzbar Z + [Z, Zb]) + (phi phi^H - psi^H psi)/2 - tau/2, the
+    holomorphicity defect 2 (dzbar phi + Zb phi - phi Zb') and the
+    intertwining defect 2 (theta phi - phi theta'), primes on the other
+    bundle; the second bundle's are the first's with the bundles, phi and
+    psi, and tau and tau' = -tau r1 / r2 exchanged.
+    """
+    a = s.a
+
+    def bundle(A, t, A_other, t_other, phi, psi, coupling):
+        Az = 0.5 * (A[0] - 1j * A[1])
+        Zb = -adj(Az)
+        Zb_other = -adj(0.5 * (A_other[0] - 1j * A_other[1]))
+        Z, Zb_coupled = Az + t, Zb + adj(t)
+        curvature = dz(Zb_coupled, a) - dzbar(Z, a) + mm(Z, Zb_coupled) - mm(Zb_coupled, Z)
+        moment = mm(phi, adj(phi)) - mm(adj(psi), psi)
+        eye = np.eye(phi.shape[-2])
+        return (
+            2.0 * curvature + 0.5 * moment - 0.5 * coupling * eye,
+            2.0 * (dzbar(phi, a) + mm(Zb, phi) - mm(phi, Zb_other)),
+            2.0 * (mm(t, phi) - mm(phi, t_other)),
+        )
+
+    tau_prime = -tau * s.r1 / s.r2
+    w1, w3, w4 = bundle(s.A1, s.theta1, s.A2, s.theta2, s.phi, s.psi, tau)
+    w2, w5, w6 = bundle(s.A2, s.theta2, s.A1, s.theta1, s.psi, s.phi, tau_prime)
+    return {"W1": w1, "W2": w2, "W3": w3, "W4": w4, "W5": w5, "W6": w6}
 
 
 def l4_identity_check(s: vx.LatticeState, tau: float, tol: float = 1e-8) -> dict[str, float]:

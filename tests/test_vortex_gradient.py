@@ -125,11 +125,11 @@ def test_branch_freezes_blocks() -> None:
     s = dense_state(6, 2, 2, rng)
     tau = 1.0
     full = vx.residual_gradient(s, tau)
-    f = vx._Fields(s)
+    f = vx._Fields.of(s)
     grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     assert list(grad) == ["A1", "A2", "theta1", "phi"]
     for name, g in grad.items():
-        assert np.array_equal(g, full[name]), name
+        assert np.array_equal(vx._turn(g), full[name]), name
 
 
 def test_gradient_vanishes_at_exact_solution() -> None:
@@ -179,10 +179,11 @@ def test_exact_step_beats_brute_force_line_search() -> None:
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
         tau = 1.0
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
-        f = vx._Fields(s)
+        f = vx._Fields.of(s)
         w = vx._residual_fields(f, tau)
         packing = vx._Preconditioner(s, tau)
         dirn = packing.unpack(packing(packing.pack(vx._gradient(f, w, vx.FLOWS))))
+        dirn = {name: vx._turn(d) for name, d in dirn.items()}
 
         def along(t: float) -> vx.LatticeState:
             return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
@@ -190,7 +191,7 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         # The probes at t = -1 and t = +1, stacked on a leading axis.
         pair = (along(-1.0), along(1.0))
         probes = vx._derived(s, {name: np.stack([getattr(p, name) for p in pair]) for name in BLOCKS})
-        eta = vx._exact_step(w, vx._residual_fields(vx._Fields(probes), tau), 1.0)
+        eta = vx._exact_step(w, vx._residual_fields(vx._Fields.of(probes), tau), 1.0)
         assert eta > 0.0
         best = vx.residual_energy(along(eta), tau)
         assert best < vx.residual_energy(s, tau)

@@ -50,10 +50,44 @@ def test_trace_of_the_residuals_sums_to_zero(r1: int, r2: int, tau: float) -> No
     # -(vol/2)(tau r1 + tau' r2) = 0 at every state.  A nonzero sum would
     # bound residual_energy away from zero.
     s = vx.random_state(6, r1, r2, vol=2.0, rng=np.random.default_rng(r1 + 3 * r2))
-    w = vx._residual_fields(vx._Fields(s), tau)
+    w = {name: vx._turn(v) for name, v in vx._residual_fields(vx._Fields.of(s), tau).items()}
     total = s.a * s.a * complex(np.trace(w["W1"], axis1=-2, axis2=-1).sum()
                                 + np.trace(w["W2"], axis1=-2, axis2=-1).sum())
     assert abs(total) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5, -0.7])
+@pytest.mark.parametrize("build", [vx.random_state, vx.random_smooth_state])
+@pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+def test_residual_energy_and_breakdown_match_the_roll_oracle(r1, r2, build, tau) -> None:
+    # The oracle shares no kernel with the solver and reads the public
+    # (N, N, r, q) blocks, so it pins whatever layout the kernels use.
+    # Every part is a sum or a maximum of squared fields whose rounding is
+    # a few ulps of the sum, so one relative tolerance serves all of them.
+    rel = 1e-13
+    s = build(7, r1, r2, 1.5, np.random.default_rng(7 * r1 + r2))
+    w = lo.residual_fields(s, tau)
+    k = s.a * s.a
+    norm = {name: k * float(np.sum(np.abs(v) ** 2)) for name, v in w.items()}
+
+    def site_max(name: str) -> float:
+        return float(np.max(np.sqrt(lo.site_frob2(w[name]))))
+
+    want = {
+        "eq1": norm["W1"],
+        "eq2": norm["W2"],
+        "holomorphicity": norm["W3"] + norm["W5"],
+        "intertwining": norm["W4"] + norm["W6"],
+        "eq1_max": site_max("W1"),
+        "eq2_max": site_max("W2"),
+        "theta_s_sup": 0.5 * max(site_max("W4"), site_max("W6")),
+    }
+    got = vx.residual_breakdown(s, tau)
+    assert got.keys() == want.keys()
+    for part, value in want.items():
+        assert abs(got[part] - value) <= rel * abs(value), part
+    total = sum(norm.values())
+    assert abs(vx.residual_energy(s, tau) - total) <= rel * total
 
 
 def test_replace_rederives_tau_prime() -> None:

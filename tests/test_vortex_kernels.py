@@ -26,6 +26,22 @@ def adj(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def public(fields: dict) -> dict:
+    """The kernels' plane fields as public (..., N, N, r, q) blocks, _ZERO
+    passed through."""
+    return {name: v if v is vx._ZERO else vx._turn(v) for name, v in fields.items()}
+
+
+def planes(blocks: dict) -> dict:
+    """Public blocks as the kernels' plane fields."""
+    return {name: vx._turn(v) for name, v in blocks.items()}
+
+
+def fields_at(s: vx.LatticeState, packing: vx._Preconditioner, x: np.ndarray) -> vx._Fields:
+    """The fields of the packed vector x, with s's held blocks."""
+    return vx._Fields(s.a, {**planes({name: getattr(s, name) for name in vx.HELD}), **packing.unpack(x)})
+
+
 @pytest.mark.parametrize("r1, r2", RANK_PAIRS)
 def test_small_product_matches_matmul(r1: int, r2: int) -> None:
     # Every shape pairing the residual fields multiply: square blocks with
@@ -41,7 +57,7 @@ def test_small_product_matches_matmul(r1: int, r2: int) -> None:
         (adj(psi), psi), (psi, adj(psi)), (adj(z1), phi), (phi, adj(z2)),
     ]
     for x, y in pairs:
-        got = vx._mm(x, y)
+        got = vx._turn(vx._mm(vx._turn(x), vx._turn(y)))
         want = np.matmul(x, y)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -61,11 +77,12 @@ def test_stencil_matches_roll_central_difference(N: int, shape: tuple[int, int])
     m, n = cfield(rng, N, N, *shape), cfield(rng, N, N, *shape)
     for sign in (1.0, -1.0):
         want = 0.5 * (roll_central(m, 0, a) + sign * 1j * roll_central(n, 1, a))
-        assert np.allclose(vx._stencil(m, n, a, sign), want, rtol=1e-13, atol=1e-13)
+        got = vx._turn(vx._stencil(vx._turn(m), vx._turn(n), a, sign))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
     dz = 0.5 * (roll_central(m, 0, a) - 1j * roll_central(m, 1, a))
     dzbar = 0.5 * (roll_central(m, 0, a) + 1j * roll_central(m, 1, a))
-    assert np.allclose(vx._dz(m, a), dz, rtol=1e-13, atol=1e-13)
-    assert np.allclose(vx._dzbar(m, a), dzbar, rtol=1e-13, atol=1e-13)
+    assert np.allclose(vx._turn(vx._dz(vx._turn(m), a)), dz, rtol=1e-13, atol=1e-13)
+    assert np.allclose(vx._turn(vx._dzbar(vx._turn(m), a)), dzbar, rtol=1e-13, atol=1e-13)
 
 
 def split_residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
@@ -147,7 +164,7 @@ def test_residual_fields_match_split_form(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(29 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        got = vx._residual_fields(vx._Fields(s), tau)
+        got = public(vx._residual_fields(vx._Fields.of(s), tau))
         want = split_residual_fields(s, tau)
         assert got.keys() == want.keys()
         for name, ref in want.items():
@@ -175,17 +192,14 @@ def test_stacked_probes_give_each_probes_residual_fields(N: int, r1: int, r2: in
     for zero_theta1 in (False, True):
         s = replace(s0, theta1=np.zeros_like(s0.theta1)) if zero_theta1 else s0
         packing = vx._Preconditioner(s, tau)
-        x = packing.pack({name: getattr(s, name) for name in vx.FLOWS})
+        x = packing.pack({name: vx._turn(getattr(s, name)) for name in vx.FLOWS})
         d = cfield(rng, *packing.shape)
         if zero_theta1:
             packing.unpack(d)["theta1"][...] = 0.0
         h = 0.37
         probe = np.stack([x + h * d, x - h * d])
-        got = vx._residual_fields(vx._Fields(vx._derived(s, packing.unpack(probe))), tau)
-        alone = [
-            vx._residual_fields(vx._Fields(vx._derived(s, packing.unpack(probe[i].copy()))), tau)
-            for i in (0, 1)
-        ]
+        got = vx._residual_fields(fields_at(s, packing, probe), tau)
+        alone = [vx._residual_fields(fields_at(s, packing, probe[i].copy()), tau) for i in (0, 1)]
         assert (got["W4"] is vx._ZERO) == zero_theta1
         for name, field in got.items():
             if field is vx._ZERO:
@@ -206,8 +220,8 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(59 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        f = vx._Fields(s)
-        grad = vx._gradient(f, vx._residual_fields(f, tau), vx.BLOCKS)
+        f = vx._Fields.of(s)
+        grad = public(vx._gradient(f, vx._residual_fields(f, tau), vx.BLOCKS))
         norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
         for name in BLOCKS:
             v = cfield(rng, *getattr(s, name).shape)
@@ -264,21 +278,51 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     tau = 0.8
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
-    f = vx._Fields(s)
+    f = vx._Fields.of(s)
     grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     assert list(grad) == list(vx.FLOWS)
     precondition = vx._Preconditioner(s, tau)
     for name, block in precondition.unpack(precondition.pack(grad)).items():
         assert np.array_equal(block, grad[name]), name
     for g in (grad, dict(grad, theta1=vx._ZERO)):
-        got = precondition.unpack(precondition.blockwise(precondition.pack(g)))
-        want = fft2_precondition(g, s, tau)
+        got = public(precondition.unpack(precondition.blockwise(precondition.pack(g))))
+        want = fft2_precondition(public(g), s, tau)
         assert list(got) == list(want)
         for name, ref in want.items():
             if ref is vx._ZERO:
                 assert not got[name].any(), name
             else:
                 assert np.array_equal(got[name], ref), name
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("r1, r2", RANK_PAIRS)
+def test_packed_planes_are_the_kernels_blocks(r1: int, r2: int, batch: tuple[int, ...]) -> None:
+    # The kernels run on plane fields (..., r, q, N, N).  unpack views the
+    # packed planes as those blocks by a reshape alone, so every block
+    # shares the packed memory and is C-contiguous; with a leading probe
+    # axis, each probe's block is (the probes sit one packed vector apart).
+    # A state packed through its public views reads back as itself, and a
+    # solve hands back blocks of the public shapes.
+    tau = 0.8
+    rng = np.random.default_rng(151 + 10 * r1 + r2)
+    states = [vx.random_smooth_state(6, r1, r2, 1.0, rng, amplitude=0.3, tau=tau) for _ in range(2)]
+    packing = vx._Preconditioner(states[0], tau)
+    packed = [packing.pack({name: vx._turn(getattr(s, name)) for name in vx.FLOWS}) for s in states]
+    x = np.stack(packed) if batch else packed[0]
+    for name, block in packing.unpack(x).items():
+        shape = getattr(states[0], name).shape
+        assert block.shape == batch + shape[:-4] + shape[-2:] + shape[-4:-2], name
+        assert np.shares_memory(block, x), name
+        for i, s in enumerate(states[: len(x) if batch else 1]):
+            own = block[i] if batch else block
+            assert own.flags.c_contiguous, name
+            assert np.array_equal(vx._turn(own), getattr(s, name)), name
+    res = vx.solve(states[0], tau, tol=0.0, max_iter=2)
+    assert res.iterations == 2
+    for name in vx.BLOCKS:
+        block = getattr(res.state, name)
+        assert block.shape == getattr(states[0], name).shape and block.dtype == np.complex128, name
 
 
 def vacuum_state(N: int, r: int, tau: float) -> vx.LatticeState:
@@ -298,8 +342,8 @@ def jd_norm2(s: vx.LatticeState, tau: float, d: dict[str, np.ndarray]) -> float:
     """|J d|^2 for a perturbation d of some blocks, with J d the central
     difference of the residual fields, exact for fields at most quadratic
     in the state."""
-    plus = vx._residual_fields(vx._Fields(shifted(s, d, 1.0)), tau)
-    minus = vx._residual_fields(vx._Fields(shifted(s, d, -1.0)), tau)
+    plus = vx._residual_fields(vx._Fields.of(shifted(s, d, 1.0)), tau)
+    minus = vx._residual_fields(vx._Fields.of(shifted(s, d, -1.0)), tau)
     jd = (0.5 * (plus[k] - minus[k]) for k in plus)
     return float(sum(np.sum(np.abs(v) ** 2) for v in jd if v is not vx._ZERO))
 
@@ -358,7 +402,7 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     tau = 0.8
     rng = np.random.default_rng(83)
     s = branch_state(2, 1, "phi", rng)
-    f = vx._Fields(s)
+    f = vx._Fields.of(s)
     grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     precondition = vx._Preconditioner(s, tau)
     packed = precondition.pack(grad)
@@ -400,8 +444,8 @@ def hessian_action(
     central differences at t = 1 and t = 1/2 is exact."""
 
     def central(t: float) -> np.ndarray:
-        plus = packing.pack(vx.residual_gradient(shifted(s, d, t), tau))
-        minus = packing.pack(vx.residual_gradient(shifted(s, d, -t), tau))
+        plus = packing.pack(planes(vx.residual_gradient(shifted(s, d, t), tau)))
+        minus = packing.pack(planes(vx.residual_gradient(shifted(s, d, -t), tau)))
         return (plus - minus) / (2.0 * t)
 
     return (4.0 * central(0.5) - central(1.0)) / 3.0
@@ -423,7 +467,7 @@ def test_gauss_newton_symbol_inverts_the_hessian_on_waves(r: int, tau: float, N:
         d = tangent(s, rng, modes)
         hd = hessian_action(s, tau, packing, d)
         want = 2.0 * s.a * s.a * jd_norm2(s, tau, d)
-        assert vx._inner(hd, packing.pack(d)) == pytest.approx(want, rel=1e-9), modes
+        assert vx._inner(hd, packing.pack(planes(d))) == pytest.approx(want, rel=1e-9), modes
         assert vx._inner(hd, packing(hd)) == pytest.approx(want, rel=1e-9), modes
 
 
@@ -438,7 +482,7 @@ def test_gauss_newton_symbol_is_symmetric_positive_definite(r: int, tau: float) 
         blocks = inverse.transpose(2, 0, 1)
         assert np.array_equal(blocks, blocks.conj().transpose(0, 2, 1))
         assert np.linalg.eigvalsh(blocks).min() > 0.0
-    x, y = (packing.pack(tangent(s, rng)) for _ in range(2))
+    x, y = (packing.pack(planes(tangent(s, rng))) for _ in range(2))
     px, py = packing(x), packing(y)
     scale = np.sqrt(vx._inner(x, px) * vx._inner(y, py))
     assert abs(vx._inner(x, py) - vx._inner(px, y)) <= 1e-12 * scale
@@ -452,9 +496,9 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
     # exactly: the field dump's oracle checks the potentials to 1e-12.
     tau = 1.0
     s = vx.random_smooth_state(16, r, r, 1.0, np.random.default_rng(5 + r), 0.3, 1.0)
-    f = vx._Fields(s)
+    f = vx._Fields.of(s)
     packing = vx._Preconditioner(s, tau)
-    out = packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS))))
+    out = public(packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)))))
     for name in ("A1", "A2"):
         assert out[name].any()
         assert np.array_equal(out[name], -adj(out[name])), name
@@ -465,7 +509,7 @@ def rotated_units(packing: vx._Preconditioner, r: int) -> list[np.ndarray]:
     its block's planes (anti-Hermitian ones for the potentials), with the
     units of A1 and A2 taken as (A1 + A2)/sqrt(2) and (A1 - A2)/sqrt(2)."""
     rows: dict[str, list[np.ndarray]] = {}
-    for name, slot, _, _ in packing.layout:
+    for name, slot, _ in packing.layout:
         units = gauss_newton._real_units(r, hermitian=name not in ("A1", "A2")).reshape(-1, r * r)
         for start in range(slot.start, slot.stop, r * r):
             for u in units:
@@ -495,7 +539,7 @@ def test_gauss_newton_symbol_call_matches_dense_reference(r: int, tau: float, N:
     for row in want:
         assert sum(np.array_equal(row, unit) for unit in symbol.units) == 1
     rng = np.random.default_rng(29 + 10 * r + N)
-    g = packing.pack(tangent(s, rng))
+    g = packing.pack(planes(tangent(s, rng)))
     ref = lo.symbol_call(g, symbol.units, symbol.groups)
     assert np.max(np.abs(packing(g) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -505,7 +549,7 @@ def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, t
     # No constant vacuum (r1 != r2, or tau < 0): no symbol is built, and a
     # call is the per-block kernel bit for bit.
     s = branch_state(r1, r2, "phi", np.random.default_rng(13 + r1 + r2))
-    f = vx._Fields(s)
+    f = vx._Fields.of(s)
     packing = vx._Preconditioner(s, tau)
     assert packing.symbol is None
     g = packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS))
@@ -561,7 +605,7 @@ def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
         s = branch_state(r1, r2, branch, rng)
         t = vx.exchange_bundles(s)
         assert (t.r1, t.r2) == (r2, r1)
-        f, ft = vx._Fields(s), vx._Fields(t)
+        f, ft = vx._Fields.of(s), vx._Fields.of(t)
         w, wt = vx._residual_fields(f, tau), vx._residual_fields(ft, q)
         assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
         grad, grad_t = vx._gradient(f, w, vx.BLOCKS), vx._gradient(ft, wt, vx.BLOCKS)
