@@ -10,6 +10,7 @@ a vacuum import this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -130,8 +131,8 @@ class GaussNewtonSymbol:
         kernel = np.array([vx._block_kernel(name, tau, omega2) for name in names])
         # The class of each mode of the half spectrum, flat.
         of = (of1[:, None] * len(reps2) + of2[None, :]).ravel()
-        # Groups of one size are built one by one into one array, so that a
-        # call multiplies all of them at once; each stays a view of it.
+        # Groups of one size are built into one array, so that a call
+        # multiplies all of them at once; each stays a view of it.
         found = sorted(_groups(jac), key=lambda group: len(group[0]))
         self.batches: list[tuple[slice, np.ndarray]] = []
         self.groups: list[tuple[slice, np.ndarray]] = []
@@ -139,13 +140,19 @@ class GaussNewtonSymbol:
         for size in sorted({len(cols) for cols, _ in found}):
             members = [group for group in found if len(group[0]) == size]
             batch = np.empty((len(members), size, size, len(of)), dtype=np.complex128)
-            start = len(order)
-            for (cols, touched), inverse in zip(members, batch):
-                jh = np.einsum("om,orc->rcm", phases, jac[:, touched][:, :, cols])
+            # Each run of groups that touch as many residual coordinates is
+            # built at once, into its slice of the batch.
+            at = 0
+            for _, run in itertools.groupby(members, key=lambda group: len(group[1])):
+                cols, touched = (np.array(part) for part in zip(*run))
+                jh = np.einsum("om,obrc->brcm", phases, jac[:, touched[:, :, None], cols[:, None, :]])
                 built = _pseudo_inverse_with_kernel(jh, kernel[cols])
                 built /= s.a * s.a
                 # Every class index is in range; "clip" spares take a buffer.
-                np.take(built, of, axis=-1, out=inverse, mode="clip")
+                np.take(built, of, axis=-1, out=batch[at : at + len(cols)], mode="clip")
+                at += len(cols)
+            start = len(order)
+            for (cols, _), inverse in zip(members, batch):
                 self.groups.append((slice(len(order), len(order) + size), inverse))
                 order.extend(cols)
             self.batches.append((slice(start, len(order)), batch))
@@ -225,9 +232,9 @@ def _probe(
     packing.unpack(x)["phi"][...] = math.sqrt(tau) * vx._identity(r)
     x[:, at[0, 0], at[1, 0]] += basis.T
     x[:, at[0, 1], at[1, 1]] -= basis.T
-    # theta2 and psi are zero: a broadcast zero holds no memory.
-    zero = np.broadcast_to(np.complex128(0.0), (r, r, n, n))
-    w = vx._residual_fields(vx._Fields(s.a, dict(packing.unpack(x), theta2=zero, psi=zero)), tau)
+    # theta2 and psi are held at zero, as in a solve.
+    held = dict.fromkeys(vx.HELD, vx._ZERO)
+    w = vx._residual_fields(vx._Fields(s.a, {**packing.unpack(x), **held}), tau)
     del x
     offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
     index = (Ellipsis, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n)
@@ -342,43 +349,49 @@ def _combine(runs: list[tuple], planes: np.ndarray, out: np.ndarray, add: bool) 
 
 
 def _pseudo_inverse_with_kernel(jh: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """(Jh^H Jh)^+ + P0 diag(kernel) P0 per mode, shape (g, g, modes), for
-    jh of shape (rows, g, modes) and kernel of shape (g, modes); P0
-    projects on the null space of Jh.  Modes run along the last axis, so
-    every step is one array operation over all of them.
+    """(Jh^H Jh)^+ + P0 diag(kernel) P0 per group and mode, shape (groups,
+    g, g, modes), for jh of shape (groups, rows, g, modes) and kernel of
+    shape (groups, g, modes); P0 projects on the null space of Jh.  Groups
+    lead and modes run along the last axis, so every step is one array
+    operation over all of them.
 
     Gram-Schmidt runs over the rows of Jh, conjugated, in the metric of
     Jh^H Jh, and carries each vector's images under Jh and Jh^H Jh: z_k
     with Jh z_k orthonormal, so the pseudo-inverse is sum z_k z_k^H and
     the projector on the row space is sum z_k (Jh^H Jh z_k)^H.  A row
     whose image, after the earlier ones are taken out, is within
-    max(rows, g) eps of the largest entry of Jh Jh^H adds nothing: the
-    rounding rule of np.linalg.matrix_rank, on the Gram matrix.
+    max(rows, g) eps of the largest entry of its group's Jh Jh^H adds
+    nothing: the rounding rule of np.linalg.matrix_rank, on the Gram
+    matrix.
     """
-    count, g, modes = jh.shape
+    groups, count, g, modes = jh.shape
     # Each vector: x, a conjugated row, then Jh x, then Jh^H Jh x.  The
     # process runs in place, and the sums of outer products below take one
     # term at a time into one buffer: the build's temporaries stay a few
     # times the size of its result.
-    vectors = np.empty((count, 2 * g + count, modes), dtype=np.complex128)
+    vectors = np.empty((groups, count, 2 * g + count, modes), dtype=np.complex128)
     image = slice(g, g + count)
-    np.conjugate(jh, out=vectors[:, :g])
-    np.einsum("rcm,kcm->krm", jh, vectors[:, :g], out=vectors[:, image])
-    np.einsum("rcm,krm->kcm", vectors[:, :g], vectors[:, image], out=vectors[:, g + count :])
-    tol = max(count, g) * np.finfo(np.float64).eps * float(np.abs(vectors[:, image]).max())
-    for k, v in enumerate(vectors):
-        for u in vectors[:k]:
-            v -= (u[image].conj() * v[image]).sum(axis=0) * u
-        norm = np.sqrt((np.abs(v[image]) ** 2).sum(axis=0))
-        v *= (norm > tol) / np.maximum(norm, tol)
-    null = np.zeros((g, g, modes), dtype=np.complex128)
-    null[range(g), range(g)] = 1.0
+    np.conjugate(jh, out=vectors[:, :, :g])
+    np.einsum("brcm,bkcm->bkrm", jh, vectors[:, :, :g], out=vectors[:, :, image])
+    np.einsum("brcm,bkrm->bkcm", vectors[:, :, :g], vectors[:, :, image], out=vectors[:, :, g + count :])
+    largest = np.abs(vectors[:, :, image]).reshape(groups, -1).max(axis=1)
+    tol = (max(count, g) * np.finfo(np.float64).eps * largest)[:, None]
+    # The k-th vector of every group, shape (groups, entries, modes).
+    rows = [vectors[:, k] for k in range(count)]
+    for k, v in enumerate(rows):
+        for u in rows[:k]:
+            v -= (u[:, image].conj() * v[:, image]).sum(axis=1)[:, None] * u
+        norm = np.sqrt((np.abs(v[:, image]) ** 2).sum(axis=1))
+        v *= ((norm > tol) / np.maximum(norm, tol))[:, None]
+    null = np.zeros((groups, g, g, modes), dtype=np.complex128)
+    null[:, range(g), range(g)] = 1.0
     out = np.zeros_like(null)
     term = np.empty_like(null)
-    for v in vectors:
-        null -= np.multiply(v[:g, None], v[None, g + count :].conj(), out=term)
-        out += np.multiply(v[:g, None], v[None, :g].conj(), out=term)
+    for v in rows:
+        null -= np.multiply(v[:, :g, None], v[:, None, g + count :].conj(), out=term)
+        out += np.multiply(v[:, :g, None], v[:, None, :g].conj(), out=term)
+    root = np.sqrt(kernel)
     for c in range(g):
-        f = null[:, c] * np.sqrt(kernel[c])
-        out += np.multiply(f[:, None], f[None].conj(), out=term)
+        f = null[:, :, c] * root[:, None, c]
+        out += np.multiply(f[:, :, None], f[:, None].conj(), out=term)
     return out

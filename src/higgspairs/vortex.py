@@ -37,7 +37,11 @@ The residuals W1, W2 share the curvature of the Higgs-coupled connection
 with ``ymh_energy``: by bilinearity of the commutator it equals the
 curvature of A plus the mixed A-theta part plus [theta, theta^dagger], and
 one stencil pass and one commutator give it.  The split form is checked
-separately (tests/test_vortex_kernels.py).
+separately (tests/test_vortex_kernels.py).  The gradient follows the same
+coupling: W1 reads A1 and theta1 only through A1 + theta1 + theta1^H, so
+its adjoint in both is one operator, D_z + [Z1, .] + [., theta1], which
+``_coupled_gradient`` applies once to the halves W1 + W1^H and W1 - W1^H
+stacked on a leading axis.
 
 The difference of the two energies is a topological constant, zero for
 degree-0 trivial bundles, so ``decomposition_check`` must vanish to
@@ -80,10 +84,12 @@ preconditioner kernels, so the formulas below are written once and the
 terms it touches are skipped.  In a solve theta2 and psi are zero, which
 removes W5 and W6, the psi half of the moment maps and of the
 intertwining, and every gradient term that carries them.  The skip rests
-on the data alone: ``_Fields`` scans each block.  ``residual_gradient``
-still returns every block as an array.  Commutators of 1x1 blocks are
-zero, since scalars commute, and ``_comm`` returns them as _ZERO without
-forming a product.
+on the data alone: ``_Fields`` scans each block it is given as an array,
+and a solve gives it the held theta2 and psi as _ZERO, which it keeps
+without a scan.  A gradient block whose every term is skipped is written
+as zeros, and ``residual_gradient`` returns every block as an array.
+Commutators of 1x1 blocks are zero, since scalars commute, and ``_comm``
+returns them as _ZERO without forming a product.
 
 Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: the
 packed layout, a site plane for every entry of the FLOWS blocks, and the
@@ -109,17 +115,18 @@ operation.  The packed vector's planes are the kernels' own memory:
 ``unpack`` views each block as its plane field by a reshape, so the
 start is packed once, through the plane views of its public blocks, the
 fields along the way are built on views of the packed state, and the
-final state views its planes as public blocks.  Each iteration packs the
-gradient blocks and transforms them together, one forward and one
-inverse 1-D transform per site axis.  The line step evaluates its two
-probes in one call, on blocks that carry a leading probe axis: every
-kernel works per site, on the matrix axes -4 and -3 and the site axes -2
-and -1, and broadcasts over leading axes, so each probe's fields are bit
-for bit those it would have alone.  It flattens the residual fields of
-the start and of the two probes once, forms each coefficient of the
-quartic with one reduction, and takes the real roots of its cubic
-derivative in closed form.  Every such reduction is ``_real_dot``, which
-does not call BLAS, so a solve is the same at every BLAS thread count.
+final state views its planes as public blocks.  Each iteration writes
+the gradient blocks straight into the slots of a fresh packed vector
+and transforms them together, one forward and one inverse 1-D transform
+per site axis.  The line step evaluates its two probes in one call, on
+blocks that carry a leading probe axis: every kernel works per site, on
+the matrix axes -4 and -3 and the site axes -2 and -1, and broadcasts
+over leading axes, so each probe's fields are bit for bit those it would
+have alone.  It flattens the residual fields of the start and of the two
+probes once, forms each coefficient of the quartic with one reduction,
+and takes the real roots of its cubic derivative in closed form.  Every
+such reduction is ``_real_dot``, which does not call BLAS, so a solve is
+the same at every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -254,8 +261,8 @@ _ZERO = _ZeroBlock()
 
 
 def _block(m: np.ndarray):
-    """m, or _ZERO when m vanishes at every site."""
-    return m if m.any() else _ZERO
+    """m, or _ZERO when m is _ZERO or vanishes at every site."""
+    return _ZERO if m is _ZERO or not m.any() else m
 
 
 def _turn(m: np.ndarray) -> np.ndarray:
@@ -395,7 +402,8 @@ class _Fields:
     from its blocks as plane fields (..., r, q, N, N) at spacing a.
 
     theta1, theta2, phi and psi are _ZERO where they vanish at every site
-    (in a solve, theta2 and psi); the connections are always arrays.
+    or are given as _ZERO (a solve's held theta2 and psi); the connections
+    are always arrays.
     """
 
     def __init__(self, a: float, blocks: dict[str, np.ndarray]) -> None:
@@ -556,10 +564,6 @@ def moment_map_value(s: LatticeState) -> float:
 # -- gradient ----------------------------------------------------------
 
 
-def _antiherm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - _adj(m))
-
-
 def residual_gradient(s: LatticeState, tau: float) -> dict[str, np.ndarray]:
     """Gradient of residual_energy in the convention dE = 2 Re sum tr(g^H dq).
 
@@ -568,81 +572,94 @@ def residual_gradient(s: LatticeState, tau: float) -> dict[str, np.ndarray]:
     the constraint manifold).
     """
     f = _Fields.of(s)
-    grad = _gradient(f, _residual_fields(f, tau), BLOCKS)
-    return {
-        name: np.zeros_like(getattr(s, name)) if g is _ZERO else _turn(g)
-        for name, g in grad.items()
-    }
+    out = {name: np.empty(_turn(getattr(s, name)).shape, dtype=np.complex128) for name in BLOCKS}
+    _gradient(f, _residual_fields(f, tau), out)
+    return {name: _turn(g) for name, g in out.items()}
 
 
-def _connection_gradient(
-    f: _Fields, w1h: np.ndarray, w1a: np.ndarray, w3: np.ndarray, w5: np.ndarray
+# The signs of W1 + W1^H and W1 - W1^H, stacked on a leading axis.
+_HALVES = np.array([1.0, -1.0]).reshape(2, 1, 1, 1, 1)
+
+
+def _coupled_gradient(
+    f: _Fields,
+    w1: np.ndarray,
+    w3: np.ndarray,
+    w4: np.ndarray,
+    w5: np.ndarray,
+    w6: np.ndarray,
+    potential: np.ndarray,
+    higgs: Optional[np.ndarray],
 ) -> np.ndarray:
-    return f.k * (
-        2.0 * _dz(w1h, f.a)
-        + 2.0 * _comm(f.Z1, w1h)
-        + 2.0 * _comm(w1a, f.t1)
-        - 2.0 * _prod(f.phi, _adj(w3))
-        + 2.0 * _prod(_adj(w5), f.psi)
-    )
+    """Write the A1 block into potential and the theta1 block into higgs
+    (None: not formed); return W1 + W1^H.
 
-
-def _higgs_gradient(
-    f: _Fields, w1h: np.ndarray, w1a: np.ndarray, w4: np.ndarray, w6: np.ndarray
-) -> np.ndarray:
-    return f.k * (
-        2.0 * _dz(w1a, f.a)
-        + 2.0 * _comm(f.Z1, w1a)
-        + 2.0 * _comm(w1h, f.t1)
-        + 2.0 * _prod(w4, _adj(f.phi))
-        - 2.0 * _prod(_adj(f.psi), w6)
-    )
+    W1 reads A_z and theta1 only through the Higgs-coupled connection, so
+    the adjoint of W1 is one operator, D_z + [Z1, .] + [., theta1], applied
+    to the halves W1 + W1^H (for A_z) and W1 - W1^H (for theta1), stacked
+    on a leading axis, with the theta1 commutator crossing over.  Only the
+    first half is formed when theta1 is zero and its block is not wanted.
+    With g the z-part of the A1 gradient, the A1 block is m - m^H for m =
+    g/4 and i g/4 in the two directions: (g - g^H)/4 and i(g + g^H)/4.
+    Each block takes its scale a^2 times a power of two once, as it is
+    written; a power of two commutes with rounding, so every sum rounds as
+    with the factor 2 in each term.
+    """
+    pair = higgs is not None or f.t1 is not _ZERO
+    halves = w1 + (_HALVES if pair else _HALVES[:1]) * _adj(w1)
+    g = _dz(halves, f.a) + _comm(f.Z1, halves)
+    cross = _comm(halves, f.t1)
+    if cross is not _ZERO:
+        g += cross[::-1]
+    z = g[0] - _prod(f.phi, _adj(w3)) + _prod(_adj(w5), f.psi)
+    np.multiply(z, 0.5 * f.k, out=potential[0])
+    np.multiply(potential[0], 1j, out=potential[1])
+    potential -= _adj(potential)
+    if higgs is not None:
+        np.multiply(g[1] + _prod(w4, _adj(f.phi)) - _prod(_adj(f.psi), w6), 2.0 * f.k, out=higgs)
+    return halves[0]
 
 
 def _section_gradient(
-    f: _Fields, w1h: np.ndarray, w2h: np.ndarray, w3: np.ndarray, w4: np.ndarray
-) -> np.ndarray:
-    return f.k * (
-        0.5 * _prod(w1h, f.phi)
-        - 0.5 * _prod(f.phi, w2h)
-        - 2.0 * _dz(w3, f.a)
-        - 2.0 * _prod(f.Z1, w3)
-        + 2.0 * _prod(w3, f.Z2)
-        + 2.0 * _prod(f.t1d, w4)
-        - 2.0 * _prod(w4, f.t2d)
+    f: _Fields, w1h: np.ndarray, w2h: np.ndarray, w3: np.ndarray, w4: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the phi block into out, given W1 + W1^H and W2 + W2^H.
+
+    The factor 2 of all but the moment-map terms goes into the final
+    scale, as in _coupled_gradient.
+    """
+    total = (
+        0.25 * (_prod(w1h, f.phi) - _prod(f.phi, w2h))
+        - _dz(w3, f.a)
+        - _prod(f.Z1, w3)
+        + _prod(w3, f.Z2)
+        + _prod(f.t1d, w4)
+        - _prod(w4, f.t2d)
     )
+    if total is _ZERO:
+        out[...] = 0.0
+    else:
+        np.multiply(total, 2.0 * f.k, out=out)
 
 
-def _gradient(
-    f: _Fields, w: dict[str, np.ndarray], flows: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    """The blocks named in flows of residual_gradient, in BLOCKS order, at
-    the state f was built from, given its residual fields w.
+def _gradient(f: _Fields, w: dict[str, np.ndarray], out: dict[str, np.ndarray]) -> None:
+    """Write the blocks of residual_gradient named in out, as plane fields,
+    into their arrays there, at the state f was built from, given its
+    residual fields w; out holds both potentials and may leave out the
+    other blocks, which are then not formed.
 
-    The formulas above give the A1 (its z-part), theta1 and phi blocks; on
-    the exchanged fields, with W2, W5, W6 for W1, W3, W4, the A2, theta2
-    and psi blocks.  A block whose every term has a zero factor is _ZERO;
-    W1 and W2 always hold their tau terms, so the A blocks are arrays.
+    The formulas above give the A1, theta1 and phi blocks; on the exchanged
+    fields, with W2, W5, W6 for W1, W3, W4, the A2, theta2 and psi blocks.
+    A block whose every term has a zero factor is written as zeros.
     """
     e = f.exchanged()
-    w1, w2 = w["W1"], w["W2"]
     w3, w4, w5, w6 = w["W3"], w["W4"], w["W5"], w["W6"]
-    w1d, w2d = _adj(w1), _adj(w2)
-    w1h, w1a = w1 + w1d, w1 - w1d
-    w2h, w2a = w2 + w2d, w2 - w2d
-
-    def potential(g_z: np.ndarray) -> np.ndarray:
-        return 0.5 * _antiherm(np.stack([g_z, 1j * g_z]))
-
-    blocks = {
-        "A1": lambda: potential(_connection_gradient(f, w1h, w1a, w3, w5)),
-        "A2": lambda: potential(_connection_gradient(e, w2h, w2a, w5, w3)),
-        "theta1": lambda: _higgs_gradient(f, w1h, w1a, w4, w6),
-        "theta2": lambda: _higgs_gradient(e, w2h, w2a, w6, w4),
-        "phi": lambda: _section_gradient(f, w1h, w2h, w3, w4),
-        "psi": lambda: _section_gradient(e, w2h, w1h, w5, w6),
-    }
-    return {name: blocks[name]() for name in BLOCKS if name in flows}
+    w1h = _coupled_gradient(f, w["W1"], w3, w4, w5, w6, out["A1"], out.get("theta1"))
+    w2h = _coupled_gradient(e, w["W2"], w5, w6, w3, w4, out["A2"], out.get("theta2"))
+    if "phi" in out:
+        _section_gradient(f, w1h, w2h, w3, w4, out["phi"])
+    if "psi" in out:
+        _section_gradient(e, w2h, w1h, w5, w6, out["psi"])
 
 
 def _real_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -749,16 +766,16 @@ class _Preconditioner:
     layout: a packed vector is one complex array of shape (planes, N, N),
     a site plane for every matrix entry (and direction) of the FLOWS
     blocks, each block in its own fixed slot.  ``pack`` copies plane
-    fields into a fresh packed vector (a _ZERO block, one with no nonzero
-    term, fills its slot with zeros) and ``unpack`` views a packed vector,
-    on any grid, as plane fields by a reshape, with no transpose: a slot
-    holds its block's entries in order, each a site plane, which is the
-    kernels' layout.  ``blockwise`` transforms all planes of a packed
-    gradient with one 1-D transform pair per site axis, the last axis
-    first, which is the order fft2 and ifft2 use, so every block equals
-    theirs bit for bit.  The first transform writes a fresh array and the
-    others work in it in place, so what a call returns is new and is not
-    touched again.
+    fields (a solve's start) into a fresh packed vector, ``_gradient``
+    writes a gradient straight into the slots of one, and ``unpack`` views
+    a packed vector, on any grid, as plane fields by a reshape, with no
+    transpose: a slot holds its block's entries in order, each a site
+    plane, which is the kernels' layout.  ``blockwise`` transforms all
+    planes of a packed gradient with one 1-D transform pair per site axis,
+    the last axis first, which is the order fft2 and ifft2 use, so every
+    block equals theirs bit for bit.  The first transform writes a fresh
+    array and the others work in it in place, so what a call returns is
+    new and is not touched again.
     """
 
     def __init__(self, s: LatticeState, tau: float) -> None:
@@ -810,8 +827,7 @@ class _Preconditioner:
         fields; a public block goes in through its planes view, _turn."""
         x = np.empty(self.shape, dtype=np.complex128)
         for name, view in self.unpack(x).items():
-            g = blocks[name]
-            view[...] = 0.0 if g is _ZERO else g
+            view[...] = blocks[name]
         return x
 
     def blockwise(self, g: np.ndarray) -> np.ndarray:
@@ -1057,7 +1073,7 @@ def solve(
     # The start is packed once, through the planes views of its public
     # blocks; every state after it is the packed vector's planes.
     x = packing.pack({name: _turn(getattr(s, name)) for name in FLOWS})
-    held = {name: _turn(getattr(s, name)) for name in HELD}
+    held = dict.fromkeys(HELD, _ZERO)
     f = _Fields(s.a, {**packing.unpack(x), **held})
     w = _residual_fields(f, tau)
     energy = _energy(s, w)
@@ -1075,7 +1091,8 @@ def solve(
         if not math.isfinite(energy):
             stop_reason = "non_finite"
             break
-        grad = packing.pack(_gradient(f, w, FLOWS))
+        grad = np.empty(packing.shape, dtype=np.complex128)
+        _gradient(f, w, packing.unpack(grad))
         pgrad = packing(grad)
         gz = _inner(grad, pgrad)
         if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:

@@ -49,9 +49,10 @@ def site_frob2(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(m) ** 2, axis=(-1, -2))
 
 
-def residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
+def residual_fields(s: vx.LatticeState, tau: float, **changed: np.ndarray) -> dict[str, np.ndarray]:
     """The six residual fields W1..W6 of s at coupling tau, on the state's
-    own (N, N, r, q) blocks.
+    own (N, N, r, q) blocks.  A block passed by name replaces s's and may
+    carry leading axes, which the fields then carry too.
 
     Per bundle, with Z = A_z + theta and Zb = A_zbar + theta^H the (1,0)
     and (0,1) parts of the Higgs-coupled connection: the vortex equation
@@ -62,11 +63,15 @@ def residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
     psi, and tau and tau' = -tau r1 / r2 exchanged.
     """
     a = s.a
+    b = {name: changed.get(name, getattr(s, name)) for name in vx.BLOCKS}
+
+    def zpot(A):
+        return 0.5 * (A[..., 0, :, :, :, :] - 1j * A[..., 1, :, :, :, :])
 
     def bundle(A, t, A_other, t_other, phi, psi, coupling):
-        Az = 0.5 * (A[0] - 1j * A[1])
+        Az = zpot(A)
         Zb = -adj(Az)
-        Zb_other = -adj(0.5 * (A_other[0] - 1j * A_other[1]))
+        Zb_other = -adj(zpot(A_other))
         Z, Zb_coupled = Az + t, Zb + adj(t)
         curvature = dz(Zb_coupled, a) - dzbar(Z, a) + mm(Z, Zb_coupled) - mm(Zb_coupled, Z)
         moment = mm(phi, adj(phi)) - mm(adj(psi), psi)
@@ -78,9 +83,75 @@ def residual_fields(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
         )
 
     tau_prime = -tau * s.r1 / s.r2
-    w1, w3, w4 = bundle(s.A1, s.theta1, s.A2, s.theta2, s.phi, s.psi, tau)
-    w2, w5, w6 = bundle(s.A2, s.theta2, s.A1, s.theta1, s.psi, s.phi, tau_prime)
+    w1, w3, w4 = bundle(b["A1"], b["theta1"], b["A2"], b["theta2"], b["phi"], b["psi"], tau)
+    w2, w5, w6 = bundle(b["A2"], b["theta2"], b["A1"], b["theta1"], b["psi"], b["phi"], tau_prime)
     return {"W1": w1, "W2": w2, "W3": w3, "W4": w4, "W5": w5, "W6": w6}
+
+
+def _tangent_units(r: int, q: int, anti_hermitian: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The real coordinates of one site's r x q block, each as (unit e,
+    read-out R): the unit is a direction of the tangent space and R the
+    entries of the gradient that 2 Re tr(g^H e) fixes, g = sum_e R dE(e).
+
+    A complex block has the units E_ij and i E_ij, whose slopes are twice
+    the real and imaginary part of g_ij.  An anti-Hermitian block has i E_ii
+    and, for i < j, E_ij - E_ji and i (E_ij + E_ji); an anti-Hermitian g
+    gives them the slopes 2 Im g_ii, 4 Re g_ij and 4 Im g_ij.
+    """
+    units = []
+    for i in range(r):
+        for j in range(q):
+            if not anti_hermitian:
+                for c in (1.0, 1j):
+                    e = np.zeros((r, q), dtype=np.complex128)
+                    e[i, j] = c
+                    units.append((e, 0.5 * e))
+            elif i == j:
+                e = np.zeros((r, q), dtype=np.complex128)
+                e[i, i] = 1j
+                units.append((e, 0.5 * e))
+            elif i < j:
+                for c in (1.0, 1j):
+                    e = np.zeros((r, q), dtype=np.complex128)
+                    e[i, j], e[j, i] = c, -np.conj(c)
+                    units.append((e, 0.25 * e))
+    return units
+
+
+def residual_gradient(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
+    """The gradient of the residual energy a^2 sum |W|^2 in the convention
+    dE = 2 Re sum tr(g^H dq), the potentials' blocks anti-Hermitian, from a
+    slope along every real coordinate of the state.
+
+    Every residual field is at most quadratic in the fields, so J e =
+    (W(x + e) - W(x - e)) / 2 exactly, from residual_fields above, and the
+    slope along e is 2 a^2 Re <J e, W>.  Each unit sits at one site (and
+    one direction of a potential); _tangent_units reads the gradient's
+    entries off the slopes.  The units of a block are evaluated together,
+    one per entry of a leading axis.
+    """
+    k = s.a * s.a
+    w = residual_fields(s, tau)
+    out = {}
+    for name in vx.BLOCKS:
+        block = getattr(s, name)
+        units = _tangent_units(*block.shape[-2:], anti_hermitian=name in ("A1", "A2"))
+        sites = list(np.ndindex(block.shape[:-2]))
+        steps = np.zeros((len(sites) * len(units),) + block.shape, dtype=np.complex128)
+        readouts = np.zeros_like(steps)
+        for c, (at, (e, readout)) in enumerate((at, u) for at in sites for u in units):
+            steps[(c,) + at] = e
+            readouts[(c,) + at] = readout
+        plus = residual_fields(s, tau, **{name: block + steps})
+        minus = residual_fields(s, tau, **{name: block - steps})
+        # A field that does not read the block has no leading axis and, at
+        # every unit, no slope: one row of zeros.
+        slopes = sum(
+            2.0 * k * np.sum((np.conj(w[f]) * (0.5 * (plus[f] - minus[f]))).reshape(-1, w[f].size), axis=1).real
+            for f in w
+        )
+        out[name] = np.einsum("c,c...->...", slopes, readouts)
+    return out
 
 
 def l4_identity_check(s: vx.LatticeState, tau: float, tol: float = 1e-8) -> dict[str, float]:

@@ -109,6 +109,50 @@ def test_single_block_directions() -> None:
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)), name
 
 
+def packed_gradient(packing: vx._Preconditioner, f: vx._Fields, w: dict[str, np.ndarray]) -> np.ndarray:
+    """The gradient the solver's loop forms: a fresh packed vector."""
+    g = np.empty(packing.shape, dtype=np.complex128)
+    vx._gradient(f, w, packing.unpack(g))
+    return g
+
+
+def solver_gradient(s: vx.LatticeState, tau: float) -> dict[str, np.ndarray]:
+    """The solver's packed gradient of s read back as public FLOWS blocks."""
+    f = vx._Fields.of(s)
+    packing = vx._Preconditioner(s, tau)
+    g = packed_gradient(packing, f, vx._residual_fields(f, tau))
+    return {name: vx._turn(b) for name, b in packing.unpack(g).items()}
+
+
+def assert_matches_slopes(got: dict[str, np.ndarray], want: dict[str, np.ndarray], names, where) -> None:
+    scale = max(float(np.max(np.abs(g))) for g in want.values())
+    assert scale > 0.0
+    for name in names:
+        assert float(np.max(np.abs(got[name] - want[name]))) <= 1e-12 * scale, (where, name)
+
+
+@pytest.mark.parametrize("start", ["smooth", "zero theta1", "dense"])
+@pytest.mark.parametrize("r1, r2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+def test_gradient_matches_slopes_along_every_coordinate(r1: int, r2: int, start: str) -> None:
+    # The oracle takes the slope along every real coordinate from the
+    # residual fields of lattice_oracles, which share no kernel with the
+    # solver.  The solver's packed gradient and residual_gradient must
+    # match it on section-branch starts (theta2 = psi = 0), with theta1
+    # nonzero and zero, and on a dense state, every block nonzero.
+    tau = 0.8
+    rng = np.random.default_rng(61 + 10 * r1 + r2)
+    if start == "dense":
+        s = dense_state(4, r1, r2, rng)
+    else:
+        s = vx.random_smooth_state(4, r1, r2, 1.0, rng, amplitude=0.3, tau=tau)
+    if start == "zero theta1":
+        s = replace(s, theta1=np.zeros_like(s.theta1))
+    want = lo.residual_gradient(s, tau)
+    where = (r1, r2, start)
+    assert_matches_slopes(vx.residual_gradient(s, tau), want, BLOCKS, where)
+    assert_matches_slopes(solver_gradient(s, tau), want, vx.FLOWS, where)
+
+
 def test_a_gradient_blocks_are_anti_hermitian() -> None:
     rng = np.random.default_rng(37)
     s = dense_state(6, 2, 1, rng)
@@ -125,11 +169,10 @@ def test_branch_freezes_blocks() -> None:
     s = dense_state(6, 2, 2, rng)
     tau = 1.0
     full = vx.residual_gradient(s, tau)
-    f = vx._Fields.of(s)
-    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
+    grad = solver_gradient(s, tau)
     assert list(grad) == ["A1", "A2", "theta1", "phi"]
     for name, g in grad.items():
-        assert np.array_equal(vx._turn(g), full[name]), name
+        assert np.array_equal(g, full[name]), name
 
 
 def test_gradient_vanishes_at_exact_solution() -> None:
@@ -182,7 +225,7 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         f = vx._Fields.of(s)
         w = vx._residual_fields(f, tau)
         packing = vx._Preconditioner(s, tau)
-        dirn = packing.unpack(packing(packing.pack(vx._gradient(f, w, vx.FLOWS))))
+        dirn = packing.unpack(packing(packed_gradient(packing, f, w)))
         dirn = {name: vx._turn(d) for name, d in dirn.items()}
 
         def along(t: float) -> vx.LatticeState:

@@ -37,6 +37,14 @@ def planes(blocks: dict) -> dict:
     return {name: vx._turn(v) for name, v in blocks.items()}
 
 
+def packed_gradient(packing: vx._Preconditioner, f: vx._Fields, tau: float) -> np.ndarray:
+    """The gradient the solver's loop forms at the state of f: a fresh
+    packed vector."""
+    g = np.empty(packing.shape, dtype=np.complex128)
+    vx._gradient(f, vx._residual_fields(f, tau), packing.unpack(g))
+    return g
+
+
 def fields_at(s: vx.LatticeState, packing: vx._Preconditioner, x: np.ndarray) -> vx._Fields:
     """The fields of the packed vector x, with s's held blocks."""
     return vx._Fields(s.a, {**planes({name: getattr(s, name) for name in vx.HELD}), **packing.unpack(x)})
@@ -220,17 +228,16 @@ def test_gradient_matches_split_form_slopes(r1: int, r2: int) -> None:
     for branch, zero_blocks in ZERO_BLOCKS.items():
         rng = np.random.default_rng(59 + 10 * r1 + r2)
         s = branch_state(r1, r2, branch, rng)
-        f = vx._Fields.of(s)
-        grad = public(vx._gradient(f, vx._residual_fields(f, tau), vx.BLOCKS))
-        norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values() if g is not vx._ZERO))
+        grad = vx.residual_gradient(s, tau)
+        norm = np.sqrt(sum(np.sum(np.abs(g) ** 2) for g in grad.values()))
         for name in BLOCKS:
             v = cfield(rng, *getattr(s, name).shape)
             if name in ("A1", "A2"):
                 v = 0.5 * (v - adj(v))
             v /= np.linalg.norm(v)
             g = grad[name]
-            got = 0.0 if g is vx._ZERO else 2.0 * float(np.vdot(g, v).real)
-            if g is vx._ZERO:
+            got = 2.0 * float(np.vdot(g, v).real)
+            if not g.any():
                 assert name in zero_blocks, (branch, name)
             want = split_slope(s, tau, name, v)
             assert abs(got - want) <= 1e-12 * 2.0 * norm, (branch, name)
@@ -278,21 +285,17 @@ def test_preconditioner_matches_blockwise_fft2(r1: int, r2: int) -> None:
     tau = 0.8
     rng = np.random.default_rng(71 + 10 * r1 + r2)
     s = branch_state(r1, r2, "phi", rng)
-    f = vx._Fields.of(s)
-    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
-    assert list(grad) == list(vx.FLOWS)
     precondition = vx._Preconditioner(s, tau)
+    grad = precondition.unpack(packed_gradient(precondition, vx._Fields.of(s), tau))
+    assert list(grad) == list(vx.FLOWS)
     for name, block in precondition.unpack(precondition.pack(grad)).items():
         assert np.array_equal(block, grad[name]), name
-    for g in (grad, dict(grad, theta1=vx._ZERO)):
+    for g in (grad, dict(grad, theta1=np.zeros_like(grad["theta1"]))):
         got = public(precondition.unpack(precondition.blockwise(precondition.pack(g))))
         want = fft2_precondition(public(g), s, tau)
         assert list(got) == list(want)
         for name, ref in want.items():
-            if ref is vx._ZERO:
-                assert not got[name].any(), name
-            else:
-                assert np.array_equal(got[name], ref), name
+            assert np.array_equal(got[name], ref), name
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
@@ -402,15 +405,14 @@ def test_preconditioner_results_outlive_the_next_call() -> None:
     tau = 0.8
     rng = np.random.default_rng(83)
     s = branch_state(2, 1, "phi", rng)
-    f = vx._Fields.of(s)
-    grad = vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)
     precondition = vx._Preconditioner(s, tau)
-    packed = precondition.pack(grad)
+    packed = packed_gradient(precondition, vx._Fields.of(s), tau)
+    given = packed.copy()
     first = precondition(packed)
     kept = first.copy()
-    second = precondition(precondition.pack({name: 2.0 * g + 1.0 for name, g in grad.items()}))
+    second = precondition(2.0 * packed + 1.0)
     assert np.array_equal(first, kept)
-    assert np.array_equal(packed, precondition.pack(grad))
+    assert np.array_equal(packed, given)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, packed)
 
@@ -498,7 +500,7 @@ def test_gauss_newton_symbol_keeps_potentials_anti_hermitian(r: int) -> None:
     s = vx.random_smooth_state(16, r, r, 1.0, np.random.default_rng(5 + r), 0.3, 1.0)
     f = vx._Fields.of(s)
     packing = vx._Preconditioner(s, tau)
-    out = public(packing.unpack(packing(packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS)))))
+    out = public(packing.unpack(packing(packed_gradient(packing, f, tau))))
     for name in ("A1", "A2"):
         assert out[name].any()
         assert np.array_equal(out[name], -adj(out[name])), name
@@ -552,8 +554,26 @@ def test_problems_without_a_vacuum_keep_the_per_block_kernel(r1: int, r2: int, t
     f = vx._Fields.of(s)
     packing = vx._Preconditioner(s, tau)
     assert packing.symbol is None
-    g = packing.pack(vx._gradient(f, vx._residual_fields(f, tau), vx.FLOWS))
+    g = packed_gradient(packing, f, tau)
     assert np.array_equal(packing(g), packing.blockwise(g))
+
+
+def test_pseudo_inverse_batch_gives_each_group_alone() -> None:
+    # The symbol builds its groups of one shape in one batch.  Each group's
+    # matrices must be bit for bit those of its own build, and its rank
+    # tolerance its own: a group 1e-9 times the size of the others keeps
+    # its full rank, and one with dependent columns has rank 1.
+    rng = np.random.default_rng(5)
+    jh = cfield(rng, 3, 4, 2, 7)
+    jh[1] *= 1e-9
+    jh[2, :, 1] = 2.0 * jh[2, :, 0]
+    kernel = rng.random((3, 2, 7))
+    batch = gauss_newton._pseudo_inverse_with_kernel(jh, kernel)
+    for i in range(3):
+        alone = gauss_newton._pseudo_inverse_with_kernel(jh[i : i + 1], kernel[i : i + 1])
+        assert np.array_equal(batch[i], alone[0]), i
+    # The small group's (Jh^H Jh)^+ is of order 1e18: no row was dropped.
+    assert np.abs(batch[1]).max() > 1e15
 
 
 @pytest.mark.parametrize("r, tau", [(1, 1.0), (2, 1.0), (3, 0.5), (2, 0.0)])
@@ -608,6 +628,6 @@ def test_exchange_swaps_residual_fields_and_gradient(r1: int, r2: int) -> None:
         f, ft = vx._Fields.of(s), vx._Fields.of(t)
         w, wt = vx._residual_fields(f, tau), vx._residual_fields(ft, q)
         assert_swapped(wt, w, EXCHANGED_FIELDS, branch)
-        grad, grad_t = vx._gradient(f, w, vx.BLOCKS), vx._gradient(ft, wt, vx.BLOCKS)
+        grad, grad_t = vx.residual_gradient(s, tau), vx.residual_gradient(t, q)
         assert_swapped(grad_t, grad, EXCHANGED_BLOCKS, branch)
 
