@@ -684,7 +684,8 @@ def build_parser() -> _Parser:
     sol.add_argument("--tol", type=float, default=1e-12)
     sol.add_argument("--max-iter", type=int, default=10000)
     sol.add_argument("--seed", type=int, default=0)
-    sol.add_argument("--amplitude", type=float, default=0.1, help="initial mode scale")
+    sol.add_argument("--amplitude", type=float, default=0.1, help="initial mode scale; a start "
+                     "needs an amplitude below sqrt(coupling) to be in the solution's basin")
     sol.add_argument(
         "--dump-fields", help="write binary field snapshots to this path"
     )

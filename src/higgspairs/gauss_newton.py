@@ -4,8 +4,9 @@
 a problem with a constant vacuum and applies it in place of its per-block
 kernel; its docstring says when and why.  The symbol is built from the
 residual kernel itself (``vortex._residual_fields``), probed at the vacuum
-on a small grid: no formula for J is written down here.  Only solves with
-a vacuum import this module.
+on a small grid, at a site and its neighbours along each axis: no formula
+for J is written down here.  Only solves with a vacuum and
+``vortex.solve_bytes`` (for symbol_bytes) import this module.
 """
 
 from __future__ import annotations
@@ -17,10 +18,30 @@ import numpy as np
 
 from higgspairs import vortex as vx
 
-# The site offsets a residual field reads: the central differences of
-# vortex._stencil reach one neighbour along each axis, and every product
-# stays on its site.
-STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+# Complex numbers per mode of the half spectrum that the symbol keeps, over
+# r^2: one matrix per coupling group, and the groups have 2, 2 and 4
+# coordinates per anti-Hermitian unit (2 each at tau = 0).
+SYMBOL_PER_MODE = 24
+# Complex numbers per class of Fourier modes that the symbol's build holds
+# besides, for the group it works on, whatever r is: measured 71 to 99 (r =
+# 1 and 2, N = 64 to 256 and 129).
+SYMBOL_BUILD_PER_CLASS = 100
+# Complex r x r fields on the probe grid (_probe_grid, whose side grows as
+# r) that the build holds at its peak, the probe state's residual fields and
+# what they come from: measured 20.2 to 22.6 (r = 2..8 at N = 4, 5 and 8),
+# 116 MB at r = 8.  Whatever N is, the build grows as r^4.
+SYMBOL_PROBE_FIELDS = 24
+
+
+def symbol_bytes(N: int, r: int) -> int:
+    """Upper estimate of the bytes the symbol of an r1 = r2 = r problem on the
+    N-grid holds at its build's peak: its matrices per mode, the build's own
+    per class of modes (_sine_classes, counted in closed form, so that the
+    CLI refuses a grid before anything is allocated) and the probe grid's."""
+    modes = N * (N // 2 + 1)
+    classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else modes
+    fields = SYMBOL_PROBE_FIELDS * _probe_grid(r) ** 2
+    return 16 * (modes * SYMBOL_PER_MODE * r * r + classes * SYMBOL_BUILD_PER_CLASS + fields * r * r)
 
 
 def _real_units(r: int, hermitian: bool) -> np.ndarray:
@@ -57,22 +78,22 @@ class GaussNewtonSymbol:
     unit of A1 and the same unit of A2 as (A1 + A2)/sqrt(2) and (A1 -
     A2)/sqrt(2), and so do the residuals W1 and W2: an orthogonal change
     of coordinates, which the inverse follows exactly.  At the vacuum A =
-    theta = 0, phi0 = sqrt(tau) I, J is a convolution over
-    STENCIL_OFFSETS, so a real-FFT mode xi of u maps to the same mode of
-    the residuals by the matrix Jh(xi) = sum_o J(o) exp(-2 pi i xi.o/N).
-
-    J(o) is probed, not derived (_probe).  Units that share a residual
-    coordinate at some offset form a coupling group, and J*J is block
-    diagonal in the groups, so each is built and applied on its own.  Only
-    the differences A1 - A2 and W1 - W2 feel phi, so the probes find 3r^2
-    groups: each anti-Hermitian unit of A1 + A2 (both directions), two
-    coordinates; the same unit of A1 - A2 with the unit and i times it in
-    phi, four; and the unit and i times it in theta1, two.  At tau = 0 phi
-    decouples and every group has two.  When the probes show J odd in the
-    neighbour offsets, as central differences make it, Jh reads a mode
-    only through sin(2 pi k/N) along each axis, which k and N/2 - k share
-    at even N: each class of such modes is built once, and its matrices
-    are copied to each mode of the class.
+    theta = 0, phi0 = sqrt(tau) I, J is a convolution: its products stay
+    on a site, J0, and the central differences of vortex._stencil reach
+    the neighbours at +/-e with weights +/-1/2, so J(-e) = -J(e), and a
+    real-FFT mode (k1, k2) of u maps to the same mode of the residuals by
+    Jh = J0 - 2i (sigma(k1) Jx + sigma(k2) Jy), sigma the stencil's symbol
+    (vortex._difference_symbol).  J0, Jx and Jy are probed, not derived
+    (_probe).  Units that share a residual coordinate at some offset form
+    a coupling group, and J*J is block diagonal in the groups, so each is
+    built and applied on its own.  Only the differences A1 - A2 and
+    W1 - W2 feel phi, so the probes find 3r^2 groups: each anti-Hermitian
+    unit of A1 + A2 (both directions), two coordinates; the same unit of
+    A1 - A2 with the unit and i times it in phi, four; and the unit and
+    i times it in theta1, two.  At tau = 0 phi decouples and every group
+    has two.  sigma is the same at k and N/2 - k at even N: each class of
+    such modes is built once (_sine_classes), and its matrices are copied
+    to each mode of the class.
 
     Per mode and group the operator is ((J*J)^+ + P0 K P0) / a^2
     (_pseudo_inverse_with_kernel): the exact inverse on the directions J
@@ -120,14 +141,12 @@ class GaussNewtonSymbol:
         jac = _probe(packing, s, basis, tau)
         w1, w2 = jac.pop("W1"), jac.pop("W2")
         jac = np.concatenate([c * (w1 + w2), c * (w1 - w2), *jac.values()], axis=1)
-        odd = np.array_equal(jac[1], -jac[2]) and np.array_equal(jac[3], -jac[4])
-        reps1, of1 = _sine_classes(N, N, odd)
-        reps2, of2 = _sine_classes(N, N // 2 + 1, odd)
-        angle1 = 2.0 * np.pi * reps1[:, None] / N
-        angle2 = 2.0 * np.pi * reps2[None, :] / N
-        phases = np.array([np.exp(-1j * (o1 * angle1 + o2 * angle2)).ravel()
-                           for o1, o2 in STENCIL_OFFSETS])
-        omega2 = ((np.sin(angle1) ** 2 + np.sin(angle2) ** 2) / (s.a * s.a)).ravel()
+        reps1, of1 = _sine_classes(N, N)
+        reps2, of2 = _sine_classes(N, N // 2 + 1)
+        # Per class, flat: sigma(k1) and sigma(k2), and the weights of J0, Jx, Jy in Jh.
+        sigmas = vx._difference_symbol(np.array(np.meshgrid(reps1, reps2, indexing="ij")).reshape(2, -1), N)
+        weights = np.concatenate([np.ones((1, sigmas.shape[1])), -2j * sigmas])
+        omega2 = (sigmas**2).sum(axis=0) / (s.a * s.a)
         kernel = np.array([vx._block_kernel(name, tau, omega2) for name in names])
         # The class of each mode of the half spectrum, flat.
         of = (of1[:, None] * len(reps2) + of2[None, :]).ravel()
@@ -145,7 +164,7 @@ class GaussNewtonSymbol:
             at = 0
             for _, run in itertools.groupby(members, key=lambda group: len(group[1])):
                 cols, touched = (np.array(part) for part in zip(*run))
-                jh = np.einsum("om,obrc->brcm", phases, jac[:, touched[:, :, None], cols[:, None, :]])
+                jh = np.einsum("om,obrc->brcm", weights, jac[:, touched[:, :, None], cols[:, None, :]])
                 built = _pseudo_inverse_with_kernel(jh, kernel[cols])
                 built /= s.a * s.a
                 # Every class index is in range; "clip" spares take a buffer.
@@ -209,19 +228,21 @@ class GaussNewtonSymbol:
 def _probe(
     packing: vx._Preconditioner, s: vx.LatticeState, basis: np.ndarray, tau: float
 ) -> dict[str, np.ndarray]:
-    """J(o) for o in STENCIL_OFFSETS, from one evaluation of the residual
-    fields: for each residual field that is not zero, by name, an array of
-    shape (offsets, units of gl(r), coordinates).
+    """J0, Jx and Jy, J(o) at the offsets o = (0, 0), (1, 0) and (0, 1),
+    from one evaluation of the residual fields: for each residual field
+    that is not zero, by name, an array of shape (3, units of gl(r),
+    coordinates).
 
     Every unit e_c goes to two sites of the vacuum on a small grid with
     the solve's spacing, +e_c at one and -e_c at the other, all at sites
-    (i, j) with i + 2j = 0 mod 5, whose five-site stencils tile the grid.
-    The residuals are at most quadratic and their products stay on a
-    site, so half the difference of the two responses is J e_c exactly:
-    the quadratic part, even in e_c, and the vacuum's own residual drop
-    out.  The probe vector goes once its residual fields exist, and each
-    field once the sites around the probes are read off it, which keeps
-    the build's peak near 20 probe-grid fields.
+    (i, j) with i + 2j = 0 mod 5, whose five-site stencils tile the grid,
+    so no probe reaches a site read around another.  The residuals are at
+    most quadratic and their products stay on a site, so half the
+    difference of the two responses is J e_c exactly: the quadratic part,
+    even in e_c, and the vacuum's own residual drop out.  The probe vector
+    goes once its residual fields exist, and each field once the sites
+    around the probes are read off it, which keeps the build's peak near
+    20 probe-grid fields.
     """
     r = s.r1
     count = len(basis)
@@ -236,9 +257,8 @@ def _probe(
     held = dict.fromkeys(vx.HELD, vx._ZERO)
     w = vx._residual_fields(vx._Fields(s.a, {**packing.unpack(x), **held}), tau)
     del x
-    offsets = np.array(STENCIL_OFFSETS)[:, :, None, None]
-    index = (Ellipsis, (at[0] + offsets[:, 0]) % n, (at[1] + offsets[:, 1]) % n)
-    # Each residual field goes as soon as its sites around the probes are read.
+    offsets = np.array([[0, 1, 0], [0, 0, 1]])[:, :, None, None]
+    index = (Ellipsis, (at[0] + offsets[0]) % n, (at[1] + offsets[1]) % n)
     names = [name for name, v in w.items() if v is not vx._ZERO]
     near = np.empty((len(names), r, r) + index[1].shape, dtype=np.complex128)
     for k, name in enumerate(names):
@@ -281,14 +301,14 @@ def _groups(jac: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _sine_classes(N: int, count: int, reflect: bool) -> tuple[np.ndarray, np.ndarray]:
+def _sine_classes(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The Fourier indices 0..count-1 of an N-grid axis in classes of equal
-    sin(2 pi k/N): the class representatives k (a range of integers) and
-    the class of each index.  With reflect, k and N/2 - k share a class at
-    even N; otherwise every index is its own class."""
+    sigma (vortex._difference_symbol): the representatives k, a range of
+    integers, and the class of each index, which k and N/2 - k share at
+    even N; at odd N every index is its own class."""
     k = np.arange(count)
     k = np.where(2 * k > N, k - N, k)
-    if reflect and N % 2 == 0:
+    if N % 2 == 0:
         k = np.where(4 * k > N, N // 2 - k, np.where(4 * k < -N, -(N // 2) - k, k))
     return np.arange(k.min(), k.max() + 1), k - k.min()
 

@@ -95,20 +95,11 @@ Preconditioning.  ``solve`` builds one ``_Preconditioner`` per solve: the
 packed layout, a site plane for every entry of the FLOWS blocks, and the
 kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the diagonal
 of the Fourier symbol of the Gauss-Newton Hessian J*J at a constant
-vacuum (VACUUM_SYMBOL, derived in the class docstring).  When the solved
-problem has a constant vacuum, A = theta = 0 and phi = sqrt(tau) I, which
-needs r1 = r2 and tau >= 0 (tau_prime = -tau r1 / r2 then equals -tau),
-J*J there is translation invariant, and the preconditioner applies its
-exact inverse mode by mode instead (gauss_newton.GaussNewtonSymbol):
-built once per solve by probing the residual fields at the vacuum, in
-real coordinates that take the potentials as (A1 +/- A2)/sqrt(2) and the
-residuals W1, W2 likewise, so that only A1 - A2 couples to phi.  It holds
-a 2 x 2 or 4 x 4 matrix per mode of the half spectrum and coupling group,
-with the per-block kernel on its null space, the gauge directions, and a
-call applies the matrices to every mode with no gather by class.
-Without a vacuum there is no constant state to linearize at, and the
-per-block kernel serves alone.  The solver's loop runs on packed vectors
-in that layout, one complex array each for the flowed blocks of the
+vacuum (VACUUM_SYMBOL, derived in the class docstring).  When the
+problem has that vacuum (_has_vacuum), it applies the exact inverse of
+J*J mode by mode instead (gauss_newton.GaussNewtonSymbol).  Both read
+the stencil's symbol, _difference_symbol.  The solver's loop runs on
+packed vectors in that layout, one complex array each for the
 state, the gradient, the preconditioned gradient and the direction, so
 an inner product, the conjugate-gradient update or a step is one array
 operation.  The packed vector's planes are the kernels' own memory:
@@ -370,6 +361,14 @@ def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     d1 += d2
     d1 *= 0.25 / a
     return d1
+
+
+def _difference_symbol(k: np.ndarray, N: int) -> np.ndarray:
+    """sigma(k) = sin(2 pi k/N), the symbol of _stencil along a site axis of
+    the N-grid: (m[j+1] - m[j-1])/2 maps the wave e^{2 pi i k j/N} to
+    i sigma(k) times it, so D_z and D_zbar map the wave of indices (k1, k2)
+    to i (sigma(k1) -/+ i sigma(k2)) / (2a) times it."""
+    return np.sin(2.0 * np.pi * k / N)
 
 
 def _dz(m: np.ndarray, a: float) -> np.ndarray:
@@ -718,10 +717,10 @@ class _Preconditioner:
     linear part of the residual fields.  At the constant vacuum of the
     solved problem (A = theta = 0, phi phi^H = tau) J*J is translation
     invariant, so Fourier modes decouple.  The central difference has the
-    symbol i sin(2 pi k/N)/a along each axis, so D_z and D_zbar both have
-    |symbol|^2 = omega^2/4, omega^2 = (sin^2(2 pi k1/N) + sin^2(2 pi
-    k2/N))/a^2.  The diagonal of J*J then gives, for a plane wave in one
-    matrix entry of a block:
+    symbol i sigma(k)/a along each axis, sigma = _difference_symbol, so
+    D_z and D_zbar both have |symbol|^2 = omega^2/4, omega^2 = (sigma(k1)^2
+    + sigma(k2)^2)/a^2.  The diagonal of J*J then gives, for a plane wave
+    in one matrix entry of a block:
 
     * theta1: W4 = 2 theta1 phi gives 4 tau, and the curvature part
       2(D_z theta1^H - D_zbar theta1) of W1 gives 2 omega^2;
@@ -754,13 +753,12 @@ class _Preconditioner:
     gauss_newton.GaussNewtonSymbol, instead: per mode and coupling group,
     the exact (J*J)^+ at phi0 = sqrt(tau) I on the directions J sees, and
     this kernel, projected, on its null space (the gauge directions, and
-    at tau = 0 what only the mass would see); that solve takes 5.  There,
-    0.3 tau I stalls every tau = 0 solve, and 0.3 times the kernel took
-    10, 10 and 57 iterations at tau = 0 against 8, 7 and 31 (N = 16, 32,
-    16; seeds 7, 7, 3).  A vacuum needs phi phi^H = tau and phi^H phi =
-    -tau' at one constant phi, and tau' = -tau r1 / r2, so r1 = r2 with
-    tau >= 0.  Without one there is no constant state to linearize at,
-    and a call is ``blockwise``, bit for bit as before the symbol.
+    at tau = 0 what only the mass would see); that solve takes 5.  Its
+    matrices read sigma at their classes of modes, this kernel at k = 0..N-1.
+    There, 0.3 tau I stalls every tau = 0 solve, and 0.3 times the kernel
+    took 10, 10 and 57 iterations at tau = 0 against 8, 7 and 31 (N = 16,
+    32, 16; seeds 7, 7, 3).  Without a vacuum there is no constant state
+    to linearize at, and a call is ``blockwise``.
 
     ``solve`` builds one per solve, and it fixes the solver's packed
     layout: a packed vector is one complex array of shape (planes, N, N),
@@ -803,7 +801,7 @@ class _Preconditioner:
         call: a solve with a vacuum never makes one."""
         N = self.shape[-1]
         a, tau = self.grid
-        sin2 = np.sin(2.0 * np.pi * np.arange(N) / N) ** 2
+        sin2 = _difference_symbol(np.arange(N), N) ** 2
         omega2 = (sin2[:, None] + sin2[None, :]) / (a * a)
         return np.concatenate([
             np.broadcast_to(_block_kernel(name, tau, omega2), (slot.stop - slot.start, N, N))
@@ -1299,21 +1297,6 @@ def random_smooth_state(
 # planes left each of these peaks as it was.  A bound of 10 would leave
 # less than 0.4 state of room.
 SOLVE_WORKING_STATES = 11
-# Complex numbers per mode of the half spectrum that the Gauss-Newton
-# symbol of an r1 = r2 = r problem keeps, over r^2: one matrix per coupling
-# group, and the groups have 2, 2 and 4 coordinates per anti-Hermitian unit
-# (2 each at tau = 0).
-SYMBOL_PER_MODE = 24
-# Complex numbers per class of Fourier modes that the symbol's build holds
-# besides, for the group it works on, whatever r is: measured 71 to 99 (r =
-# 1 and 2, N = 64 to 256 and 129).
-SYMBOL_BUILD_PER_CLASS = 100
-# Complex fields of r x r matrices on the probe grid of the symbol's build
-# (gauss_newton._probe, whose side grows as r) that the build holds at its
-# peak, the residual fields of the probe state and what they are computed
-# from: measured 20.2 to 22.6 such fields (r = 2..8 at N = 4, 5 and 8),
-# 116 MB at r = 8.  Whatever N is, the build grows as r^4.
-SYMBOL_PROBE_FIELDS = 24
 
 
 def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
@@ -1322,21 +1305,16 @@ def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     the larger of random_smooth_state's temporaries (two site planes per
     sampled matrix entry, and a wave with its indices) and the solver's
     working set.  At r1 = r2 a problem can have a vacuum, and then the
-    working set holds its Gauss-Newton symbol: matrices for every mode of
-    the half spectrum, built once per class of modes with equal sines that
-    gauss_newton.GaussNewtonSymbol finds (at odd N each mode is its own),
-    and the probe grid of its build."""
+    working set holds its Gauss-Newton symbol, whose footprint
+    gauss_newton.symbol_bytes counts."""
     site = 16 * N * N
     state = 16 * sum(math.prod(shape) for shape in _block_shapes(N, r1, r2).values())
     sampled = 3 * r1 * r1 + 2 * r2 * r2 + r1 * r2
     work = SOLVE_WORKING_STATES * state
     if r1 == r2:
-        from higgspairs.gauss_newton import _probe_grid
+        from higgspairs.gauss_newton import symbol_bytes
 
-        modes = N * (N // 2 + 1)
-        classes = (2 * (N // 4) + 1) * (N // 4 + 1) if N % 2 == 0 else modes
-        work += 16 * (modes * SYMBOL_PER_MODE * r1 * r1 + classes * SYMBOL_BUILD_PER_CLASS)
-        work += 16 * SYMBOL_PROBE_FIELDS * _probe_grid(r1) ** 2 * r1 * r1
+        work += symbol_bytes(N, r1)
     return state + max(site * (2 * sampled + 2), work)
 
 

@@ -587,10 +587,56 @@ def test_gauss_newton_symbol_groups_fit_the_memory_estimate(r: int, tau: float) 
     sizes = [cols.stop - cols.start for cols, _ in symbol.groups]
     assert sum(sizes) == 8 * r * r
     assert max(sizes) <= 4
-    assert sum(g * g for g in sizes) <= vx.SYMBOL_PER_MODE * r * r
+    assert sum(g * g for g in sizes) <= gauss_newton.SYMBOL_PER_MODE * r * r
     if tau > 0:
         assert sorted(sizes) == [2] * 2 * r * r + [4] * r * r
     assert all(inverse.shape[-1] == 40 for _, inverse in symbol.groups)
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_difference_symbol_is_the_stencils_symbol(N: int) -> None:
+    # A wave e^{2 pi i (k1 j1 + k2 j2)/N} in one matrix entry is an
+    # eigenvector of D_z and D_zbar, with eigenvalue i (sigma(k1) -/+ i
+    # sigma(k2)) / (2a): the symbol the preconditioner and the Gauss-Newton
+    # symbol read.  A stencil that changes without sigma fails here.
+    a = 0.37
+    j = np.arange(N)
+    sigma = vx._difference_symbol(j, N)
+    # The wave is read off one table of e^{2 pi i m/N}, m reduced mod N,
+    # so its rounding does not grow with k1 j1 + k2 j2.
+    table = np.exp(2j * np.pi * j / N)
+    for k1 in range(N):
+        for k2 in range(N):
+            m = np.zeros((2, 1, N, N), dtype=np.complex128)
+            m[1, 0] = table[np.add.outer(k1 * j, k2 * j) % N]
+            for op, sign in ((vx._dz, -1.0), (vx._dzbar, 1.0)):
+                want = 1j * (sigma[k1] + sign * 1j * sigma[k2]) / (2 * a) * m
+                assert np.max(np.abs(op(m, a) - want)) <= 1e-14 / (2 * a), (k1, k2, sign)
+
+
+@pytest.mark.parametrize("N", range(4, 71))
+def test_sine_classes_share_their_sine(N: int) -> None:
+    # The symbol builds one matrix per class of modes and copies it to each
+    # mode of the class, so every index of a class must have its
+    # representative's sigma: k and N/2 - k share one at even N, and at odd
+    # N each index is its own class.  In float64 the two sines of a class
+    # agree to rounding, not bit for bit (sin(pi) is 1.2e-16 at N = 4, k =
+    # 2, against 0 at its representative).
+    reps1, of1 = gauss_newton._sine_classes(N, N)
+    reps2, of2 = gauss_newton._sine_classes(N, N // 2 + 1)
+    if N % 2 == 0:
+        assert len(reps1) * len(reps2) == (2 * (N // 4) + 1) * (N // 4 + 1)
+    else:
+        assert len(reps1) * len(reps2) == N * (N // 2 + 1)
+    for reps, of in ((reps1, of1), (reps2, of2)):
+        assert sorted(set(of)) == list(range(len(reps)))
+        k, rep = np.arange(len(of)), reps[of]
+        same = (rep - k) % N == 0
+        if N % 2 == 0:
+            same |= (rep + k - N // 2) % N == 0
+        assert same.all()
+        gap = np.abs(vx._difference_symbol(k, N) - vx._difference_symbol(rep, N))
+        assert gap.max() <= 8 * np.finfo(np.float64).eps
 
 
 # Exchanging the bundles swaps W1, W3, W4 with W2, W5, W6 and each block

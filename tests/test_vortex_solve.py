@@ -316,6 +316,49 @@ def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: 
     assert peak <= vx.solve_bytes(N, r1, r2), (peak, vx.solve_bytes(N, r1, r2))
 
 
+# solve_bytes(N, r, r) for N = 4..70: the CLI refuses a grid on these
+# numbers before it allocates, so moving their arithmetic must keep them.
+SOLVE_BYTES = {
+    1: [
+        77184, 106560, 112512, 169216, 176064, 252096, 239040, 355200, 336640, 478528, 427264,
+        622080, 558912, 785856, 677184, 969856, 842880, 1174080, 988800, 1398528, 1188544,
+        1643200, 1362112, 1908096, 1595904, 2193216, 1797120, 2498560, 2064960, 2824128,
+        2293824, 3169920, 2595712, 3535936, 2852224, 3922176, 3188160, 4328640, 3472320,
+        4755328, 3842304, 5202240, 4154112, 5669376, 4558144, 6156736, 4897600, 6664320,
+        5335680, 7192128, 5702784, 7740160, 6174912, 8308416, 6569664, 8896896, 7075840,
+        9505600, 7498240, 10134528, 8038464, 10783680, 8488512, 11453056, 9062784, 12142656,
+        9540480
+    ],
+    2: [
+        740736, 815040, 882048, 1003264, 1093056, 1253184, 1344960, 1564800, 1672960, 1938112,
+        2035456, 2373120, 2480448, 2869824, 2953536, 3428224, 3515520, 4048320, 4099200,
+        4730112, 4778176, 5473600, 5472448, 6278784, 6268416, 7145664, 7073280, 8074240,
+        7986240, 9064512, 8901696, 10116480, 9931648, 11230144, 10957696, 12405504, 12104640,
+        13642560, 13241280, 14941312, 14505216, 16301760, 15752448, 17723904, 17133376,
+        19207744, 18491200, 20753280, 19989120, 22360512, 21457536, 24029440, 23072448,
+        25760064, 24651456, 27552384, 26383360, 29406400, 28072960, 31322112, 29921856,
+        33299520, 31722048, 35338624, 33687936, 37439424, 35598720
+    ],
+    3: [
+        3382656, 3531840, 3700608, 3929344, 4157376, 4457664, 4724160, 5116800, 5436160,
+        5906752, 6251776, 6827520, 7219008, 7879104, 8283456, 9061504, 9505920, 10374720,
+        10819200, 11818752, 12296896, 13393600, 13859008, 15099264, 15591936, 16935744,
+        17402880, 18903040, 19391040, 21001152, 21450816, 23230080, 23694208, 25589824,
+        26002816, 28080384, 28501440, 30701760, 31058880, 33453952, 33812736, 36336960,
+        36619008, 39350784, 39628096, 42495424, 42683200, 45770880, 45947520, 49177152,
+        49251456, 52714240, 52771008, 56382144, 56323776, 60180864, 60098560, 64110400,
+        63900160, 68170752, 67930176, 72361920, 71980608, 76683904, 76265856, 81136704, 80565120
+    ],
+}
+
+
+def test_solve_bytes_keeps_its_integers() -> None:
+    # The symbol's footprint is gauss_newton.symbol_bytes, whose class count
+    # test_sine_classes_share_their_sine ties to _sine_classes.
+    for r, want in SOLVE_BYTES.items():
+        assert [vx.solve_bytes(N, r, r) for N in range(4, 71)] == want, r
+
+
 NON_FINITE_SCALES = [1e50, 1e100, np.nan]
 
 
