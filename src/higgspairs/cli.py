@@ -433,6 +433,14 @@ def _run_vortex(args: argparse.Namespace) -> _Outcome:
         args.grid, r1, r2, args.vol, np.random.default_rng(args.seed), args.amplitude, args.tau,
     )
     result = solution = vortex.solve(start, tau, tol=args.tol, max_iter=args.max_iter)
+    if result.stop_reason == "non_finite" and result.iterations == 0:
+        # The inputs are finite, but the start overflows: a report would
+        # carry nan or inf, which no format can hold as a number.
+        raise InvalidParamsError(
+            f"--amplitude {args.amplitude!r}, --tau {args.tau!r} and --vol {args.vol!r} give a "
+            f"start whose residual ({result.residual!r}), gradient or first step is not finite "
+            "in floating point"
+        )
     if mirror:
         state = vortex.exchange_bundles(result.state)
         result = replace(result, state=state, breakdown=vortex.residual_breakdown(state, args.tau))

@@ -1,12 +1,13 @@
 """The exact Gauss-Newton symbol of a vortex solve at its constant vacuum.
 
 ``vortex._Preconditioner`` builds a ``GaussNewtonSymbol`` once per solve of
-a problem with a constant vacuum and applies it in place of its per-block
-kernel; its docstring says when and why.  The symbol is built from the
-residual kernel itself (``vortex._residual_fields``), probed at the vacuum
-on a small grid, at a site and its neighbours along each axis: no formula
-for J is written down here.  Only solves with a vacuum and
-``vortex.solve_bytes`` (for symbol_bytes) import this module.
+a problem with a constant vacuum, on its first call, and applies it in
+place of its per-block kernel; its docstring says when and why.  The
+symbol is built from the residual kernel itself
+(``vortex._residual_fields``), probed at the vacuum on a small grid, at a
+site and its neighbours along each axis: no formula for J is written down
+here.  Only solves with a vacuum and ``vortex.solve_bytes`` (for
+symbol_bytes) import this module.
 """
 
 from __future__ import annotations
@@ -394,7 +395,8 @@ def _pseudo_inverse_with_kernel(jh: np.ndarray, kernel: np.ndarray) -> np.ndarra
     np.conjugate(jh, out=vectors[:, :, :g])
     np.einsum("brcm,bkcm->bkrm", jh, vectors[:, :, :g], out=vectors[:, :, image])
     np.einsum("brcm,bkrm->bkcm", vectors[:, :, :g], vectors[:, :, image], out=vectors[:, :, g + count :])
-    largest = np.abs(vectors[:, :, image]).reshape(groups, -1).max(axis=1)
+    # A group whose Jh has no rows is all null space: its largest is 0.
+    largest = np.abs(vectors[:, :, image]).reshape(groups, -1).max(axis=1, initial=0.0)
     tol = (max(count, g) * np.finfo(np.float64).eps * largest)[:, None]
     # The k-th vector of every group, shape (groups, entries, modes).
     rows = [vectors[:, k] for k in range(count)]

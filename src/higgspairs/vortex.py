@@ -64,7 +64,8 @@ Bundle exchange.  Swapping the quiver's two vertices, (A1, theta1, phi,
 tau) with (A2, theta2, psi, tau_prime), swaps W1, W3, W4 with W2, W5, W6,
 so the E2 half of each energy, residual and gradient runs the E1 formulas
 on ``_Fields.exchanged()`` (the residual fields of E1 are written once, in
-``_bundle_fields``); ``exchange_bundles`` swaps a state.
+``_equation`` and ``_residual_fields``); ``exchange_bundles`` swaps a
+state.
 
 One problem.  ``solve`` solves the section branch: it holds theta2 and psi
 at zero and flows the FLOWS blocks A1, A2, theta1 and phi.  The mirror
@@ -97,27 +98,34 @@ kernel of every plane, 1/(m_b t + c_b omega^2) for block b, the diagonal
 of the Fourier symbol of the Gauss-Newton Hessian J*J at a constant
 vacuum (VACUUM_SYMBOL, derived in the class docstring).  When the
 problem has that vacuum (_has_vacuum), it applies the exact inverse of
-J*J mode by mode instead (gauss_newton.GaussNewtonSymbol).  Both read
-the stencil's symbol, _difference_symbol.  The solver's loop runs on
-packed vectors in that layout, one complex array each for the
-state, the gradient, the preconditioned gradient and the direction, so
-an inner product, the conjugate-gradient update or a step is one array
-operation.  The packed vector's planes are the kernels' own memory:
-``unpack`` views each block as its plane field by a reshape, so the
-start is packed once, through the plane views of its public blocks, the
-fields along the way are built on views of the packed state, and the
-final state views its planes as public blocks.  Each iteration writes
+J*J mode by mode instead (gauss_newton.GaussNewtonSymbol), built on its
+first call.  Both read the stencil's symbol, _difference_symbol.  The
+solver's loop runs on packed vectors in that layout, one complex array
+each for a state, the gradient, the preconditioned gradient and the
+direction, so an inner product, the conjugate-gradient update or a step
+is one array operation.  The packed vector's planes are the kernels' own
+memory: ``unpack`` views each block as its plane field by a reshape, so
+the start is packed once, through the plane views of its public blocks,
+the fields along the way are built on views of the packed states, and
+the final state views its planes as public blocks.  Each iteration writes
 the gradient blocks straight into the slots of a fresh packed vector
 and transforms them together, one forward and one inverse 1-D transform
-per site axis.  The line step evaluates its two probes in one call, on
-blocks that carry a leading probe axis: every kernel works per site, on
-the matrix axes -4 and -3 and the site axes -2 and -1, and broadcasts
-over leading axes, so each probe's fields are bit for bit those it would
-have alone.  It flattens the residual fields of the start and of the two
-probes once, forms each coefficient of the quartic with one reduction,
-and takes the real roots of its cubic derivative in closed form.  Every
-such reduction is ``_real_dot``, which does not call BLAS, so a solve is
-the same at every BLAS thread count.
+per site axis.
+
+One residual pass per iteration.  The residual is at most quadratic, so
+along a line its fields are exactly W0 - t hB + t^2 h^2 C, which two
+probes give.  Each iteration evaluates the state the gradient was taken
+at and the two probes of its line in one call, on blocks that carry a
+leading axis: every kernel works per site, on the matrix axes -4 and -3
+and the site axes -2 and -1, and broadcasts over leading axes, so each
+state's fields are bit for bit those it would have alone.  The fields go
+into one packed array, a slot per field (_solved_layout), so each
+coefficient of the quartic is one reduction; the real roots of its cubic
+derivative come in closed form, and the line model at the step gives the
+next gradient.  Only the exact fields of a state, from the next pass or
+one of its own, give its energy, accept it and end the solve.  Every
+reduction of the loop is ``_real_dot``, which does not call BLAS, so a
+solve is the same at every BLAS thread count.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -347,7 +355,7 @@ def _stencil(m: np.ndarray, n: np.ndarray, a: float, sign: float) -> np.ndarray:
     """(d1 m + sign i d2 n) / 2 by central differences on the periodic grid.
 
     d1 and d2 differentiate along the site axes -2 and -1, so the fields
-    may carry matrix and leading axes (the solver's two line probes); each
+    may carry matrix and leading axes (the solver's stacked states); each
     takes its differences from one copy of the field wrapped by a row
     (column) at either end, in one subtraction.
     """
@@ -435,8 +443,8 @@ class _Fields:
     def curvature(self) -> np.ndarray:
         """F_z_zbar of the Higgs-coupled connection of E1, the derivative part
         in one stencil pass on (Zb - Z, Zb + Z) by linearity.  Z and Zb go
-        before the stencil runs, which in a solve's stacked line probes is
-        where the traced peak sits."""
+        before the stencil runs, which in a solve's stacked pass is where
+        the traced peak sits."""
         Z, Zb = self.Z1 + self.t1, self.Z1b + self.t1d
         comm, minus, plus = _comm(Z, Zb), Zb - Z, Zb + Z
         del Z, Zb
@@ -485,28 +493,56 @@ def ymh_energy(s: LatticeState, tau: float) -> float:
     return f.k * (curv + kin_phi + kin_psi + DEVIATION_WEIGHT * (dev1 + dev2))
 
 
-def _bundle_fields(f: _Fields, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The residual fields of E1 at coupling tau: its vortex equation (2
-    F_z_zbar of the Higgs-coupled connection appears as i Lambda R), and
-    twice the holomorphicity and intertwining defects of phi."""
-    return (
-        2.0 * f.curvature() + 0.5 * f.moment1() - 0.5 * tau * _identity(f.Z1.shape[-3]),
-        2.0 * f.dzbar_phi(),
-        2.0 * f.x_phi(),
-    )
+def _equation(f: _Fields) -> np.ndarray:
+    """The vortex equation of E1 before its coupling's shift, in a fresh
+    array: 2 F_z_zbar of the Higgs-coupled connection (which appears as i
+    Lambda R) plus half its moment map."""
+    return 2.0 * f.curvature() + 0.5 * f.moment1()
 
 
-def _residual_fields(f: _Fields, tau: float) -> dict[str, np.ndarray]:
+def _twice(m: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """2 m, written into out when it is given; _ZERO when m is, with out
+    set to zeros."""
+    if m is _ZERO:
+        if out is not None:
+            out[...] = 0.0
+        return _ZERO
+    return np.multiply(2.0, m, out=out)
+
+
+def _residual_fields(
+    f: _Fields, tau: float, out: Optional[Callable[[], dict[str, np.ndarray]]] = None
+) -> dict[str, np.ndarray]:
     """The six residual fields of the state f was built from; their squared
     norms sum to residual_energy.
 
-    W1, W3, W4 are E1's (_bundle_fields at tau); W2, W5, W6 are the same
-    fields of the exchanged bundles at tau_prime.  A field whose every term
-    has a zero factor is _ZERO.
+    W1, W3, W4 are E1's at coupling tau: its vortex equation (_equation
+    less tau/2), and twice the holomorphicity and intertwining defects of
+    phi.  W2, W5, W6 are the same fields of the exchanged bundles at
+    tau_prime.  A field whose every term has a zero factor is _ZERO.  The
+    last operation of each field writes into its array: where out gives
+    one (a solve gives the slots of its packed residual), else, for W1 and
+    W2, into the equation's own array.  out is called once, after both
+    curvatures, the largest temporaries, are formed, so that its arrays are
+    not held while they are; a field it names that is _ZERO is written as
+    zeros.
     """
-    w1, w3, w4 = _bundle_fields(f, tau)
-    w2, w5, w6 = _bundle_fields(f.exchanged(), tau_prime(tau, f.Z1.shape[-3], f.Z2.shape[-3]))
-    return {"W1": w1, "W2": w2, "W3": w3, "W4": w4, "W5": w5, "W6": w6}
+    e = f.exchanged()
+    eq1, eq2 = _equation(f), _equation(e)
+    into = {} if out is None else out()
+    w1 = np.subtract(eq1, 0.5 * tau * _identity(f.Z1.shape[-3]), out=into.get("W1", eq1))
+    del eq1
+    shift2 = 0.5 * tau_prime(tau, f.Z1.shape[-3], f.Z2.shape[-3]) * _identity(f.Z2.shape[-3])
+    w2 = np.subtract(eq2, shift2, out=into.get("W2", eq2))
+    del eq2
+    return {
+        "W1": w1,
+        "W2": w2,
+        "W3": _twice(f.dzbar_phi(), into.get("W3")),
+        "W4": _twice(f.x_phi(), into.get("W4")),
+        "W5": _twice(e.dzbar_phi(), into.get("W5")),
+        "W6": _twice(e.x_phi(), into.get("W6")),
+    }
 
 
 def _energy(s: LatticeState, w: dict[str, np.ndarray]) -> float:
@@ -691,6 +727,38 @@ def _derived(s: LatticeState, blocks: dict[str, np.ndarray]) -> LatticeState:
     return out
 
 
+def _slots(entries: dict[str, tuple[int, ...]]) -> list[tuple[str, slice, tuple[int, ...]]]:
+    """The layout of a packed array of site planes: per named block, in
+    order, its slot of planes and the shape of its entries (leading axes,
+    matrix axes), whose planes the slot holds in order."""
+    layout, used = [], 0
+    for name, shape in entries.items():
+        n = math.prod(shape)
+        layout.append((name, slice(used, used + n), shape))
+        used += n
+    return layout
+
+
+def _planes(layout: list[tuple[str, slice, tuple[int, ...]]]) -> int:
+    """The number of site planes of a layout."""
+    return layout[-1][1].stop
+
+
+def _unpack(
+    layout: list[tuple[str, slice, tuple[int, ...]]], x: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The blocks of the packed array x, laid out by layout, as plane
+    fields, views of it by a reshape alone.  Axes of x before its (planes,
+    N, N) lead every block: the solver's stacked states are one array of
+    shape (rows, planes, N, N).  With x contiguous, each block is
+    C-contiguous at every index of those axes."""
+    batch = x.shape[:-3]
+    return {
+        name: x[..., slot, :, :].reshape(batch + entries + x.shape[-2:])
+        for name, slot, entries in layout
+    }
+
+
 # The Fourier symbol of J*J at the vacuum per FLOWS block, as (mass,
 # stiffness): the preconditioner's kernel is 1/(mass t + stiffness omega^2).
 VACUUM_SYMBOL = {"A1": (1.0, 0.5), "A2": (1.0, 0.5), "theta1": (4.0, 2.0), "phi": (1.0, 1.0)}
@@ -763,37 +831,39 @@ class _Preconditioner:
     ``solve`` builds one per solve, and it fixes the solver's packed
     layout: a packed vector is one complex array of shape (planes, N, N),
     a site plane for every matrix entry (and direction) of the FLOWS
-    blocks, each block in its own fixed slot.  ``pack`` copies plane
-    fields (a solve's start) into a fresh packed vector, ``_gradient``
+    blocks, each block in its own fixed slot (_slots).  ``pack`` copies
+    plane fields (a solve's start) into a packed vector, ``_gradient``
     writes a gradient straight into the slots of one, and ``unpack`` views
     a packed vector, on any grid, as plane fields by a reshape, with no
     transpose: a slot holds its block's entries in order, each a site
-    plane, which is the kernels' layout.  ``blockwise`` transforms all
-    planes of a packed gradient with one 1-D transform pair per site axis,
-    the last axis first, which is the order fft2 and ifft2 use, so every
-    block equals theirs bit for bit.  The first transform writes a fresh
-    array and the others work in it in place, so what a call returns is
-    new and is not touched again.
+    plane, which is the kernels' layout.  The symbol is built on first
+    use, so a solve that stops at its start builds none.  ``blockwise``
+    transforms all planes of a packed gradient with one 1-D transform pair
+    per site axis, the last axis first, which is the order fft2 and ifft2
+    use, so every block equals theirs bit for bit.  The first transform
+    writes a fresh array and the others work in it in place, so what a
+    call returns is new and is not touched again.
     """
 
     def __init__(self, s: LatticeState, tau: float) -> None:
-        # Per block: its name, its slot and the shape of its entries
-        # (leading axes, matrix axes), whose planes the slot holds in order.
-        self.layout: list[tuple[str, slice, tuple[int, ...]]] = []
-        used = 0
-        for name in FLOWS:
-            shape = getattr(s, name).shape
-            entries = shape[:-4] + shape[-2:]
-            n = math.prod(entries)
-            self.layout.append((name, slice(used, used + n), entries))
-            used += n
-        self.shape = (used, s.N, s.N)
+        shapes = {name: getattr(s, name).shape for name in FLOWS}
+        # Each block's entries: its leading axes and its matrix axes.
+        self.layout = _slots({name: shape[:-4] + shape[-2:] for name, shape in shapes.items()})
+        self.shape = (_planes(self.layout), s.N, s.N)
         self.grid = (s.a, tau)
-        self.symbol = None
-        if _has_vacuum(s, tau):
-            from higgspairs.gauss_newton import GaussNewtonSymbol
+        self.problem = (s, tau)
 
-            self.symbol = GaussNewtonSymbol(self, s, tau)
+    @functools.cached_property
+    def symbol(self):
+        """The gauss_newton.GaussNewtonSymbol of a problem with a vacuum,
+        else None, built on first use: a solve whose start stops it before
+        its first line builds none."""
+        s, tau = self.problem
+        if not _has_vacuum(s, tau):
+            return None
+        from higgspairs.gauss_newton import GaussNewtonSymbol
+
+        return GaussNewtonSymbol(self, s, tau)
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -809,21 +879,14 @@ class _Preconditioner:
         ])
 
     def unpack(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """The FLOWS blocks of the packed vector x as plane fields, views of
-        it by a reshape alone.  Axes of x before its (planes, N, N) lead
-        every block: the solver's two line probes are one array of shape
-        (2, planes, N, N).  With x contiguous, each block is C-contiguous
-        at every index of those axes."""
-        batch = x.shape[:-3]
-        return {
-            name: x[..., slot, :, :].reshape(batch + entries + x.shape[-2:])
-            for name, slot, entries in self.layout
-        }
+        """The FLOWS blocks of the packed vector x as plane fields (_unpack)."""
+        return _unpack(self.layout, x)
 
-    def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        """A fresh packed vector holding the FLOWS blocks of blocks, plane
-        fields; a public block goes in through its planes view, _turn."""
-        x = np.empty(self.shape, dtype=np.complex128)
+    def pack(self, blocks: dict[str, np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A packed vector holding the FLOWS blocks of blocks, plane fields,
+        written into out or a fresh array; a public block goes in through
+        its planes view, _turn."""
+        x = np.empty(self.shape, dtype=np.complex128) if out is None else out
         for name, view in self.unpack(x).items():
             view[...] = blocks[name]
         return x
@@ -933,61 +996,48 @@ def _line_minimum(c1: float, c2: float, c3: float, c4: float) -> float:
     return best
 
 
-def _flat(w: dict[str, np.ndarray], sizes: dict[str, int], rows: int) -> np.ndarray:
-    """The residual fields named in sizes end to end, _ZERO ones as zeros,
-    in one row per entry of their leading axis of length rows (1 for the
-    fields of one state, 2 for the stacked line probes)."""
-    return np.concatenate(
-        [np.zeros((rows, n), dtype=np.complex128) if w[k] is _ZERO else w[k].reshape(rows, n)
-         for k, n in sizes.items()],
-        axis=1,
-    )
-
-
-def _exact_step(w0: dict[str, np.ndarray], probes: dict[str, np.ndarray], h: float) -> float:
-    """The step eta > 0 minimizing the residual energy along a line, from
-    its residual fields w0 at eta = 0 and probes, those at eta = -h and
-    eta = +h stacked on a leading axis of length 2 (one _residual_fields
-    call on a state that holds both probes).
+def _exact_step(
+    w0: np.ndarray, probes: np.ndarray, h: float
+) -> tuple[float, Optional[np.ndarray]]:
+    """The step eta > 0 minimizing the residual energy along a line, and
+    the residual fields there, from the fields w0 at eta = 0 and probes,
+    those at eta = -h and eta = +h stacked on a leading axis of length 2,
+    each a packed residual (the solve's layout, every field in its slot);
+    it overwrites probes.
 
     Every residual field is at most quadratic in the fields, so along the
     line W(eta) = W0 - eta B + eta^2 C exactly and the energy is a quartic
-    in eta.  The fields at eta = -/+ h give hB and h^2 C, so the quartic
-    is written in t = eta/h: with h near the step, the linear term stays
-    clear of the rounding of the probes.  The fields of the start are
-    flattened once into one vector, and those of the probes into one row
-    per probe, in the same order, so each quartic coefficient is one
-    reduction; only fields that are _ZERO at the start and in both probes
-    are left out, and they add nothing.  The quartic is evaluated at every
-    real root of its cubic derivative (_cubic_roots) and the lowest value
-    wins.  Returns 0.0 when no root lowers the energy and nan when a
-    coefficient is not finite.
+    in eta.  The fields at eta = -/+ h give hB and h^2 C, so the line model
+    is written in t = eta/h, W(t) = W0 - t hB + t^2 h^2 C: with h near the
+    step, the linear term stays clear of the rounding of the probes.  The
+    packed arrays hold every field end to end, so each quartic coefficient
+    is one reduction.  The quartic is evaluated at every real root of its
+    cubic derivative (_cubic_roots) and the lowest value wins.  Returns
+    (eta, W(eta)), the model's fields in a fresh packed array, exact up to
+    rounding; (0.0, None) when no root lowers the energy and (nan, None)
+    when a coefficient is not finite.
     """
-    sizes = {}
-    for k, v0 in w0.items():
-        if v0 is not _ZERO:
-            sizes[k] = v0.size
-        elif probes[k] is not _ZERO:
-            sizes[k] = probes[k].size // 2
-    v0 = _flat(w0, sizes, 1)[0]
-    pm = _flat(probes, sizes, 2)
-    # The probes' fields go as soon as their flat copy exists.
-    del probes
-    # hb = (p - m) / 2, and h2c = (p + m) / 2 - v0 in p's place.
-    hb = pm[0] - pm[1]
+    # hb = (p - m) / 2, and h2c = (p + m) / 2 - w0 in p's place.
+    hb = probes[0] - probes[1]
     hb *= 0.5
-    h2c = pm[0]
-    h2c += pm[1]
-    del pm
+    h2c = probes[0]
+    h2c += probes[1]
     h2c *= 0.5
-    h2c -= v0
-    c1 = -2.0 * _real_dot(v0, hb)
-    c2 = _real_dot(hb, hb) + 2.0 * _real_dot(v0, h2c)
+    h2c -= w0
+    c1 = -2.0 * _real_dot(w0, hb)
+    c2 = _real_dot(hb, hb) + 2.0 * _real_dot(w0, h2c)
     c3 = -2.0 * _real_dot(hb, h2c)
     c4 = _real_dot(h2c, h2c)
     if not math.isfinite(c1 + c2 + c3 + c4):
-        return math.nan
-    return h * _line_minimum(float(c1), float(c2), float(c3), float(c4))
+        return math.nan, None
+    t = _line_minimum(float(c1), float(c2), float(c3), float(c4))
+    if t == 0.0:
+        return 0.0, None
+    model = np.multiply(h2c, t * t)
+    hb *= t
+    model -= hb
+    model += w0
+    return h * t, model
 
 
 _ZERO_GRAD = 1e-30
@@ -1030,6 +1080,21 @@ class SolveResult:
         return self.stop_reason in ("zero_gradient", "no_decrease", "non_finite")
 
 
+def _solved_layout(r1: int, r2: int) -> list[tuple[str, slice, tuple[int, ...]]]:
+    """The layout of a solve's packed residual: a slot for each field a
+    solve can make nonzero, W1 to W4.  W5 and W6 carry psi or theta2, which
+    a solve holds at zero, so they are _HELD_FIELDS."""
+    return _slots({"W1": (r1, r1), "W2": (r2, r2), "W3": (r1, r2), "W4": (r1, r2)})
+
+
+_HELD_FIELDS = {"W5": _ZERO, "W6": _ZERO}
+# The rows of a solve's state buffer that its residual passes evaluate:
+# one state (in row 0 or 3), the two probes (rows 1 and 2), and a state
+# with both probes.
+_PASSES = ((0, 1), (3, 4), (1, 3), (0, 3), (1, 4))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     s0: LatticeState,
     tau: float,
@@ -1044,99 +1109,188 @@ def solve(
     descent direction.  Each step is the exact minimum of the quartic
     energy along its line (_exact_step), and a step is accepted only if
     the energy recomputed at the new state is lower, so the energy is
-    monotone and the iteration deterministic.  One iteration evaluates the
-    residual fields of three states in two calls: the two probes along the
-    line, stacked in one buffer and evaluated together, and the new state,
-    whose _Fields and residual fields give both its energy and its
-    gradient.
+    monotone and the iteration deterministic.
+
+    One residual pass per iteration.  The pass evaluates three states in
+    one _residual_fields call, stacked on a leading axis: the state x the
+    gradient was taken at and the two line probes x +/- h d.  The
+    residual is at most quadratic, so the line model of _exact_step is
+    exact up to rounding, and the gradient at the new state reads the
+    model's fields there.  The new state is then row 0 of the next pass,
+    and only that exact evaluation gives its energy, the history entry,
+    the acceptance test (a rejected step returns the previous state, with
+    its fields evaluated again), the tol test, the fields of the next
+    quartic and the final breakdown.  The first line stacks only the two
+    probes, since the start's fields are exact, and so does a line from a
+    state whose fields are exact for another reason: a loop that would end
+    on a model state (tol predicted, the budget spent, or a gradient that
+    stops the descent) first evaluates it alone, in one 1-row pass.
+
     The loop runs on packed vectors in the _Preconditioner's layout: the
-    flowed blocks of the state, the gradient, the preconditioned gradient
+    flowed blocks of a state, the gradient, the preconditioned gradient
     and the direction are one complex array each, so every inner product,
     the Polak-Ribiere+ update and each step along the line is one array
-    operation.  The fields along the way are built on the plane views of
-    the packed state, and the final state is their public view, derived
-    without re-validation; energies stay the per-block sums of
+    operation.  The states live in the rows of one buffer, which each
+    pass views with a leading axis: the probes in rows 1 and 2, and the
+    state at the ends, 0 and 3, the new one written into the row of the
+    one before it; no state is copied into a pass.  The residual fields
+    of a pass are one packed array too, a slot per field in
+    _solved_layout, and the last operation of each field writes into its
+    slot.  The final state is the public view of a copy of its row,
+    derived without re-validation; energies stay the per-block sums of
     residual_energy.
+
     The solve starts from s0 with theta2 and psi set to zero and flows the
     FLOWS blocks (see "One problem" above).  Converged means
     residual_energy <= tol.  stop_reason names why the solve ended:
     "converged"; "max_iter" when the budget is spent first;
     "zero_gradient" when the (preconditioned) gradient vanishes;
     "no_decrease" when the exact step or the recomputed energy does not
-    lower the energy; "non_finite" when the energy, a line coefficient or
-    the new energy is not finite.  The last three set stalled=True.
+    lower the energy; "non_finite" when the energy, the gradient's norm,
+    a line coefficient or the new energy is not finite.  The last three
+    set stalled=True.  A start whose energy is not finite stops as
+    "non_finite" at any budget, and one whose gradient is not finite stops
+    before the preconditioner builds its symbol; numpy's overflow and
+    invalid-value warnings are off inside the solve, which reports both.
     """
     s = replace(s0, **{name: np.zeros_like(getattr(s0, name)) for name in HELD})
     packing = _Preconditioner(s, tau)
-    # The start is packed once, through the planes views of its public
-    # blocks; every state after it is the packed vector's planes.
-    x = packing.pack({name: _turn(getattr(s, name)) for name in FLOWS})
+    solved = _solved_layout(s.r1, s.r2)
+    residual_shape = (_planes(solved), s.N, s.N)
     held = dict.fromkeys(HELD, _ZERO)
-    f = _Fields(s.a, {**packing.unpack(x), **held})
-    w = _residual_fields(f, tau)
-    energy = _energy(s, w)
+    rows = np.empty((4,) + packing.shape, dtype=np.complex128)
+    stacks = {rows_of: {**packing.unpack(rows[slice(*rows_of)]), **held} for rows_of in _PASSES}
+    states = {row: {**packing.unpack(rows[row]), **held} for row in (0, 3)}
+    # The start is packed once, through the planes views of its public
+    # blocks; every state after it is a row of the buffer.
+    packing.pack({name: _turn(getattr(s, name)) for name in FLOWS}, rows[0])
+
+    def evaluate(lo: int, hi: int) -> np.ndarray:
+        """The packed residual fields of rows lo..hi-1, one row each."""
+        packed = []
+
+        def slots() -> dict[str, np.ndarray]:
+            packed.append(np.empty((hi - lo,) + residual_shape, dtype=np.complex128))
+            return _unpack(solved, packed[0])
+
+        _residual_fields(_Fields(s.a, stacks[lo, hi]), tau, slots)
+        return packed[0]
+
+    def energy_of(w: np.ndarray) -> float:
+        """_energy of the packed fields w: the squared moduli in one array,
+        then a sum per slot, each over the elements and in the order of
+        _frob2's sum over its field, so bit for bit residual_energy."""
+        squares = np.abs(w)
+        np.square(squares, out=squares)
+        return s.a * s.a * sum(float(squares[slot].sum()) for _, slot, _ in solved)
+
+    def judged(w: np.ndarray) -> Optional[str]:
+        """Accept the pending state, given its exact fields w, or say why
+        the solve stops at the state before it (pending then stays set)."""
+        nonlocal energy, pending
+        e = energy_of(w)
+        if not e < energy:
+            return "no_decrease" if math.isfinite(e) else "non_finite"
+        energy, pending = e, False
+        history.append(energy)
+        return None
+
+    # at: the row of x, whose fields w are exact, or the line model's while
+    # x is pending; before: the row of the last accepted state meanwhile.
+    at, before, pending, settle = 0, 3, False, False
+    w = evaluate(0, 1)[0]
+    energy = predicted = energy_of(w)
     history = [energy]
     step = 1.0
-    stop_reason = "max_iter"
-    iterations = 0
-    prev: Optional[tuple[np.ndarray, float, np.ndarray]] = None
-    # The probes along the line, x + h dirn and x - h dirn, share one
-    # buffer with a leading probe axis and the blocks that view it.
-    probe = np.empty((2,) + x.shape, dtype=np.complex128)
-    probe_blocks = {**packing.unpack(probe), **held}
-    # "not energy <= tol" lets a NaN energy into the loop, where it stops.
-    while iterations < max_iter and not energy <= tol:
-        if not math.isfinite(energy):
-            stop_reason = "non_finite"
-            break
+    stop_reason = None if math.isfinite(energy) else "non_finite"
+    last: Optional[tuple[np.ndarray, float, np.ndarray]] = None
+    while stop_reason is None:
+        # A pending x is a step taken, so len(history) counts the steps.
+        if pending and (settle or not predicted > tol or len(history) >= max_iter):
+            w = evaluate(at, at + 1)[0]
+            stop_reason, settle = judged(w), False
+            if stop_reason is not None:
+                break
+        if not pending:
+            if energy <= tol:
+                stop_reason = "converged"
+                break
+            if len(history) > max_iter:
+                stop_reason = "max_iter"
+                break
         grad = np.empty(packing.shape, dtype=np.complex128)
-        _gradient(f, w, packing.unpack(grad))
-        pgrad = packing(grad)
-        gz = _inner(grad, pgrad)
-        if _inner(grad, grad) <= _ZERO_GRAD or gz <= _ZERO_GRAD:
-            stop_reason = "zero_gradient"
-            break
+        _gradient(
+            _Fields(s.a, states[at]), {**_unpack(solved, w), **_HELD_FIELDS}, packing.unpack(grad)
+        )
+        halt = None
+        gg = _inner(grad, grad)
+        if not math.isfinite(gg):
+            halt = "non_finite"
+        elif gg <= _ZERO_GRAD:
+            halt = "zero_gradient"
+        else:
+            pgrad = packing(grad)
+            gz = _inner(grad, pgrad)
+            if gz <= _ZERO_GRAD:
+                halt = "zero_gradient"
+        if halt is not None:
+            if not pending:
+                stop_reason = halt
+                break
+            # Only exact fields stop the descent: x is first evaluated
+            # alone, and its gradient taken again.
+            settle = True
+            continue
         dirn = pgrad
-        if prev is not None:
-            pgrad_prev, gz_prev, dirn_prev = prev
-            beta = (gz - _inner(grad, pgrad_prev)) / gz_prev
+        if last is not None:
+            pgrad_last, gz_last, dirn_last = last
+            beta = (gz - _inner(grad, pgrad_last)) / gz_last
             if beta > 0:
-                cg = pgrad + beta * dirn_prev
+                cg = pgrad + beta * dirn_last
                 if _inner(grad, cg) > 0:
                     dirn = cg
                 del cg
-            # The previous vectors go before the line step, whose stacked
-            # probes are the solve's peak.
-            del pgrad_prev, dirn_prev
-        prev = (pgrad, gz, dirn)
-        del grad
-        np.multiply(dirn, step, out=probe[0])
-        np.multiply(dirn, -step, out=probe[1])
-        probe += x
-        step = _exact_step(w, _residual_fields(_Fields(s.a, probe_blocks), tau), step)
-        if not step > 0.0:
+            # The last line's vectors go before the pass, the solve's peak.
+            del pgrad_last, dirn_last
+        last = (pgrad, gz, dirn)
+        del grad, pgrad
+        np.multiply(dirn, step, out=rows[1])
+        np.multiply(dirn, -step, out=rows[2])
+        rows[1:3] += rows[at]
+        # A pending x joins the pass, and its model goes before the pass.
+        lo, hi = (min(at, 1), max(at + 1, 3)) if pending else (1, 3)
+        w = None if pending else w
+        fields = evaluate(lo, hi)
+        if pending:
+            w = fields[at - lo]
+            stop_reason = judged(w) or ("converged" if energy <= tol else None)
+            if stop_reason is not None:
+                break
+        step, model = _exact_step(w, fields[1 - lo : 3 - lo], step)
+        if model is None:
             stop_reason = "no_decrease" if step == 0.0 else "non_finite"
             break
-        x_new = x - step * dirn
-        f_new = _Fields(s.a, {**packing.unpack(x_new), **held})
-        w_new = _residual_fields(f_new, tau)
-        e_new = _energy(s, w_new)
-        if not e_new < energy:
-            stop_reason = "no_decrease" if math.isfinite(e_new) else "non_finite"
-            break
-        x, f, w, energy = x_new, f_new, w_new, e_new
-        history.append(energy)
-        iterations += 1
+        del fields
+        # x - step d goes into the other end row, and x is kept until the
+        # next pass has evaluated it.
+        before, at = at, 3 - at
+        np.multiply(dirn, step, out=rows[at])
+        np.subtract(rows[before], rows[at], out=rows[at])
+        w, pending = model, True
+        predicted = s.a * s.a * float(_real_dot(w, w))
+        del model
 
-    if energy <= tol:
-        stop_reason = "converged"
-    # The final state views the packed vector's planes as public blocks.
-    final = {name: _turn(block) for name, block in packing.unpack(x).items()}
+    if pending:
+        # A rejected step: the accepted state, its fields evaluated again.
+        at = before
+        w = evaluate(at, at + 1)[0]
+    # The final state views a copy of its row's planes as public blocks.
+    final = {name: _turn(block) for name, block in packing.unpack(rows[at].copy()).items()}
     return SolveResult(
         state=_derived(s, final),
         energy_history=history,
         stop_reason=stop_reason,
-        breakdown=_breakdown(s, w),
+        breakdown=_breakdown(s, {**_unpack(solved, w), **_HELD_FIELDS}),
     )
 
 
@@ -1289,23 +1443,29 @@ def random_smooth_state(
 
 
 # Peak bytes a cold solve holds besides its start, in units of the start
-# state's bytes: the stacked line probes' fields and their temporaries.
-# The traced peak of the iterations, less what the preconditioner keeps,
-# was 8.90, 8.51 and 8.41 states at rank 1 (N = 64, 128, 256), 8.76 at
-# (2, 2), N = 64, and the most, 9.64, at (2, 1), N = 128 (10.06 while
-# _Fields.curvature held Z and Zb across its stencil); the kernels' site
-# planes left each of these peaks as it was.  A bound of 10 would leave
-# less than 0.4 state of room.
-SOLVE_WORKING_STATES = 11
+# state's bytes: its four state rows, the gradient's vectors, and the
+# stacked pass's fields and their temporaries.  The traced peak of the
+# iterations, less what the preconditioner keeps, was 9.79, 9.39 and 9.29
+# states at rank 1 (N = 64, 128, 256), 9.39 at (2, 2), N = 64, and the
+# most, 11.70, at (2, 1), N = 128, where the first curvature of the 3-row
+# pass is the peak; with two-row passes they were 8.90, 8.51, 8.41, 8.76
+# and 10.06.  13 leaves 1.3 states of room over the largest.
+SOLVE_WORKING_STATES = 13
+# numpy's ufuncs buffer a strided operand in blocks of np.getbufsize()
+# (8192) elements, at most three complex operands at once, whatever the
+# grid: about 0.4 MB, which only small grids notice (1.4 states of a (2, 1)
+# solve at N = 16, whose stencil differences on rows 16 sites long take
+# two such buffers).
+UFUNC_BUFFERS = 3
 
 
 def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
     """An upper estimate of the bytes a cold solve on the N-grid holds at
-    its peak, counted without allocating anything: the start state, and
-    the larger of random_smooth_state's temporaries (two site planes per
-    sampled matrix entry, and a wave with its indices) and the solver's
-    working set.  At r1 = r2 a problem can have a vacuum, and then the
-    working set holds its Gauss-Newton symbol, whose footprint
+    its peak, counted without allocating anything: the start state, numpy's
+    ufunc buffers, and the larger of random_smooth_state's temporaries (two
+    site planes per sampled matrix entry, and a wave with its indices) and
+    the solver's working set.  At r1 = r2 a problem can have a vacuum, and
+    then the working set holds its Gauss-Newton symbol, whose footprint
     gauss_newton.symbol_bytes counts."""
     site = 16 * N * N
     state = 16 * sum(math.prod(shape) for shape in _block_shapes(N, r1, r2).values())
@@ -1315,7 +1475,8 @@ def solve_bytes(N: int, r1: int, r2: int = 1) -> int:
         from higgspairs.gauss_newton import symbol_bytes
 
         work += symbol_bytes(N, r1)
-    return state + max(site * (2 * sampled + 2), work)
+    buffers = UFUNC_BUFFERS * 16 * np.getbufsize()
+    return state + buffers + max(site * (2 * sampled + 2), work)
 
 
 def prolong_state(s: LatticeState) -> LatticeState:

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -705,12 +706,64 @@ def test_negative_seed_names_the_flag(capsys, argv: list[str]) -> None:
 
 def test_vortex_report_never_holds_infinity(capsys) -> None:
     # Finite inputs whose start state overflows: the solve stops at once,
-    # and the JSON report refuses the infinite residual.
-    with np.errstate(all="ignore"):
-        code, out, err = run(capsys, vortex_args(**{"--amplitude": "1e100"}))
+    # and the CLI refuses the start instead of reporting an infinite
+    # residual.
+    code, out, err = run(capsys, vortex_args(**{"--amplitude": "1e100"}))
     assert code == 1
     assert out == ""
-    assert "not JSON compliant" in json.loads(err)["message"]
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParamsError"
+    assert "residual (inf)" in payload["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # The start's residual is nan, and the budget is spent before any step.
+        {"--amplitude": "1e200", "--max-iter": "0"},
+        # The residual is infinite.
+        {"--tau": "1e300"},
+        # The residual is finite (4.7e298), its gradient's norm is not: the
+        # solve stops before the Gauss-Newton symbol of this (1, 1) problem
+        # is built.
+        {"--vol": "1e300"},
+    ],
+    ids=["amplitude", "tau", "vol"],
+)
+def test_vortex_refuses_a_start_that_is_not_finite(capsys, fmt: str, overrides: dict) -> None:
+    # Every format refuses it the same way, by naming the three inputs that
+    # scale the start, and numpy warns of nothing on the way: warnings are
+    # errors here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, vortex_args(**{"--format": fmt, **overrides}))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    if fmt == "json":
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidParamsError"
+        message = payload["message"]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        message = err[len("error: "):]
+    for flag in ("--amplitude", "--tau", "--vol"):
+        assert flag in message
+    assert "is not finite" in message
+
+
+def test_vortex_solves_on_a_grid_whose_symbol_misses_a_coupling_group(capsys) -> None:
+    # At vol 1e40 on 8 sites the central difference weighs 1/(2a) = 4e-20,
+    # below the rounding of the coupling 1, so the Gauss-Newton symbol's
+    # probe sees nothing of the A1 + A2 coordinates.  Their operator is then
+    # the per-block kernel alone, and the solve runs to a stall at the
+    # rounding floor.
+    code, out, err = run(capsys, vortex_args(**{"--vol": "1e40"}))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["stop_reason"] == "no_decrease"
+    assert report["iterations"] > 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
@@ -756,10 +809,10 @@ def test_vortex_grid_beyond_physical_memory_is_refused_before_allocating(
     assert out == ""
     assert "Traceback" not in err
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    # 12 states of 1.28e14 bytes, and the Gauss-Newton symbol of the (1, 1)
+    # 14 states of 1.28e14 bytes, and the Gauss-Newton symbol of the (1, 1)
     # problem: 5.0e11 modes at 384 bytes each, and 1.25e11 classes of modes
     # at 1600 bytes each while it is built.
-    message = f"--grid 1000000 needs about 1.93e+15 bytes, more than the {physical:.3g} bytes"
+    message = f"--grid 1000000 needs about 2.18e+15 bytes, more than the {physical:.3g} bytes"
     if fmt == "json":
         payload = json.loads(err)
         assert payload["error"] == "MemoryError"

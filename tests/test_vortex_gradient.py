@@ -215,6 +215,43 @@ def test_solve_branch_keeps_frozen_blocks() -> None:
     assert not np.array_equal(out.phi, s.phi)
 
 
+def packed_fields(s: vx.LatticeState, tau: float, layout) -> np.ndarray:
+    """The residual fields of s, a state or probes stacked on a leading
+    axis, as one packed array laid out by layout: what _exact_step reads."""
+    lead = s.phi.shape[:-4]
+    out = np.empty(lead + (vx._planes(layout), s.N, s.N), dtype=np.complex128)
+    vx._residual_fields(vx._Fields.of(s), tau, lambda: vx._unpack(layout, out))
+    return out
+
+
+def every_field(r1: int, r2: int):
+    """A packed layout of all six residual fields, for states whose theta2
+    and psi are not zero."""
+    return vx._slots({"W1": (r1, r1), "W2": (r2, r2), "W3": (r1, r2), "W4": (r1, r2),
+                      "W5": (r2, r1), "W6": (r2, r1)})
+
+
+def line(s: vx.LatticeState, tau: float):
+    """The solver's first line from s: its direction as public blocks, and
+    the state at t along it, s - t d."""
+    f = vx._Fields.of(s)
+    packing = vx._Preconditioner(s, tau)
+    dirn = packing.unpack(packing(packed_gradient(packing, f, vx._residual_fields(f, tau))))
+    dirn = {name: vx._turn(d) for name, d in dirn.items()}
+
+    def along(t: float) -> vx.LatticeState:
+        return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
+
+    return along
+
+
+def probes(along, h: float) -> vx.LatticeState:
+    """The states at t = -h and t = +h, stacked on a leading axis."""
+    pair = (along(-h), along(h))
+    s = pair[0]
+    return vx._derived(s, {name: np.stack([getattr(p, name) for p in pair]) for name in BLOCKS})
+
+
 def test_exact_step_beats_brute_force_line_search() -> None:
     # residual_energy is a quartic along any line; the returned step must
     # be at least as good as every point of a dense grid over the line.
@@ -222,20 +259,12 @@ def test_exact_step_beats_brute_force_line_search() -> None:
     for r1, r2 in ((1, 1), (2, 1), (2, 2)):
         tau = 1.0
         s = dense_state(6, r1, r2, rng, amplitude=0.3)
-        f = vx._Fields.of(s)
-        w = vx._residual_fields(f, tau)
-        packing = vx._Preconditioner(s, tau)
-        dirn = packing.unpack(packing(packed_gradient(packing, f, w)))
-        dirn = {name: vx._turn(d) for name, d in dirn.items()}
-
-        def along(t: float) -> vx.LatticeState:
-            return replace(s, **{name: getattr(s, name) - t * d for name, d in dirn.items()})
-
-        # The probes at t = -1 and t = +1, stacked on a leading axis.
-        pair = (along(-1.0), along(1.0))
-        probes = vx._derived(s, {name: np.stack([getattr(p, name) for p in pair]) for name in BLOCKS})
-        eta = vx._exact_step(w, vx._residual_fields(vx._Fields.of(probes), tau), 1.0)
-        assert eta > 0.0
+        along = line(s, tau)
+        layout = every_field(r1, r2)
+        eta, model = vx._exact_step(
+            packed_fields(s, tau, layout), packed_fields(probes(along, 1.0), tau, layout), 1.0
+        )
+        assert eta > 0.0 and model is not None
         best = vx.residual_energy(along(eta), tau)
         assert best < vx.residual_energy(s, tau)
         grid = np.concatenate(
@@ -244,6 +273,39 @@ def test_exact_step_beats_brute_force_line_search() -> None:
         for t in grid:
             e = vx.residual_energy(along(float(t)), tau)
             assert best <= e * (1.0 + 1e-12), (r1, r2, t)
+
+
+@pytest.mark.parametrize("N, r1, r2", [(16, 1, 1), (8, 2, 2), (8, 2, 1)])
+def test_line_model_gives_the_residual_fields_at_the_step(N: int, r1: int, r2: int) -> None:
+    # The solver's next gradient reads the fields _exact_step's line model
+    # gives at the step, W0 - t hB + t^2 h^2 C: they must be those of a
+    # fresh evaluation at s - eta d, to rounding.  The quadratic term and
+    # the linear one are each far above that tolerance here, so a dropped
+    # term or a flipped sign fails.  The probes are spaced as the solver
+    # spaces them once it has a step, h near it (half of it here, so that
+    # t^2 is not t): the rounding of the probes grows as (eta / h)^2 in the
+    # model, and at (2, 1) the first step is 33 probe spacings of 1.0 long.
+    tau = 1.0
+    s = vx.random_smooth_state(N, r1, r2, 1.0, np.random.default_rng(11), 0.3, 1.0)
+    along = line(s, tau)
+    layout = vx._solved_layout(r1, r2)
+    w0 = packed_fields(s, tau, layout)
+    h, _ = vx._exact_step(w0, packed_fields(probes(along, 1.0), tau, layout), 1.0)
+    eta, model = vx._exact_step(w0, packed_fields(probes(along, 0.5 * h), tau, layout), 0.5 * h)
+    assert eta > 0.0
+    fresh = vx._residual_fields(vx._Fields.of(along(eta)), tau)
+    scale = max(float(np.max(np.abs(v))) for v in fresh.values() if v is not vx._ZERO)
+    for name, got in vx._unpack(layout, model).items():
+        want = 0.0 if fresh[name] is vx._ZERO else fresh[name]
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, name
+    # W5 and W6 carry psi and theta2, which are zero here.
+    assert fresh["W5"] is vx._ZERO and fresh["W6"] is vx._ZERO
+    # Both terms of the model move the fields by far more than the
+    # tolerance: W(eta) - W0 is not linear in eta.
+    half = vx._residual_fields(vx._Fields.of(along(eta / 2)), tau)
+    bend = max(float(np.max(np.abs(2 * half[k] - fresh[k] - vx._unpack(layout, w0)[k])))
+               for k in ("W1", "W2"))
+    assert bend > 1e-6 * scale
 
 
 # -- the closed-form line minimum ------------------------------------------

@@ -576,6 +576,19 @@ def test_pseudo_inverse_batch_gives_each_group_alone() -> None:
     assert np.abs(batch[1]).max() > 1e15
 
 
+def test_pseudo_inverse_of_a_group_no_residual_sees_is_its_kernel() -> None:
+    # A group whose Jh has no rows (its probes moved no residual coordinate,
+    # as when a lattice derivative is below the rounding of the coupling)
+    # is all null space: its operator is the kernel, P0 = I.
+    kernel = np.random.default_rng(9).random((2, 3, 5))
+    jh = np.zeros((2, 0, 3, 5), dtype=np.complex128)
+    got = gauss_newton._pseudo_inverse_with_kernel(jh, kernel)
+    want = np.zeros((2, 3, 3, 5), dtype=np.complex128)
+    want[:, range(3), range(3)] = kernel
+    # The kernel goes in as sqrt(k) sqrt(k), which rounds.
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("r, tau", [(1, 1.0), (2, 1.0), (3, 0.5), (2, 0.0)])
 def test_gauss_newton_symbol_groups_fit_the_memory_estimate(r: int, tau: float) -> None:
     # solve_bytes counts SYMBOL_PER_MODE r^2 complex numbers per mode of the

@@ -173,14 +173,14 @@ def test_cold_rank_one_solve_at_zero_tau_converges() -> None:
 
 
 def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
-    # Each call counts the states it evaluates: one, or one per entry of
-    # the leading probe axis that a stacked state's potentials carry.
+    # Each call counts the states it evaluates: one per entry of the leading
+    # axis that a stacked state's potentials carry, or one.
     calls = []
     fields = vx._residual_fields
 
-    def counted(f: vx._Fields, tau: float) -> dict[str, np.ndarray]:
+    def counted(f: vx._Fields, tau: float, out=None) -> dict[str, np.ndarray]:
         calls.append(math.prod(f.Z1.shape[:-4]))
-        return fields(f, tau)
+        return fields(f, tau, out)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
     tau = 1.0
@@ -191,44 +191,48 @@ def test_solve_costs_three_field_evaluations_per_iteration(monkeypatch) -> None:
         assert vx.solve(s0, tau, tol=0.0, max_iter=max_iter).iterations == max_iter
         return len(calls), sum(calls)
 
-    # Two probes in one stacked call and the accepted state per iteration.
-    # The start state and the Gauss-Newton symbol's impulse probe are a
-    # fixed cost per solve, which the difference of two budgets leaves out.
+    # One call per iteration on three stacked states: the state the gradient
+    # was taken at, evaluated exactly, and the two line probes.  The start,
+    # the first line (two probes), the confirmation of the last step and
+    # the Gauss-Newton symbol's impulse probe are a fixed cost per solve,
+    # which the difference of two budgets leaves out.
     (short_calls, short_states), (long_calls, long_states) = total(2), total(4)
-    assert long_calls - short_calls == 2 * 2
+    assert long_calls - short_calls == 2 * 1
     assert long_states - short_states == 2 * 3
 
 
 def test_solve_reads_its_breakdown_off_the_loop_fields(monkeypatch) -> None:
-    # Without a vacuum ((2, 1) has none) the only fixed cost is the start
-    # state: the final breakdown reuses the residual fields of the last
-    # accepted state, and equals residual_breakdown of the final state.
+    # Without a vacuum ((2, 1) has none) there is no symbol to probe: the
+    # final breakdown reuses the residual fields of the last accepted state,
+    # and equals residual_breakdown of the final state.
     calls = []
     fields = vx._residual_fields
 
-    def counted(f: vx._Fields, tau: float) -> dict[str, np.ndarray]:
+    def counted(f: vx._Fields, tau: float, out=None) -> dict[str, np.ndarray]:
         calls.append(1)
-        return fields(f, tau)
+        return fields(f, tau, out)
 
     monkeypatch.setattr(vx, "_residual_fields", counted)
     s0 = vx.random_smooth_state(8, 2, 1, 1.0, np.random.default_rng(3), 0.1, 1.0)
     res = vx.solve(s0, 1.0, tol=0.0, max_iter=3)
     assert res.iterations == 3
-    # Per iteration, one call on both line probes and one on the new state.
-    assert len(calls) == 1 + 3 * 2
+    # The start, one stacked call per iteration, and one on the last new
+    # state alone, whose gradient no line needs.
+    assert len(calls) == 1 + 3 * 1 + 1
     assert res.breakdown == vx.residual_breakdown(res.state, 1.0)
 
 
-@pytest.mark.parametrize("r1, seed, products", [(1, 7, 18), (2, 3, 26)])
+@pytest.mark.parametrize("r1, seed, products", [(1, 7, 13), (2, 3, 19)])
 def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, products: int) -> None:
     # On the phi branch psi = theta2 = 0, so no term with either factor is
     # formed, and commutators of the 1x1 (r2 = 1) blocks take no product.
-    # Kernel calls per iteration (two field evaluations, one of them on both
-    # line probes stacked, and one gradient): 9 stencils, and 18 (rank 1)
-    # or 26 (rank 2) small-matrix products.  The gradient takes the A1 and
-    # theta1 blocks from one stencil and two commutators on the stacked
-    # halves of W1.  With one call per probe and every term formed, the
-    # three evaluations and the gradient cost 16 stencils and 72 products.
+    # Kernel calls per iteration (one field evaluation on three stacked
+    # states, and one gradient): 6 stencils, and 13 (rank 1) or 19 (rank 2)
+    # small-matrix products; with the new state evaluated in a call of its
+    # own they were 9, 18 and 26.  The gradient takes the A1 and theta1
+    # blocks from one stencil and two commutators on the stacked halves of
+    # W1.  With one call per state and every term formed, the three
+    # evaluations and the gradient cost 16 stencils and 72 products.
     counts = {"_stencil": 0, "_mm": 0}
     for name in counts:
         kernel = getattr(vx, name)
@@ -252,7 +256,7 @@ def test_phi_branch_iteration_skips_zero_terms(monkeypatch, r1: int, seed: int, 
     # The same start and budgets 2 and 4: the difference is two iterations,
     # free of the start-state and final-breakdown evaluations.
     short, long = totals(2), totals(4)
-    assert (long["_stencil"] - short["_stencil"]) == 2 * 9
+    assert (long["_stencil"] - short["_stencil"]) == 2 * 6
     assert (long["_mm"] - short["_mm"]) == 2 * products
 
 
@@ -293,14 +297,18 @@ def test_phi_branch_iteration_makes_one_transform_pair_per_axis(
     "N, r1, r2, max_iter",
     [
         (32, 1, 1, 100), (64, 1, 1, 100), (17, 1, 1, 100), (16, 2, 2, 30), (32, 2, 2, 30),
-        (4, 2, 2, 2), (4, 4, 4, 2), (4, 6, 6, 2),
+        (4, 2, 2, 2), (4, 4, 4, 2), (4, 6, 6, 2), (16, 2, 1, 30), (32, 2, 1, 30),
+        (16, 1, 2, 30),
     ],
 )
 def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: int) -> None:
     # The CLI refuses a grid on this estimate before it allocates, so it
     # must bound what sampling and solving hold, the Gauss-Newton symbol of
-    # these r1 = r2 problems included (odd N: no mode shares a class).  On
+    # the r1 = r2 problems included (odd N: no mode shares a class).  On
     # the smallest grid the symbol's build dominates, and it grows as r^4.
+    # At r1 != r2 there is no symbol, and the stacked pass of the (2, 1)
+    # problem is the largest working set per state; on 16 sites numpy's
+    # ufunc buffers add 1.4 states to it.
     # A first short solve leaves numpy's one-time allocations (FFT plans,
     # lazy imports), which do not grow with the grid, outside the count.
     tau = 1.0
@@ -318,36 +326,39 @@ def test_solve_bytes_bounds_the_traced_peak(N: int, r1: int, r2: int, max_iter: 
 
 # solve_bytes(N, r, r) for N = 4..70: the CLI refuses a grid on these
 # numbers before it allocates, so moving their arithmetic must keep them.
+# Three-row passes raised SOLVE_WORKING_STATES from 11 to 13 and added
+# numpy's ufunc buffers, which moved every one of them.
 SOLVE_BYTES = {
     1: [
-        77184, 106560, 112512, 169216, 176064, 252096, 239040, 355200, 336640, 478528, 427264,
-        622080, 558912, 785856, 677184, 969856, 842880, 1174080, 988800, 1398528, 1188544,
-        1643200, 1362112, 1908096, 1595904, 2193216, 1797120, 2498560, 2064960, 2824128,
-        2293824, 3169920, 2595712, 3535936, 2852224, 3922176, 3188160, 4328640, 3472320,
-        4755328, 3842304, 5202240, 4154112, 5669376, 4558144, 6156736, 4897600, 6664320,
-        5335680, 7192128, 5702784, 7740160, 6174912, 8308416, 6569664, 8896896, 7075840,
-        9505600, 7498240, 10134528, 8038464, 10783680, 8488512, 11453056, 9062784, 12142656,
-        9540480
+        474496, 506176, 514944, 574976, 585664, 666048, 657856, 779392, 766720, 915008,
+        870656, 1072896, 1017664, 1253056, 1153344, 1455488, 1338496, 1680192, 1505920,
+        1927168, 1729216, 2196416, 1928384, 2487936, 2189824, 2801728, 2420736, 3137792,
+        2720320, 3496128, 2982976, 3876736, 3320704, 4279616, 3615104, 4704768, 3990976,
+        5152192, 4317120, 5621888, 4731136, 6113856, 5089024, 6628096, 5541184, 7164608,
+        5930816, 7723392, 6421120, 8304448, 6842496, 8907776, 7370944, 9533376, 7824064,
+        10181248, 8390656, 10851392, 8875520, 11543808, 9480256, 12258496, 9996864,
+        12995456, 10639744, 13754688, 11188096
     ],
     2: [
-        740736, 815040, 882048, 1003264, 1093056, 1253184, 1344960, 1564800, 1672960, 1938112,
-        2035456, 2373120, 2480448, 2869824, 2953536, 3428224, 3515520, 4048320, 4099200,
-        4730112, 4778176, 5473600, 5472448, 6278784, 6268416, 7145664, 7073280, 8074240,
-        7986240, 9064512, 8901696, 10116480, 9931648, 11230144, 10957696, 12405504, 12104640,
-        13642560, 13241280, 14941312, 14505216, 16301760, 15752448, 17723904, 17133376,
-        19207744, 18491200, 20753280, 19989120, 22360512, 21457536, 24029440, 23072448,
-        25760064, 24651456, 27552384, 26383360, 29406400, 28072960, 31322112, 29921856,
-        33299520, 31722048, 35338624, 33687936, 37439424, 35598720
+        1150336, 1233856, 1312128, 1446656, 1551808, 1729344, 1840576, 2081920, 2213632,
+        2504384, 2629376, 2996736, 3135808, 3558976, 3678528, 4191104, 4318336, 4893120,
+        4988032, 5665024, 5761216, 6506816, 6557888, 7418496, 7464448, 8400064, 8388096,
+        9451520, 9428032, 10572864, 10478656, 11764096, 11651968, 13025216, 12829568,
+        14356224, 14136256, 15757120, 15440832, 17227904, 16880896, 18768576, 18312448,
+        20379136, 19885888, 22059584, 21444416, 23809920, 23151232, 25630144, 24836736,
+        27520256, 26676928, 29480256, 28489408, 31510144, 30462976, 33609920, 32402432,
+        35779584, 34509376, 38019136, 36575808, 40328576, 38816128, 42707904, 41009536
     ],
     3: [
-        3382656, 3531840, 3700608, 3929344, 4157376, 4457664, 4724160, 5116800, 5436160,
-        5906752, 6251776, 6827520, 7219008, 7879104, 8283456, 9061504, 9505920, 10374720,
-        10819200, 11818752, 12296896, 13393600, 13859008, 15099264, 15591936, 16935744,
-        17402880, 18903040, 19391040, 21001152, 21450816, 23230080, 23694208, 25589824,
-        26002816, 28080384, 28501440, 30701760, 31058880, 33453952, 33812736, 36336960,
-        36619008, 39350784, 39628096, 42495424, 42683200, 45770880, 45947520, 49177152,
-        49251456, 52714240, 52771008, 56382144, 56323776, 60180864, 60098560, 64110400,
-        63900160, 68170752, 67930176, 72361920, 71980608, 76683904, 76265856, 81136704, 80565120
+        3812736, 3982656, 4176768, 4435456, 4698048, 5037504, 5347776, 5788800, 6161152,
+        6689344, 7096576, 7739136, 8202048, 8938176, 9423168, 10286464, 10820736, 11784000,
+        12327552, 13430784, 14017216, 15226816, 15809728, 17172096, 17791488, 19266624,
+        19869696, 21510400, 22143552, 23903424, 24507456, 26445696, 27073408, 29137216,
+        29723008, 31977984, 32581056, 34968000, 35516352, 38107264, 38666496, 41395776,
+        41887488, 44833536, 45329728, 48420544, 48836416, 52156800, 52570752, 56042304,
+        56363136, 60077056, 60389568, 64261056, 64467648, 68594304, 68786176, 73076800,
+        73149952, 77708544, 77760576, 82489536, 82410048, 87419776, 87312768, 92499264,
+        92247936
     ],
 }
 
@@ -574,3 +585,88 @@ def test_stop_reason_non_finite(scale: float) -> None:
     res = non_finite_solve(scale)
     assert res.stop_reason == "non_finite"
     assert res.stalled
+
+
+def same(a: float, b: float) -> bool:
+    """a == b, with nan equal to nan."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def model_zero_gradient_solve() -> vx.SolveResult:
+    # At tol 0 the descent runs until the gradient the line model gives
+    # vanishes; that state is then evaluated alone and stops on its own.
+    s0 = vx.random_smooth_state(8, 1, 1, 1.0, np.random.default_rng(2), 0.1, 1.0)
+    return vx.solve(s0, 1.0, tol=0.0, max_iter=2000)
+
+
+# Per case: the stop reason, the solve and its coupling.
+STOPS = {
+    "converged": ("converged", scalar_solve, 1.0),
+    "max_iter": ("max_iter", capped_solve, 1.0),
+    "no_decrease": ("no_decrease", lambda: negative_tau_section_solve()[0], -1.0),
+    "zero_gradient_at_start": (
+        "zero_gradient", lambda: vx.solve(vx.zero_state(8, 1), 1.0, tol=1e-12, max_iter=50), 1.0
+    ),
+    "zero_gradient_of_a_model_state": ("zero_gradient", model_zero_gradient_solve, 1.0),
+    **{
+        f"non_finite_{scale}": ("non_finite", lambda scale=scale: non_finite_solve(scale), 1.0)
+        for scale in NON_FINITE_SCALES
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(STOPS))
+def test_every_stop_returns_exact_numbers_for_its_state(monkeypatch, case: str) -> None:
+    # The gradient of a new state reads the line model's fields; only the
+    # exact evaluation of the state, in the next pass or alone, may give its
+    # energy, its history entry, the tol test and the breakdown.  So every
+    # stop must report the numbers of the state it returns, bit for bit.
+    steps = []
+    exact_step = vx._exact_step
+
+    def spied(*args):
+        step, model = exact_step(*args)
+        steps.append(step)
+        return step, model
+
+    monkeypatch.setattr(vx, "_exact_step", spied)
+    reason, solve, tau = STOPS[case]
+    res = solve()
+    assert res.stop_reason == reason
+    with np.errstate(all="ignore"):
+        energy = vx.residual_energy(res.state, tau)
+        breakdown = vx.residual_breakdown(res.state, tau)
+    assert same(res.residual, energy) and same(res.residual, res.energy_history[-1])
+    assert res.breakdown.keys() == breakdown.keys()
+    assert all(same(res.breakdown[key], breakdown[key]) for key in breakdown)
+    if case == "no_decrease":
+        # The last line found a step, and the exact evaluation of the state
+        # it led to rejected it: the state before comes back.
+        assert steps[-1] > 0.0
+        assert len(steps) == res.iterations + 1
+
+
+def test_non_finite_start_stops_at_any_budget() -> None:
+    s0 = vx.random_smooth_state(8, 1, 1, 1.0, np.random.default_rng(5), 0.1, 1.0)
+    for max_iter in (0, 1, 10):
+        with np.errstate(all="ignore"):
+            res = vx.solve(replace(s0, phi=s0.phi * np.nan), 1.0, max_iter=max_iter)
+        assert res.stop_reason == "non_finite", max_iter
+        assert res.iterations == 0
+
+
+def test_start_with_a_non_finite_gradient_builds_no_symbol(monkeypatch) -> None:
+    # At vol 1e300 the start's residual is finite (4.7e298) but its
+    # gradient's squared norm is not; the solve stops before the (1, 1)
+    # problem's Gauss-Newton symbol, whose build cannot use such a grid.
+    from higgspairs import gauss_newton
+
+    def refuse(*args):
+        raise AssertionError("built the symbol")
+
+    monkeypatch.setattr(gauss_newton, "GaussNewtonSymbol", refuse)
+    s0 = vx.random_smooth_state(8, 1, 1, 1e300, np.random.default_rng(0), 0.1, 1.0)
+    res = vx.solve(s0, 1.0)
+    assert res.stop_reason == "non_finite"
+    assert res.iterations == 0
+    assert math.isfinite(res.residual)
